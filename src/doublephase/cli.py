@@ -17,7 +17,7 @@ import json
 import platform
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,20 +40,11 @@ class ConfigError(Exception):
     """Configuration rejected; the message includes the offending path."""
 
 
+# Every SolverOptions field except the initial guess and the seed (set at the
+# config's top level), plus the Problem's dual bound.
 _SOLVER_DEFAULTS = {
-    "max_iterations": 50_000,
-    "gradient_tolerance": None,
-    "energy_tolerance": 1e-14,
-    "armijo_constant": 1e-4,
-    "shrink_factor": 0.5,
-    "initial_step": 1.0,
-    "step_floor": 1e-16,
-    "method": "cg",
-    "two_start_check": False,
-    "dual_bound": None,
-    "dual_probes": 256,
-    "uc_epsilon": 0.5,
-}
+    f.name: f.default for f in fields(SolverOptions) if f.name not in ("initial_guess", "seed")
+} | {"dual_bound": None}
 
 _VERIFY_DEFAULTS = {
     "samples": 500,
@@ -150,6 +141,15 @@ def parse_config(source: str | Path) -> Config:
     if "verify" in raw:
         _require_keys(raw["verify"], "verify", required=(), optional=tuple(_VERIFY_DEFAULTS))
         verify.update(raw["verify"])
+    samples = verify["samples"]
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
+        raise ConfigError(f"verify.samples: expected a positive integer, got {samples!r}")
+    for key in ("epsilon", "amplitude", "exponent_max"):
+        value = verify[key]
+        if value is None and key == "epsilon":
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"verify.{key}: expected a number, got {value!r}")
 
     seed = raw.get("seed", 0)
     if not isinstance(seed, int):
@@ -189,32 +189,19 @@ def build_phase(config: Config) -> PhaseStructure:
 
 def build_problem(config: Config) -> Problem:
     grid = config.grid
-    return Problem(
-        grid=grid,
-        phase=build_phase(config),
-        phi=ScalarField(grid, sample(config.boundary_expr, grid, "nodes")),
-        f=ScalarField(grid, sample(config.source_expr, grid, "nodes")),
-        dual_bound=config.solver["dual_bound"],
-    )
+    phase = build_phase(config)
+    phi = ScalarField(grid, sample(config.boundary_expr, grid, "nodes"))
+    f = ScalarField(grid, sample(config.source_expr, grid, "nodes"))
+    try:
+        return Problem(grid, phase, phi, f, dual_bound=config.solver["dual_bound"])
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"solver: {err}") from err
 
 
 def solver_options(config: Config) -> SolverOptions:
-    s = config.solver
+    options = {k: v for k, v in config.solver.items() if k != "dual_bound"}
     try:
-        return SolverOptions(
-            max_iterations=s["max_iterations"],
-            gradient_tolerance=s["gradient_tolerance"],
-            energy_tolerance=s["energy_tolerance"],
-            armijo_constant=s["armijo_constant"],
-            shrink_factor=s["shrink_factor"],
-            initial_step=s["initial_step"],
-            step_floor=s["step_floor"],
-            method=s["method"],
-            two_start_check=s["two_start_check"],
-            dual_probes=s["dual_probes"],
-            uc_epsilon=s["uc_epsilon"],
-            seed=config.seed,
-        )
+        return SolverOptions(**options, seed=config.seed)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"solver: {err}") from err
 
@@ -317,10 +304,10 @@ def cmd_norm(config: Config, field_expr: str, kind: str | None, out_dir: Path | 
     kinds = (kind,) if kind else ("zero_order", "gradient", "sobolev")
     results: dict = {"field": field_expr, "kinds": {}}
     for k in kinds:
-        lower, upper, holds = norm_modular_sandwich(u, phase, k)
+        lower, upper, norm, holds = norm_modular_sandwich(u, phase, k)
         results["kinds"][k] = {
             "modular": rho(u, phase, k).value,
-            "luxemburg_norm": luxemburg_norm(u, phase, k),
+            "luxemburg_norm": norm,
             "sandwich_lower": lower,
             "sandwich_upper": upper,
             "sandwich_holds": holds,
@@ -339,15 +326,14 @@ def cmd_norm(config: Config, field_expr: str, kind: str | None, out_dir: Path | 
 def _sweep_sandwich(config: Config, phase: PhaseStructure) -> dict:
     grid = config.grid
     rng = np.random.default_rng(config.seed)
-    n = int(config.verify["samples"])
+    n = config.verify["samples"]
     fails = 0
     checks = 0
     for _ in range(n):
         scale = 10.0 ** rng.uniform(-2, 2)
         u = ScalarField(grid, scale * rng.normal(size=grid.n_nodes))
         kind = ("zero_order", "gradient", "sobolev")[int(rng.integers(0, 3))]
-        _, _, holds = norm_modular_sandwich(u, phase, kind)
-        norm = luxemburg_norm(u, phase, kind)
+        _, _, norm, holds = norm_modular_sandwich(u, phase, kind)
         unit_ok = True
         if norm > 0:
             unit = ScalarField(grid, u.values / norm)
@@ -375,7 +361,7 @@ def cmd_verify(config: Config, suite: str, out_dir: Path | None) -> int:
             tallies = sweep_uc_pairs(
                 config.grid,
                 phase,
-                int(verify["samples"]),
+                verify["samples"],
                 config.seed,
                 kinds=("gradient", "zero_order", "sobolev"),
                 eps=eps,
@@ -387,7 +373,7 @@ def cmd_verify(config: Config, suite: str, out_dir: Path | None) -> int:
                    "multiphase": phase.k > 1}
     elif suite == "monotone":
         out = sweep_monotonicity(
-            int(verify["samples"]),
+            verify["samples"],
             config.seed,
             r_max=float(verify["exponent_max"]),
             amplitude=float(verify["amplitude"]),
@@ -396,7 +382,7 @@ def cmd_verify(config: Config, suite: str, out_dir: Path | None) -> int:
         results = {"suite": "monotone", **out}
     elif suite == "inequalities":
         out = sweep_two_point(
-            int(verify["samples"]),
+            verify["samples"],
             config.seed,
             h_max=float(verify["exponent_max"]),
             amplitude=float(verify["amplitude"]),

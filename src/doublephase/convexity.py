@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import ScalarField, gradient_values
-from .phase import PhaseStructure
+from .phase import PhaseStructure, power_flux_coefficient
 from .modular import rho
 
 REL_SLACK = 1e-12
@@ -158,8 +158,15 @@ def delta_of_epsilon(eps: float, m: float) -> float:
     return min(eps / 2.0, (m - 1.0) * eps * eps / 32.0)
 
 
-def _uc_report(u, v, eps, phase, kind, m) -> ConvexityReport:
-    delta = delta_of_epsilon(eps, m)
+def verify_uc_pair(
+    u: ScalarField, v: ScalarField, eps: float, phase: PhaseStructure, kind: str
+) -> ConvexityReport:
+    """Certify the uniform-convexity implication for one pair of fields.
+
+    Covers every phase count: with k >= 2 phases m is the minimum over all
+    exponent fields.
+    """
+    delta = delta_of_epsilon(eps, phase.summary.m)
     grid = u.grid
     mid = ScalarField(grid, (u.values + v.values) / 2.0)
     half = ScalarField(grid, (u.values - v.values) / 2.0)
@@ -185,28 +192,20 @@ def _uc_report(u, v, eps, phase, kind, m) -> ConvexityReport:
     )
 
 
-def verify_uc_pair(
-    u: ScalarField, v: ScalarField, eps: float, phase: PhaseStructure, kind: str
-) -> ConvexityReport:
-    """Certify the uniform-convexity implication for one pair of fields."""
-    return _uc_report(u, v, eps, phase, kind, phase.summary.m)
-
-
-def verify_multiphase_uc(
-    u: ScalarField, v: ScalarField, eps: float, phase: PhaseStructure
-) -> ConvexityReport:
-    """Gradient-modular certification for a structure with k >= 2 phases."""
-    if phase.k < 2:
-        raise ValueError("verify_multiphase_uc requires k >= 2 phases")
-    return _uc_report(u, v, eps, phase, "gradient", phase.summary.m)
-
-
 def _flux_terms(r, A):
     """|A|^(r-2) A with the continuous zero extension at A = 0."""
-    n = np.sqrt(np.sum(A**2, axis=-1))
-    safe = np.where(n > 0, n, 1.0)
-    coef = np.where(n > 0, safe ** (r - 2.0), 0.0)
-    return coef[..., None] * A
+    return power_flux_coefficient(np.sqrt(np.sum(A**2, axis=-1)), r)[..., None] * A
+
+
+def monotonicity_bound(r, ndiff, base):
+    """Per-cell lower bound on the r-power flux pairing <F(a) - F(b), a - b>.
+
+    With ndiff = |a - b| and base = 1 + |a|^2 + |b|^2 the bound is
+    2^(2-r) ndiff^r for r >= 2 and (r - 1) ndiff^2 base^((r-2)/2) below 2.
+    """
+    high = 2.0 ** (2.0 - r) * ndiff**r
+    low = (r - 1.0) * ndiff**2 * base ** ((r - 2.0) / 2.0)
+    return np.where(r >= 2.0, high, low)
 
 
 def _monotonicity_sides(r, A, B):
@@ -217,12 +216,8 @@ def _monotonicity_sides(r, A, B):
     diff = A - B
     lhs = np.sum((_flux_terms(r, A) - _flux_terms(r, B)) * diff, axis=-1)
     ndiff = np.sqrt(np.sum(diff**2, axis=-1))
-    na2 = np.sum(A**2, axis=-1)
-    nb2 = np.sum(B**2, axis=-1)
-    rhs_high = 2.0 ** (2.0 - r) * ndiff**r
-    rhs_low = (r - 1.0) * ndiff**2 * (1.0 + na2 + nb2) ** ((r - 2.0) / 2.0)
-    rhs = np.where(r >= 2.0, rhs_high, rhs_low)
-    return lhs, rhs
+    base = 1.0 + np.sum(A**2, axis=-1) + np.sum(B**2, axis=-1)
+    return lhs, monotonicity_bound(r, ndiff, base)
 
 
 def monotonicity_lower_bound_check(r: float, A, B) -> bool:
@@ -322,12 +317,9 @@ def sweep_uc_pairs(
 ):
     """Seeded uniform-convexity sweep on a fixed grid and phase structure."""
     rng = np.random.default_rng(seed)
-    m = phase.summary.m
-    bound = admissible_epsilon_bound(m)
-    if eps is not None and not (0.0 < eps < bound):
-        raise ValueError(
-            f"eps must lie in (0, min(1, sqrt(32/(m-1))) = {bound:.6g}), got {eps}"
-        )
+    bound = admissible_epsilon_bound(phase.summary.m)
+    if eps is not None:
+        delta_of_epsilon(eps, phase.summary.m)  # rejects an inadmissible eps up front
     tallies = {kind: {"pass": 0, "vacuous": 0, "fail": 0} for kind in kinds}
     for _ in range(n_samples):
         scale_u = 10.0 ** rng.uniform(-1, 1)
@@ -336,6 +328,5 @@ def sweep_uc_pairs(
         v = ScalarField(grid, scale_v * rng.normal(size=grid.n_nodes))
         e = eps if eps is not None else float(rng.uniform(0.02, 0.98) * min(1.0, bound))
         for kind in kinds:
-            report = _uc_report(u, v, e, phase, kind, m)
-            tallies[kind][report.verdict] += 1
+            tallies[kind][verify_uc_pair(u, v, e, phase, kind).verdict] += 1
     return tallies

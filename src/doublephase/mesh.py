@@ -9,6 +9,7 @@ evaluated at the center of that cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -16,6 +17,26 @@ import numpy as np
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _corner(offsets) -> tuple[slice, ...]:
+    """Node-lattice slice of the cell corner at 0/1 offsets along each axis."""
+    return tuple(slice(1, None) if o else slice(None, -1) for o in offsets)
+
+
+@dataclass(frozen=True)
+class Stencil:
+    """Corner slices of the node lattice shared by every mesh operator.
+
+    ``pairs[k]`` lists the (lo, hi) corners that differ along axis k only,
+    ordered by the offsets of the other axes; ``scales[k]`` is
+    ``len(pairs[k]) * h_k``, the divisor of the k-th gradient component;
+    ``corners`` lists every cell corner, first axis fastest.
+    """
+
+    pairs: tuple[tuple[tuple[tuple[slice, ...], tuple[slice, ...]], ...], ...]
+    scales: tuple[float, ...]
+    corners: tuple[tuple[slice, ...], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,35 +62,48 @@ class Grid:
             if n < 2:
                 raise ValueError(f"resolution must be >= 2 per axis, got {n}")
 
-    @property
+    @cached_property
     def cell_size(self) -> tuple[float, ...]:
         return tuple(
             (hi - lo) / n for (lo, hi), n in zip(self.extents, self.resolution)
         )
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.cell_size))
 
-    @property
+    @cached_property
     def volume(self) -> float:
         return float(np.prod([hi - lo for lo, hi in self.extents]))
 
-    @property
+    @cached_property
     def node_shape(self) -> tuple[int, ...]:
         return tuple(n + 1 for n in self.resolution)
 
-    @property
+    @cached_property
     def cell_shape(self) -> tuple[int, ...]:
         return tuple(self.resolution)
 
-    @property
+    @cached_property
     def n_nodes(self) -> int:
         return int(np.prod(self.node_shape))
 
-    @property
+    @cached_property
     def n_cells(self) -> int:
         return int(np.prod(self.cell_shape))
+
+    @cached_property
+    def stencil(self) -> Stencil:
+        pairs = tuple(
+            tuple(
+                (_corner(rest[:k] + (0,) + rest[k:]), _corner(rest[:k] + (1,) + rest[k:]))
+                for rest in np.ndindex(*(2,) * (self.dim - 1))
+            )
+            for k in range(self.dim)
+        )
+        scales = tuple(len(pp) * h for pp, h in zip(pairs, self.cell_size))
+        corners = tuple(corner for pair in pairs[0] for corner in pair)
+        return Stencil(pairs, scales, corners)
 
     def axis_nodes(self, axis: int) -> np.ndarray:
         lo, hi = self.extents[axis]
@@ -95,6 +129,9 @@ class Grid:
 
 def build_grid(dim, extents, resolution) -> Grid:
     """Validate and build a Grid from plain sequences."""
+    for n in resolution:
+        if not float(n).is_integer():
+            raise ValueError(f"resolution must be integral, got {n}")
     return Grid(
         dim=int(dim),
         extents=tuple((float(lo), float(hi)) for lo, hi in extents),
@@ -124,67 +161,32 @@ class ScalarField:
         return cls(grid, np.zeros(grid.n_nodes))
 
 
-@dataclass(frozen=True, eq=False)
-class GradientField:
-    """One gradient vector per grid cell."""
-
-    grid: Grid
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=float).reshape(-1, self.grid.dim).copy()
-        if v.shape[0] != self.grid.n_cells:
-            raise ValueError(
-                f"vector count {v.shape[0]} does not match cell count {self.grid.n_cells}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("gradient field contains non-finite values")
-        object.__setattr__(self, "vectors", _readonly(v))
-
-    def norms(self) -> np.ndarray:
-        """Euclidean norm of the gradient, one value per cell."""
-        return np.sqrt(np.sum(self.vectors**2, axis=1))
+def boundary_mask(grid: Grid) -> np.ndarray:
+    """Flat boolean array over the nodes, true exactly on boundary nodes."""
+    m = np.ones(grid.node_shape, dtype=bool)
+    m[(slice(1, -1),) * grid.dim] = False
+    return m.reshape(-1)
 
 
-@dataclass(frozen=True, eq=False)
-class BoundaryMask:
-    """Boolean per node, true exactly on boundary nodes."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=bool).reshape(-1).copy()
-        if v.size != self.grid.n_nodes:
-            raise ValueError("mask size does not match node count")
-        object.__setattr__(self, "values", _readonly(v))
-
-
-def boundary_mask(grid: Grid) -> BoundaryMask:
-    m = np.zeros(grid.node_shape, dtype=bool)
-    if grid.dim == 1:
-        m[0] = m[-1] = True
-    else:
-        m[0, :] = m[-1, :] = True
-        m[:, 0] = m[:, -1] = True
-    return BoundaryMask(grid, m.reshape(-1))
+# The operators below are loops over ``grid.stencil``.  Forward operators
+# accumulate in place in the table's order; each adjoint scatters in that same
+# order, so the 1D and 2D results keep a fixed float rounding.
 
 
 def gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Per-cell gradient of the multilinear interpolant of flat nodal values."""
-    if grid.dim == 1:
-        (h,) = grid.cell_size
-        g = (values[1:] - values[:-1]) / h
-        return g.reshape(-1, 1)
-    hx, hy = grid.cell_size
     v = values.reshape(grid.node_shape)
-    dx = (v[1:, :-1] - v[:-1, :-1] + v[1:, 1:] - v[:-1, 1:]) / (2.0 * hx)
-    dy = (v[:-1, 1:] - v[:-1, :-1] + v[1:, 1:] - v[1:, :-1]) / (2.0 * hy)
-    return np.stack([dx.reshape(-1), dy.reshape(-1)], axis=-1)
-
-
-def discrete_gradient(u: ScalarField) -> GradientField:
-    return GradientField(u.grid, gradient_values(u.grid, u.values))
+    out = np.empty((grid.n_cells, grid.dim))
+    components = out.reshape(grid.cell_shape + (grid.dim,))
+    for k, (pairs, scale) in enumerate(zip(grid.stencil.pairs, grid.stencil.scales)):
+        comp = components[..., k]
+        (lo, hi), rest = pairs[0], pairs[1:]
+        np.subtract(v[hi], v[lo], out=comp)
+        for lo, hi in rest:
+            comp += v[hi]
+            comp -= v[lo]
+        comp /= scale
+    return out
 
 
 def gradient_adjoint(grid: Grid, vectors: np.ndarray) -> np.ndarray:
@@ -194,52 +196,32 @@ def gradient_adjoint(grid: Grid, vectors: np.ndarray) -> np.ndarray:
     for every nodal v and per-cell vector field w.
     """
     out = np.zeros(grid.node_shape)
-    if grid.dim == 1:
-        (h,) = grid.cell_size
-        g = vectors[:, 0] / h
-        out[:-1] -= g
-        out[1:] += g
-        return out.reshape(-1)
-    hx, hy = grid.cell_size
-    gx = vectors[:, 0].reshape(grid.cell_shape) / (2.0 * hx)
-    gy = vectors[:, 1].reshape(grid.cell_shape) / (2.0 * hy)
-    out[:-1, :-1] -= gx
-    out[1:, :-1] += gx
-    out[:-1, 1:] -= gx
-    out[1:, 1:] += gx
-    out[:-1, :-1] -= gy
-    out[:-1, 1:] += gy
-    out[1:, :-1] -= gy
-    out[1:, 1:] += gy
+    components = vectors.reshape(grid.cell_shape + (grid.dim,))
+    for k, (pairs, scale) in enumerate(zip(grid.stencil.pairs, grid.stencil.scales)):
+        comp = components[..., k] / scale
+        for lo, hi in pairs:
+            out[lo] -= comp
+            out[hi] += comp
     return out.reshape(-1)
 
 
 def cell_average_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Arithmetic mean of the corner nodal values, one value per cell."""
-    if grid.dim == 1:
-        return 0.5 * (values[1:] + values[:-1])
     v = values.reshape(grid.node_shape)
-    c = 0.25 * (v[:-1, :-1] + v[1:, :-1] + v[:-1, 1:] + v[1:, 1:])
-    return c.reshape(-1)
-
-
-def node_to_cell(u: ScalarField) -> np.ndarray:
-    return cell_average_values(u.grid, u.values)
+    first, second, *rest = grid.stencil.corners
+    out = v[first] + v[second]
+    for corner in rest:
+        out += v[corner]
+    out *= 1.0 / len(grid.stencil.corners)
+    return out.reshape(-1)
 
 
 def cell_average_adjoint(grid: Grid, cells: np.ndarray) -> np.ndarray:
     """Transpose of ``cell_average_values``: scatter cell values to corner nodes."""
     out = np.zeros(grid.node_shape)
-    if grid.dim == 1:
-        half = 0.5 * cells
-        out[:-1] += half
-        out[1:] += half
-        return out.reshape(-1)
-    quarter = 0.25 * cells.reshape(grid.cell_shape)
-    out[:-1, :-1] += quarter
-    out[1:, :-1] += quarter
-    out[:-1, 1:] += quarter
-    out[1:, 1:] += quarter
+    share = (1.0 / len(grid.stencil.corners)) * cells.reshape(grid.cell_shape)
+    for corner in grid.stencil.corners:
+        out[corner] += share
     return out.reshape(-1)
 
 
@@ -251,10 +233,3 @@ def integrate_cells(grid: Grid, cells: np.ndarray) -> float:
             f"cell count {c.size} does not match grid cell count {grid.n_cells}"
         )
     return float(np.sum(c) * grid.cell_volume)
-
-
-def apply_dirichlet(u: ScalarField, phi: ScalarField, mask: BoundaryMask) -> ScalarField:
-    """Return a field equal to phi on masked nodes and to u elsewhere."""
-    if u.grid is not phi.grid and u.grid.node_shape != phi.grid.node_shape:
-        raise ValueError("fields live on different grids")
-    return ScalarField(u.grid, np.where(mask.values, phi.values, u.values))

@@ -48,16 +48,6 @@ def _check_kind(kind: str):
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
-def _arguments(u: ScalarField, kind: str) -> list[np.ndarray]:
-    """Per-cell nonnegative arguments fed to the integrand, one per component."""
-    if kind == "zero_order":
-        return [np.abs(cell_average_values(u.grid, u.values))]
-    if kind == "gradient":
-        g = gradient_values(u.grid, u.values)
-        return [np.sqrt(np.sum(g**2, axis=1))]
-    return _arguments(u, "zero_order") + _arguments(u, "gradient")
-
-
 def _cell_contributions(
     u_values: np.ndarray,
     grid: Grid,
@@ -160,8 +150,11 @@ def luxemburg_norm(u: ScalarField, phase: PhaseStructure, kind: str) -> float:
 
 def norm_modular_sandwich(
     u: ScalarField, phase: PhaseStructure, kind: str
-) -> tuple[float, float, bool]:
-    """Bounds min/max of rho^(1/m), rho^(1/M) around the Luxemburg norm."""
+) -> tuple[float, float, float, bool]:
+    """Bounds min/max of rho^(1/m), rho^(1/M) around the Luxemburg norm.
+
+    Returns (lower, upper, norm, holds).
+    """
     _check_kind(kind)
     s = phase.summary
     value = rho(u, phase, kind).value
@@ -170,7 +163,7 @@ def norm_modular_sandwich(
     norm = luxemburg_norm(u, phase, kind)
     slack = 1e-9
     holds = lower * (1.0 - slack) <= norm <= upper * (1.0 + slack)
-    return lower, upper, bool(holds)
+    return lower, upper, norm, bool(holds)
 
 
 def overline_equivalence_check(u: ScalarField, phase: PhaseStructure, kind: str) -> bool:
@@ -192,7 +185,7 @@ def overline_equivalence_check(u: ScalarField, phase: PhaseStructure, kind: str)
 
 def poincare_ratio(u: ScalarField, phase: PhaseStructure) -> float:
     """Zero-order norm over gradient norm for a zero-trace field."""
-    mask = boundary_mask(u.grid).values
+    mask = boundary_mask(u.grid)
     if np.any(u.values[mask] != 0.0):
         raise ValueError("poincare_ratio requires a zero boundary trace")
     grad_norm = luxemburg_norm(u, phase, "gradient")
@@ -238,7 +231,7 @@ def estimate_dual_bound(
     to align with f (for instance a computed minimizer) as extra probes.
     """
     grid = f.grid
-    interior = ~boundary_mask(grid).values
+    interior = ~boundary_mask(grid)
     rng = np.random.default_rng(seed)
     best = 0.0
     probes: list[np.ndarray] = []

@@ -128,23 +128,19 @@ class PhaseStructure:
         t -> 0 because every exponent exceeds 1.
         """
         t = np.asarray(t, dtype=float)
-        pos = t > 0.0
-        safe = np.where(pos, t, 1.0)
-        out = np.where(pos, safe ** (self.p_cells - 2.0), 0.0)
+        out = power_flux_coefficient(t, self.p_cells)
         for pr in self.phases:
-            out += np.where(pos, pr.mu_cells * safe ** (pr.q_cells - 2.0), 0.0)
+            out += pr.mu_cells * power_flux_coefficient(t, pr.q_cells)
         return out
 
-def eval_H(phase: PhaseStructure, cell: int, t: float) -> float:
-    """Integrand value at one cell: (1/p) t^p + sum_j (mu_j/q_j) t^{q_j}."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    p = phase.p_cells[cell]
-    val = t**p / p
-    for pr in phase.phases:
-        q = pr.q_cells[cell]
-        val += pr.mu_cells[cell] / q * t**q
-    return float(val)
+
+def power_flux_coefficient(t: np.ndarray, r) -> np.ndarray:
+    """t^(r-2) for t > 0, continuously extended by 0 at t = 0.
+
+    The scalar factor of the r-power flux |A|^(r-2) A at t = |A|.
+    """
+    pos = t > 0.0
+    return np.where(pos, np.where(pos, t, 1.0) ** (r - 2.0), 0.0)
 
 
 def growth_envelope_check(phase: PhaseStructure, cell: int, t: float) -> bool:
@@ -161,16 +157,13 @@ def growth_envelope_check(phase: PhaseStructure, cell: int, t: float) -> bool:
     mu = phase.phases[0].mu_cells[cell]
     alpha = 1.0 / s.p_plus + mu / s.q_plus_global
     beta = 1.0 / s.p_minus + mu / s.q_minus_global
-    tp = t ** phase.p_cells[cell]
-    tq = t ** phase.phases[0].q_cells[cell]
-    h = eval_H(phase, cell, t)
+    p = phase.p_cells[cell]
+    q = phase.phases[0].q_cells[cell]
+    tp = t**p
+    tq = t**q
+    h = tp / p + mu / q * tq
     slack = 1e-12 * (1.0 + tp + tq)
     return bool(alpha * min(tp, tq) <= h + slack and h <= beta * max(tp, tq) + slack)
-
-
-def exponent_summary(phase: PhaseStructure) -> ExponentSummary:
-    """Exact extremes of the sampled exponents; m > 1 is enforced at build time."""
-    return phase.summary
 
 
 def matuszewska_index(phase: PhaseStructure, cell: int) -> float:

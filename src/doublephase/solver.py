@@ -23,7 +23,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .convexity import ConvexityReport, admissible_epsilon_bound, verify_uc_pair
+from .convexity import (
+    ConvexityReport,
+    admissible_epsilon_bound,
+    monotonicity_bound,
+    verify_uc_pair,
+)
 from .mesh import (
     Grid,
     ScalarField,
@@ -60,7 +65,7 @@ class Problem:
     dual_bound: float | None = None
 
     def __post_init__(self):
-        if self.phase.grid is not self.grid and self.phase.grid.n_cells != self.grid.n_cells:
+        if self.phase.grid is not self.grid and self.phase.grid.cell_shape != self.grid.cell_shape:
             raise ValueError("phase structure does not match the grid")
         for name, fld in (("phi", self.phi), ("f", self.f)):
             if fld.values.size != self.grid.n_nodes:
@@ -100,6 +105,8 @@ class SolverOptions:
             raise ValueError("steps must be positive")
         if self.method not in ("cg", "gd"):
             raise ValueError("method must be 'cg' or 'gd'")
+        if not isinstance(self.two_start_check, bool):
+            raise ValueError("two_start_check must be true or false")
 
 
 @dataclass(eq=False)
@@ -122,7 +129,7 @@ class Solution:
 
 
 def _require_zero_trace(grid: Grid, values: np.ndarray, what: str):
-    mask = boundary_mask(grid).values
+    mask = boundary_mask(grid)
     if np.any(values[mask] != 0.0):
         raise ValueError(f"{what} must vanish on boundary nodes")
 
@@ -158,7 +165,7 @@ def _gradient_from_wgrad(
 def energy_gradient(u: ScalarField, prob: Problem) -> np.ndarray:
     """Exact gradient of the discrete energy; zero on boundary nodes."""
     _require_zero_trace(prob.grid, u.values, "u")
-    interior = ~boundary_mask(prob.grid).values
+    interior = ~boundary_mask(prob.grid)
     w_grad = gradient_values(prob.grid, prob.phi.values - u.values)
     return _gradient_from_wgrad(prob, w_grad, _load_vector(prob), interior)
 
@@ -202,7 +209,7 @@ def minimize(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
     """
     grid, phase = prob.grid, prob.phase
     vol = grid.cell_volume
-    interior = ~boundary_mask(grid).values
+    interior = ~boundary_mask(grid)
     n_interior = int(interior.sum())
 
     if opts.initial_guess is None:
@@ -337,7 +344,7 @@ def weak_residual(w: ScalarField, prob: Problem) -> float:
     energy gradient at u = phi - w.
     """
     grid = prob.grid
-    bmask = boundary_mask(grid).values
+    bmask = boundary_mask(grid)
     scale = 1.0 + float(np.max(np.abs(prob.phi.values)))
     if np.max(np.abs((w.values - prob.phi.values)[bmask])) > 1e-12 * scale:
         raise ValueError("w must equal phi on boundary nodes")
@@ -383,7 +390,7 @@ def uniqueness_certificate(
     dominates the certificate.  Returns (certificate, gradients_equal).
     """
     grid = prob.grid
-    bmask = boundary_mask(grid).values
+    bmask = boundary_mask(grid)
     scale = 1.0 + float(np.max(np.abs(prob.phi.values)))
     for name, fld in (("v", v), ("w", w)):
         if np.max(np.abs((fld.values - prob.phi.values)[bmask])) > 1e-12 * scale:
@@ -394,11 +401,8 @@ def uniqueness_certificate(
     ndiff = np.sqrt(np.sum(diff**2, axis=1))
     base = 1.0 + np.sum(gv**2, axis=1) + np.sum(gw**2, axis=1)
     cert_cells = np.zeros(grid.n_cells)
-    for r, weight in _exponent_weights(prob.phase):
-        high = r >= 2.0
-        bound_high = 2.0 ** (2.0 - r) * ndiff**r
-        bound_low = (r - 1.0) * ndiff**2 * base ** ((r - 2.0) / 2.0)
-        cert_cells += weight * np.where(high, bound_high, bound_low)
+    for r, weight in prob.phase.terms(bar=True):
+        cert_cells += weight * monotonicity_bound(r, ndiff, base)
     certificate = grid.cell_volume * float(np.sum(cert_cells))
     pairing = grid.cell_volume * float(
         np.sum((_flux(prob.phase, gv) - _flux(prob.phase, gw)) * diff)
@@ -408,12 +412,6 @@ def uniqueness_certificate(
     grad_scale = 1.0 + float(np.max(np.sqrt(np.sum(gv**2, axis=1))) + np.max(np.sqrt(np.sum(gw**2, axis=1))))
     gradients_equal = bool(np.max(ndiff) <= 1e-10 * grad_scale)
     return certificate, gradients_equal
-
-
-def _exponent_weights(phase: PhaseStructure):
-    yield phase.p_cells, np.ones_like(phase.p_cells)
-    for pair in phase.phases:
-        yield pair.q_cells, pair.mu_cells
 
 
 def solve_weak(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
@@ -448,7 +446,7 @@ def solve_weak(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution
 
     if opts.two_start_check:
         rng = np.random.default_rng([opts.seed, 1])
-        interior = ~boundary_mask(prob.grid).values
+        interior = ~boundary_mask(prob.grid)
         start = np.zeros(prob.grid.n_nodes)
         amp = 0.5 * (1.0 + float(np.max(np.abs(prob.phi.values))))
         start[interior] = amp * rng.normal(size=int(interior.sum()))

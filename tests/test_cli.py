@@ -135,6 +135,31 @@ def test_bad_config_exit_code(tmp_path):
     assert run_cli(["solve", cfg_path]) == 1
 
 
+def _with(section, key, value):
+    cfg = laplace_config()
+    cfg.setdefault(section, {})[key] = value
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "command,cfg",
+    [
+        ("check-sandwich", _with("verify", "samples", "abc")),
+        ("check-sandwich", _with("verify", "samples", -5)),
+        ("check-monotone", _with("verify", "amplitude", "ten")),
+        ("solve", _with("solver", "dual_bound", -1)),
+        ("solve", _with("solver", "two_start_check", "no")),
+        ("solve", _with("domain", "resolution", [8.7])),
+    ],
+    ids=["samples-text", "samples-negative", "amplitude-text", "dual-bound-negative",
+         "two-start-text", "resolution-fractional"],
+)
+def test_config_holes_exit_1(tmp_path, capsys, command, cfg):
+    cfg_path = write_config(tmp_path, cfg)
+    assert run_cli([command, cfg_path, "--out-dir", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_norm_command(tmp_path, capsys):
     cfg = laplace_config()
     cfg_path = write_config(tmp_path, cfg)

@@ -12,7 +12,6 @@ from doublephase.convexity import (
     sweep_two_point,
     sweep_uc_pairs,
     two_point_inequality_check,
-    verify_multiphase_uc,
     verify_uc_pair,
 )
 from doublephase.mesh import ScalarField, build_grid
@@ -141,14 +140,12 @@ def test_multiphase_with_vanishing_weight_matches_double_phase():
     u = ScalarField(GRID, rng.normal(size=GRID.n_nodes))
     v = ScalarField(GRID, rng.normal(size=GRID.n_nodes))
     r2 = verify_uc_pair(u, v, 0.4, two, "gradient")
-    r3 = verify_multiphase_uc(u, v, 0.4, three)
+    r3 = verify_uc_pair(u, v, 0.4, three, "gradient")
     assert r3.verdict == r2.verdict
     assert r3.midpoint_value == pytest.approx(r2.midpoint_value, rel=1e-14)
     assert r3.delta == r2.delta
-    report_same = verify_multiphase_uc(u, u, 0.4, three)
+    report_same = verify_uc_pair(u, u, 0.4, three, "gradient")
     assert report_same.verdict == "vacuous"
-    with pytest.raises(ValueError, match="k >= 2"):
-        verify_multiphase_uc(u, v, 0.4, two)
 
 
 def test_monotonicity_check():

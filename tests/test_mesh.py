@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doublephase.mesh import (
     ScalarField,
-    apply_dirichlet,
     boundary_mask,
     build_grid,
     cell_average_adjoint,
     cell_average_values,
-    discrete_gradient,
     gradient_adjoint,
     gradient_values,
     integrate_cells,
-    node_to_cell,
 )
 
 
@@ -36,31 +35,33 @@ def test_degenerate_extent():
         build_grid(1, [(0, 0)], [4])
     with pytest.raises(ValueError, match="resolution"):
         build_grid(1, [(0, 1)], [1])
+    with pytest.raises(ValueError, match="integral"):
+        build_grid(1, [(0, 1)], [8.7])
 
 
 def test_gradient_linear_1d():
     g = build_grid(1, [(0, 1)], [7])
     u = ScalarField(g, g.node_coords()[:, 0])
-    gv = discrete_gradient(u).vectors
+    gv = gradient_values(g, u.values)
     assert np.allclose(gv, 1.0)
 
 
 def test_gradient_constant_zero():
     g = build_grid(2, [(0, 1), (0, 1)], [3, 5])
     u = ScalarField(g, np.full(g.n_nodes, 3.7))
-    assert np.all(discrete_gradient(u).vectors == 0.0)
+    assert np.all(gradient_values(g, u.values) == 0.0)
 
 
 def test_gradient_multilinear_2d():
     g = build_grid(2, [(0, 1), (0, 2)], [4, 6])
     xy = g.node_coords()
     u = ScalarField(g, xy[:, 0] + 2.0 * xy[:, 1])
-    gv = discrete_gradient(u).vectors
+    gv = gradient_values(g, u.values)
     assert np.allclose(gv[:, 0], 1.0)
     assert np.allclose(gv[:, 1], 2.0)
     # bilinear term x*y is differentiated exactly at cell centers
     v = ScalarField(g, xy[:, 0] * xy[:, 1])
-    gw = discrete_gradient(v).vectors
+    gw = gradient_values(g, v.values)
     centers = g.cell_centers()
     assert np.allclose(gw[:, 0], centers[:, 1])
     assert np.allclose(gw[:, 1], centers[:, 0])
@@ -110,39 +111,56 @@ def test_integrate_monotone_and_linear():
 def test_node_to_cell():
     g = build_grid(1, [(0, 1)], [2])
     u = ScalarField(g, np.full(3, 4.0))
-    assert np.allclose(node_to_cell(u), 4.0)
+    assert np.allclose(cell_average_values(g, u.values), 4.0)
     g1 = build_grid(1, [(0, 1)], [2])
     u1 = ScalarField(g1, [0.0, 1.0, 2.0])
-    assert np.allclose(node_to_cell(u1), [0.5, 1.5])
+    assert np.allclose(cell_average_values(g1, u1.values), [0.5, 1.5])
     g2 = build_grid(2, [(0, 1), (0, 1)], [2, 2])
     vals = np.zeros((3, 3))
     vals[1, 1] = 4.0  # shared corner of all four cells
     u2 = ScalarField(g2, vals.reshape(-1))
-    assert np.allclose(node_to_cell(u2), 1.0)
+    assert np.allclose(cell_average_values(g2, u2.values), 1.0)
+
+
+def test_operators_match_explicit_corner_formulas():
+    # the stencil loops keep the rounding order of the written-out formulas
+    rng = np.random.default_rng(5)
+    g1 = build_grid(1, [(0, 1.3)], [9])
+    v = rng.normal(size=g1.n_nodes)
+    (h,) = g1.cell_size
+    np.testing.assert_array_equal(gradient_values(g1, v)[:, 0], (v[1:] - v[:-1]) / h)
+    np.testing.assert_array_equal(cell_average_values(g1, v), 0.5 * (v[1:] + v[:-1]))
+    g2 = build_grid(2, [(0, 1.3), (-1, 2)], [5, 7])
+    v = rng.normal(size=g2.node_shape)
+    hx, hy = g2.cell_size
+    dx = (v[1:, :-1] - v[:-1, :-1] + v[1:, 1:] - v[:-1, 1:]) / (2.0 * hx)
+    dy = (v[:-1, 1:] - v[:-1, :-1] + v[1:, 1:] - v[1:, :-1]) / (2.0 * hy)
+    grad = gradient_values(g2, v.reshape(-1))
+    np.testing.assert_array_equal(grad[:, 0], dx.reshape(-1))
+    np.testing.assert_array_equal(grad[:, 1], dy.reshape(-1))
+    avg = 0.25 * (v[:-1, :-1] + v[1:, :-1] + v[:-1, 1:] + v[1:, 1:])
+    np.testing.assert_array_equal(cell_average_values(g2, v.reshape(-1)), avg.reshape(-1))
+    w = rng.normal(size=(g2.n_cells, 2))
+    gx = w[:, 0].reshape(g2.cell_shape) / (2.0 * hx)
+    gy = w[:, 1].reshape(g2.cell_shape) / (2.0 * hy)
+    out = np.zeros(g2.node_shape)
+    out[:-1, :-1] -= gx
+    out[1:, :-1] += gx
+    out[:-1, 1:] -= gx
+    out[1:, 1:] += gx
+    out[:-1, :-1] -= gy
+    out[:-1, 1:] += gy
+    out[1:, :-1] -= gy
+    out[1:, 1:] += gy
+    np.testing.assert_array_equal(gradient_adjoint(g2, w), out.reshape(-1))
 
 
 def test_boundary_mask_counts():
     g1 = build_grid(1, [(0, 1)], [9])
-    assert boundary_mask(g1).values.sum() == 2
+    assert boundary_mask(g1).sum() == 2
     g2 = build_grid(2, [(0, 1), (0, 1)], [4, 6])
-    m = boundary_mask(g2).values
+    m = boundary_mask(g2)
     assert m.sum() == 2 * 5 + 2 * 7 - 4
-
-
-def test_apply_dirichlet():
-    g = build_grid(2, [(0, 1), (0, 1)], [3, 3])
-    rng = np.random.default_rng(11)
-    u = ScalarField(g, rng.normal(size=g.n_nodes))
-    phi = ScalarField(g, rng.normal(size=g.n_nodes))
-    mask = boundary_mask(g)
-    out = apply_dirichlet(u, phi, mask)
-    assert np.all(out.values[mask.values] == phi.values[mask.values])
-    assert np.all(out.values[~mask.values] == u.values[~mask.values])
-    # idempotence and fixed point at u == phi
-    again = apply_dirichlet(out, phi, mask)
-    assert np.all(again.values == out.values)
-    same = apply_dirichlet(phi, phi, mask)
-    assert np.all(same.values == phi.values)
 
 
 @pytest.mark.parametrize("dim,res", [(1, [6]), (2, [4, 5])])
@@ -161,6 +179,31 @@ def test_adjoints_match_forward_operators(dim, res):
     lhs = float(np.dot(cell_average_values(g, v), c))
     rhs = float(np.dot(v, cell_average_adjoint(g, c)))
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    resolution=st.lists(st.integers(2, 12), min_size=1, max_size=2),
+    origins=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2),
+    lengths=st.lists(st.floats(0.05, 20.0), min_size=2, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_adjoints_match_forward_operators_random_grids(resolution, origins, lengths, seed):
+    dim = len(resolution)
+    extents = [(lo, lo + length) for lo, length in zip(origins, lengths)][:dim]
+    g = build_grid(dim, extents, resolution)
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=g.n_nodes)
+    w = rng.normal(size=(g.n_cells, g.dim))
+    c = rng.normal(size=g.n_cells)
+    # <G v, w> == <v, G^T w>, up to rounding of the summed magnitudes
+    terms = gradient_values(g, v) * w
+    rhs = float(np.dot(v, gradient_adjoint(g, w)))
+    assert float(np.sum(terms)) == pytest.approx(rhs, abs=1e-12 * np.sum(np.abs(terms)))
+    # <C v, c> == <v, C^T c>
+    terms = cell_average_values(g, v) * c
+    rhs = float(np.dot(v, cell_average_adjoint(g, c)))
+    assert float(np.sum(terms)) == pytest.approx(rhs, abs=1e-12 * np.sum(np.abs(terms)))
 
 
 def test_scalar_field_validation():

@@ -5,8 +5,6 @@ from doublephase.mesh import build_grid
 from doublephase.phase import (
     PhasePair,
     PhaseStructure,
-    eval_H,
-    exponent_summary,
     growth_envelope_check,
     matuszewska_index,
 )
@@ -25,23 +23,26 @@ def make_phase(grid, p, qmu_pairs):
 GRID = build_grid(1, [(0, 1)], [8])
 
 
+def h_at(phase, cell, t):
+    """The integrand at one cell, through the per-cell ``h_of``."""
+    return float(phase.h_of(np.full(phase.grid.n_cells, t))[cell])
+
+
 def test_eval_H_examples():
     ph = make_phase(GRID, 2.0, [(2.0, 1.0)])
-    assert eval_H(ph, 0, 1.0) == pytest.approx(1.0)
-    assert eval_H(ph, 3, 0.0) == 0.0
+    assert h_at(ph, 0, 1.0) == pytest.approx(1.0)
+    assert h_at(ph, 3, 0.0) == 0.0
     ph2 = make_phase(GRID, 1.5, [(3.0, 2.0)])
     expected = (1 / 1.5) * 2**1.5 + (2 / 3) * 8
-    assert eval_H(ph2, 0, 2.0) == pytest.approx(expected)
-    assert eval_H(ph2, 0, 2.0) == pytest.approx(7.21895, abs=1e-5)
-    with pytest.raises(ValueError, match="nonnegative"):
-        eval_H(ph, 0, -1.0)
+    assert h_at(ph2, 0, 2.0) == pytest.approx(expected)
+    assert h_at(ph2, 0, 2.0) == pytest.approx(7.21895, abs=1e-5)
 
 
 def test_eval_H_multiphase():
     ph = make_phase(GRID, 2.0, [(3.0, 1.0), (4.0, 0.5)])
     t = 2.0
     expected = t**2 / 2 + (1 / 3) * t**3 + (0.5 / 4) * t**4
-    assert eval_H(ph, 0, t) == pytest.approx(expected)
+    assert h_at(ph, 0, t) == pytest.approx(expected)
 
 
 def test_eval_H_increasing_convex_in_t():
@@ -53,7 +54,7 @@ def test_eval_H_increasing_convex_in_t():
     )
     ts = np.linspace(0.0, 4.0, 41)
     for cell in range(GRID.n_cells):
-        vals = np.array([eval_H(ph, cell, t) for t in ts])
+        vals = np.array([h_at(ph, cell, t) for t in ts])
         assert np.all(np.diff(vals) > -1e-15)
         second = np.diff(vals, 2)
         assert np.all(second > -1e-10)
@@ -69,7 +70,7 @@ def test_mu_scaling_identity():
     for cell in (0, 3, 7):
         t = 1.7
         extra = (c - 1.0) * mu[cell] / q[cell] * t ** q[cell]
-        assert eval_H(scaled, cell, t) == pytest.approx(eval_H(base, cell, t) + extra)
+        assert h_at(scaled, cell, t) == pytest.approx(h_at(base, cell, t) + extra)
 
 
 def test_growth_envelope():
@@ -100,12 +101,12 @@ def test_growth_envelope_rejects_multiphase():
 
 def test_exponent_summary():
     ph = make_phase(GRID, 2.0, [(3.0, 1.0)])
-    s = exponent_summary(ph)
+    s = ph.summary
     assert s.m == 2.0 and s.M == 3.0
     rng = np.random.default_rng(3)
     p = rng.uniform(1.5, 2.5, GRID.n_cells)
     q = rng.uniform(2.0, 4.0, GRID.n_cells)
-    s2 = exponent_summary(make_phase(GRID, p, [(q, 1.0)]))
+    s2 = make_phase(GRID, p, [(q, 1.0)]).summary
     assert s2.m == pytest.approx(p.min())
     assert s2.M == pytest.approx(q.max())
 

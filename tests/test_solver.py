@@ -25,8 +25,20 @@ def make_problem(grid, p, qmu, f_values=None, phi_values=None, **kw):
 
 def zero_trace_random(grid, rng, scale=1.0):
     vals = scale * rng.normal(size=grid.n_nodes)
-    vals[boundary_mask(grid).values] = 0.0
+    vals[boundary_mask(grid)] = 0.0
     return vals
+
+
+def test_problem_rejects_phase_from_other_grid():
+    # same cell count (16), different cell lattice
+    grid = build_grid(1, [(0, 1)], [16])
+    other = build_grid(2, [(0, 1), (0, 1)], [4, 4])
+    zero = ScalarField.zeros(grid)
+    with pytest.raises(ValueError, match="does not match the grid"):
+        Problem(grid, make_phase(other, 2.0, [(3.0, 1.0)]), zero, zero)
+    # an equal lattice on a separately built grid is accepted
+    twin = build_grid(1, [(0, 1)], [16])
+    Problem(grid, make_phase(twin, 2.0, [(3.0, 1.0)]), zero, zero)
 
 
 def test_energy_trivial_cases():
@@ -139,7 +151,7 @@ def _regime_problem(seed):
 def test_gradient_matches_finite_differences(seed):
     prob, u_vals = _regime_problem(seed)
     g = energy_gradient(ScalarField(prob.grid, u_vals), prob)
-    interior = np.flatnonzero(~boundary_mask(prob.grid).values)
+    interior = np.flatnonzero(~boundary_mask(prob.grid))
     rng = np.random.default_rng(seed + 1000)
     probe = rng.choice(interior, size=min(8, interior.size), replace=False)
     fd = _fd_gradient(prob, u_vals, probe)
