@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .convexity import sweep_monotonicity, sweep_two_point, sweep_uc_pairs
-from .exprparse import Expr, ParseError, parse, sample
+from .exprparse import EvalError, Expr, ParseError, parse, sample
 from .mesh import Grid, ScalarField, build_grid
 from .modular import (
     luxemburg_norm,
@@ -152,7 +152,7 @@ def parse_config(source: str | Path) -> Config:
             raise ConfigError(f"verify.{key}: expected a number, got {value!r}")
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError("seed: expected an integer")
 
     out_dir = None
@@ -453,7 +453,7 @@ def main(argv=None) -> int:
         if args.command == "norm":
             return cmd_norm(config, args.field, args.kind, out_path)
         return cmd_verify(config, _SUITES[args.command], out_path)
-    except ConfigError as err:
+    except (ConfigError, EvalError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
     except SolverError as err:

@@ -1,4 +1,4 @@
-"""Modulars, the Luxemburg norm by bisection, and norm-modular diagnostics.
+"""Modulars, the Luxemburg norm by Newton's method, and norm-modular diagnostics.
 
 Three modular kinds are supported:
 
@@ -9,6 +9,8 @@ Three modular kinds are supported:
 All integrals use the one-point cell-center quadrature of the mesh module,
 so every modular is a finite weighted sum and is convex, symmetric, and
 strictly decreasing in the Luxemburg scaling parameter wherever positive.
+The Luxemburg norm solves log rho(u / lambda) = 0 by Newton's method in
+log lambda, over per-cell magnitudes divided by their maximum.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ KINDS = ("zero_order", "gradient", "sobolev")
 
 # |rho(u / norm) - 1| at the returned norm
 UNIT_MODULAR_TOLERANCE = 1e-10
-# relative bracket width at which bisection stops; keeps the norm accurate
-# enough for 1e-12-level homogeneity checks
-BRACKET_TOLERANCE = 1e-14
-MAX_BISECTION_ITERATIONS = 200
+# relative norm change of the last Newton step; convergence is quadratic, so
+# the norm is then accurate far beyond the 1e-12-level homogeneity checks
+NEWTON_STEP_TOLERANCE = 1e-13
+MAX_NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,6 +50,16 @@ def _check_kind(kind: str):
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
+def _magnitudes(u_values: np.ndarray, grid: Grid, kind: str) -> list[np.ndarray]:
+    """Per-cell integrand arguments: |cell average|, |cell gradient|, or both."""
+    out = []
+    if kind in ("zero_order", "sobolev"):
+        out.append(np.abs(cell_average_values(grid, u_values)))
+    if kind in ("gradient", "sobolev"):
+        out.append(np.sqrt(np.sum(gradient_values(grid, u_values) ** 2, axis=1)))
+    return out
+
+
 def _cell_contributions(
     u_values: np.ndarray,
     grid: Grid,
@@ -57,12 +69,7 @@ def _cell_contributions(
     bar: bool = False,
 ) -> np.ndarray:
     out = np.zeros(grid.n_cells)
-    if kind in ("zero_order", "sobolev"):
-        t = np.abs(cell_average_values(grid, u_values))
-        out += phase.h_of(t, bar=bar)
-    if kind in ("gradient", "sobolev"):
-        g = gradient_values(grid, u_values)
-        t = np.sqrt(np.sum(g**2, axis=1))
+    for t in _magnitudes(u_values, grid, kind):
         out += phase.h_of(t, bar=bar)
     out *= grid.cell_volume
     if mask is not None:
@@ -100,45 +107,31 @@ def _luxemburg(
     kind: str,
     bar: bool = False,
 ) -> float:
-    value = modular_value(u_values, grid, phase, kind, bar=bar)
-    if value == 0.0:
+    mags = _magnitudes(u_values, grid, kind)
+    top = max(float(np.max(t)) for t in mags)
+    if top == 0.0:
         return 0.0
-
-    def g(lam: float) -> float:
-        return modular_value(u_values / lam, grid, phase, kind, bar=bar)
-
-    s = phase.summary
-    lo = 0.5 * value ** (1.0 / s.m)
-    hi = 2.0 * max(value ** (1.0 / s.m), value ** (1.0 / s.M), 1.0)
-    # expand until the root is bracketed: g is strictly decreasing
-    for _ in range(MAX_BISECTION_ITERATIONS):
-        if g(hi) <= 1.0:
+    # rho(u / (top e^s)) = sum w e^(-r s) over the (cell, term) entries with
+    # w = vol c (t/top)^r > 0; every t/top <= 1, so no power overflows
+    terms = phase.terms(bar=bar)
+    w = np.concatenate([grid.cell_volume * c * (t / top) ** r for t in mags for r, c in terms])
+    r = np.concatenate([r for r, _ in terms] * len(mags))
+    keep = w > 0.0
+    w, r = w[keep], r[keep]
+    # F(s) = log rho is convex, with slope -(w-weighted mean of r) in [-M, -m]:
+    # after its first step Newton climbs monotonically to the root
+    s = 0.0
+    for _ in range(MAX_NEWTON_STEPS):
+        e = w * np.exp(-r * s)
+        total = np.sum(e)
+        step = np.log(total) * total / np.sum(r * e)
+        s += step
+        if abs(step) <= NEWTON_STEP_TOLERANCE:
             break
-        hi *= 2.0
-    else:
-        raise RuntimeError("luxemburg bisection failed to bracket from above")
-    for _ in range(MAX_BISECTION_ITERATIONS):
-        if g(lo) >= 1.0:
-            break
-        lo *= 0.5
-    else:
-        raise RuntimeError("luxemburg bisection failed to bracket from below")
-
-    mid = 0.5 * (lo + hi)
-    for _ in range(MAX_BISECTION_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= BRACKET_TOLERANCE * mid and abs(gm - 1.0) <= UNIT_MODULAR_TOLERANCE:
-            break
-    lam = 0.5 * (lo + hi)
-    if abs(g(lam) - 1.0) > UNIT_MODULAR_TOLERANCE:
-        raise RuntimeError(
-            f"luxemburg bisection did not reach unit modular: residual {g(lam) - 1.0}"
-        )
+    lam = float(top * np.exp(s))
+    residual = modular_value(u_values / lam, grid, phase, kind, bar=bar) - 1.0
+    if not abs(residual) <= UNIT_MODULAR_TOLERANCE:
+        raise RuntimeError(f"luxemburg Newton did not reach unit modular: residual {residual}")
     return lam
 
 
@@ -234,14 +227,12 @@ def estimate_dual_bound(
     interior = ~boundary_mask(grid)
     rng = np.random.default_rng(seed)
     best = 0.0
-    probes: list[np.ndarray] = []
-    for _ in range(n_probes):
+    for i in range(n_probes + len(extra_fields)):
         vals = np.zeros(grid.n_nodes)
-        vals[interior] = rng.normal(size=int(interior.sum()))
-        probes.append(vals)
-    for field in extra_fields:
-        probes.append(np.where(interior, field.values, 0.0))
-    for vals in probes:
+        if i < n_probes:
+            vals[interior] = rng.normal(size=int(interior.sum()))
+        else:
+            vals[interior] = extra_fields[i - n_probes].values[interior]
         u = ScalarField(grid, vals)
         denom = luxemburg_norm(u, phase, "gradient")
         if denom == 0.0:

@@ -38,7 +38,7 @@ from .mesh import (
     gradient_adjoint,
     gradient_values,
 )
-from .modular import estimate_dual_bound, luxemburg_norm, modular_value
+from .modular import estimate_dual_bound, l2_pairing, luxemburg_norm, modular_value
 from .phase import PhaseStructure
 
 
@@ -74,6 +74,10 @@ class Problem:
             raise ValueError("dual_bound must be nonnegative")
 
 
+def _is_number(value, kinds=(int, float)) -> bool:
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     max_iterations: int = 50_000
@@ -91,8 +95,8 @@ class SolverOptions:
     uc_epsilon: float = 0.5
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        if not (_is_number(self.max_iterations, int) and self.max_iterations >= 1):
+            raise ValueError("max_iterations must be an integer of at least 1")
         if self.gradient_tolerance is not None and self.gradient_tolerance <= 0:
             raise ValueError("gradient_tolerance must be positive")
         if self.energy_tolerance <= 0:
@@ -107,6 +111,10 @@ class SolverOptions:
             raise ValueError("method must be 'cg' or 'gd'")
         if not isinstance(self.two_start_check, bool):
             raise ValueError("two_start_check must be true or false")
+        if not (_is_number(self.dual_probes, int) and self.dual_probes >= 0):
+            raise ValueError("dual_probes must be a nonnegative integer")
+        if not (_is_number(self.uc_epsilon) and self.uc_epsilon > 0):
+            raise ValueError("uc_epsilon must be a positive number")
 
 
 @dataclass(eq=False)
@@ -139,9 +147,7 @@ def energy(u: ScalarField, prob: Problem) -> float:
     _require_zero_trace(prob.grid, u.values, "u")
     w_vals = prob.phi.values - u.values
     value = modular_value(w_vals, prob.grid, prob.phase, "gradient")
-    fc = cell_average_values(prob.grid, prob.f.values)
-    uc = cell_average_values(prob.grid, u.values)
-    return value + float(np.sum(fc * uc) * prob.grid.cell_volume)
+    return value + l2_pairing(prob.f, u)
 
 
 def _load_vector(prob: Problem) -> np.ndarray:

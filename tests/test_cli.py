@@ -150,9 +150,20 @@ def _with(section, key, value):
         ("solve", _with("solver", "dual_bound", -1)),
         ("solve", _with("solver", "two_start_check", "no")),
         ("solve", _with("domain", "resolution", [8.7])),
+        ("solve", laplace_config(source="log(x - 2)")),
+        ("solve", _with("solver", "dual_probes", "abc")),
+        ("solve", _with("solver", "dual_probes", 2.5)),
+        ("solve", _with("solver", "dual_probes", -5)),
+        ("solve", _with("solver", "uc_epsilon", "x")),
+        ("solve", _with("solver", "uc_epsilon", -1)),
+        ("solve", _with("solver", "max_iterations", 2.5)),
+        ("solve", laplace_config(seed=True)),
     ],
     ids=["samples-text", "samples-negative", "amplitude-text", "dual-bound-negative",
-         "two-start-text", "resolution-fractional"],
+         "two-start-text", "resolution-fractional", "source-eval-error",
+         "dual-probes-text", "dual-probes-fractional", "dual-probes-negative",
+         "uc-epsilon-text", "uc-epsilon-negative", "max-iterations-fractional",
+         "seed-bool"],
 )
 def test_config_holes_exit_1(tmp_path, capsys, command, cfg):
     cfg_path = write_config(tmp_path, cfg)
@@ -181,6 +192,19 @@ def test_norm_zero_field(tmp_path, capsys):
     for k in payload["kinds"]:
         assert payload["kinds"][k]["luxemburg_norm"] == 0.0
         assert payload["kinds"][k]["modular"] == 0.0
+
+
+# the modular of 1e50*x with q = 8 is 1e400 and overflows to inf; only the
+# Luxemburg norms have to stay finite
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+@pytest.mark.parametrize("field", ["1e50*x", "1e-50*x"])
+def test_norm_extreme_field_scales(tmp_path, capsys, field):
+    cfg = laplace_config()
+    cfg["phase"] = {"p": "2", "phases": [{"q": "8", "mu": "1"}]}
+    assert run_cli(["norm", write_config(tmp_path, cfg), "--field", field]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    for entry in payload["kinds"].values():
+        assert np.isfinite(entry["luxemburg_norm"]) and entry["luxemburg_norm"] > 0
 
 
 def test_verify_uc_command(tmp_path, capsys):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doublephase.mesh import ScalarField, boundary_mask, build_grid
 from doublephase.modular import (
+    KINDS,
     dual_pairing_bound_check,
     estimate_dual_bound,
     l2_pairing,
@@ -96,6 +99,33 @@ def test_unit_ball_characterization_and_homogeneity():
         c = float(rng.uniform(0.1, 10.0)) * (1 if rng.random() < 0.5 else -1)
         cu = ScalarField(GRID, c * u.values)
         assert luxemburg_norm(cu, ph, kind) == pytest.approx(abs(c) * norm, rel=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dim=st.integers(1, 2),
+    resolution=st.integers(2, 8),
+    kind=st.sampled_from(KINDS),
+    q=st.floats(1.01, 8.0),
+    k=st.integers(-60, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_luxemburg_unit_modular_and_homogeneity_across_scales(
+    dim, resolution, kind, q, k, seed
+):
+    # fields from 1e-60 to 1e60 with exponents up to 8: the modular of the
+    # unscaled field ranges far outside float range, the norm must not
+    rng = np.random.default_rng(seed)
+    grid = build_grid(dim, [(0, 1)] * dim, [resolution] * dim)
+    n = grid.n_cells
+    ph = make_phase(grid, rng.uniform(1.01, q, n), [(q, rng.uniform(0.0, 10.0, n))])
+    u = rng.normal(size=grid.n_nodes)
+    c = 10.0**k
+    norm = luxemburg_norm(ScalarField(grid, c * u), ph, kind)
+    assert np.isfinite(norm) and norm > 0
+    assert abs(rho(ScalarField(grid, c * u / norm), ph, kind).value - 1.0) <= 1e-10
+    base = luxemburg_norm(ScalarField(grid, u), ph, kind)
+    assert norm == pytest.approx(c * base, rel=1e-12)
 
 
 def test_sandwich_unit_modular_fixed_point():
