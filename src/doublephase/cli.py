@@ -304,13 +304,18 @@ def cmd_norm(config: Config, field_expr: str, kind: str | None, out_dir: Path | 
     kinds = (kind,) if kind else ("zero_order", "gradient", "sobolev")
     results: dict = {"field": field_expr, "kinds": {}}
     for k in kinds:
-        lower, upper, norm, holds = norm_modular_sandwich(u, phase, k)
+        # the raw modular of a huge field may overflow; the norm cannot
+        with np.errstate(over="ignore"):
+            modular = rho(u, phase, k).value
+            lower, upper, norm, holds = norm_modular_sandwich(u, phase, k)
+        # an overflowed modular and the sandwich built on it are out of range
+        in_range = bool(np.isfinite(modular))
         results["kinds"][k] = {
-            "modular": rho(u, phase, k).value,
+            "modular": modular if in_range else None,
             "luxemburg_norm": norm,
-            "sandwich_lower": lower,
-            "sandwich_upper": upper,
-            "sandwich_holds": holds,
+            "sandwich_lower": lower if in_range else None,
+            "sandwich_upper": upper if in_range else None,
+            "sandwich_holds": holds if in_range else None,
         }
     if phase.k == 1:
         results["overline_equivalent"] = all(

@@ -197,19 +197,13 @@ def _flux_terms(r, A):
     return power_flux_coefficient(np.sqrt(np.sum(A**2, axis=-1)), r)[..., None] * A
 
 
-def monotonicity_bound(r, ndiff, base):
-    """Per-cell lower bound on the r-power flux pairing <F(a) - F(b), a - b>.
+def monotonicity_sides(r, A, B):
+    """Per-row r-power flux pairing <F(A) - F(B), A - B> and its lower bound.
 
-    With ndiff = |a - b| and base = 1 + |a|^2 + |b|^2 the bound is
-    2^(2-r) ndiff^r for r >= 2 and (r - 1) ndiff^2 base^((r-2)/2) below 2.
+    F(A) = |A|^(r-2) A; broadcasts over rows.  With ndiff = |A - B| and
+    base = 1 + |A|^2 + |B|^2 the bound is 2^(2-r) ndiff^r for r >= 2 and
+    (r - 1) ndiff^2 base^((r-2)/2) below 2.  Returns (lhs, rhs).
     """
-    high = 2.0 ** (2.0 - r) * ndiff**r
-    low = (r - 1.0) * ndiff**2 * base ** ((r - 2.0) / 2.0)
-    return np.where(r >= 2.0, high, low)
-
-
-def _monotonicity_sides(r, A, B):
-    """lhs and rhs arrays of the monotonicity lower bounds, broadcast over rows."""
     r = np.asarray(r, dtype=float)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -217,7 +211,9 @@ def _monotonicity_sides(r, A, B):
     lhs = np.sum((_flux_terms(r, A) - _flux_terms(r, B)) * diff, axis=-1)
     ndiff = np.sqrt(np.sum(diff**2, axis=-1))
     base = 1.0 + np.sum(A**2, axis=-1) + np.sum(B**2, axis=-1)
-    return lhs, monotonicity_bound(r, ndiff, base)
+    high = 2.0 ** (2.0 - r) * ndiff**r
+    low = (r - 1.0) * ndiff**2 * base ** ((r - 2.0) / 2.0)
+    return lhs, np.where(r >= 2.0, high, low)
 
 
 def monotonicity_lower_bound_check(r: float, A, B) -> bool:
@@ -228,7 +224,7 @@ def monotonicity_lower_bound_check(r: float, A, B) -> bool:
     """
     if r <= 1:
         raise ValueError(f"r must exceed 1, got {r}")
-    lhs, rhs = _monotonicity_sides(r, A, B)
+    lhs, rhs = monotonicity_sides(r, A, B)
     na = float(np.sum(np.square(np.asarray(A, dtype=float))))
     nb = float(np.sum(np.square(np.asarray(B, dtype=float))))
     slack = REL_SLACK * (1.0 + na + nb)
@@ -253,58 +249,50 @@ def scalar_lower_bound_check(x: float, a: float, m: float) -> bool:
 # seeded sweeps (shared by the CLI verify commands and the acceptance suite)
 
 
-def sweep_two_point(n_samples: int, seed: int, h_max: float = 8.0, amplitude: float = 10.0):
-    """Random sweep of the two-point inequalities; returns a tally dict."""
+def _sweep(n_samples: int, seed: int, exponent_max: float, amplitude: float, tally):
+    """Seeded sweep over random (exponent, a, b) draws, in chunks of 200k samples.
+
+    Each chunk draws exponents in (1, exponent_max] and two uniform vector
+    sets in [-amplitude, amplitude]^2; ``tally(h, a, b)`` returns the
+    per-sample violation mask and relative excess.  Returns a tally dict.
+    """
     rng = np.random.default_rng(seed)
-    checked = 0
+    chunk = 200_000
     fails = 0
     worst = 0.0
-    chunk = 200_000
-    remaining = n_samples
-    while remaining > 0:
-        size = min(chunk, remaining)
-        remaining -= size
-        h = rng.uniform(1.0, h_max, size)
-        h = np.nextafter(h, np.inf)  # open at 1
+    for start in range(0, n_samples, chunk):
+        size = min(chunk, n_samples - start)
+        h = np.nextafter(rng.uniform(1.0, exponent_max, size), np.inf)  # open at 1
         a = rng.uniform(-amplitude, amplitude, (size, 2))
         b = rng.uniform(-amplitude, amplitude, (size, 2))
-        lhs_i, lhs_ii, rhs = _two_point_gaps(h, a, b)
-        slack = REL_SLACK * (1.0 + rhs)
-        low = h <= 2.0
-        viol_i = low & (lhs_i > rhs + slack)
-        viol_ii = ~low & (lhs_ii > rhs + slack)
-        fails += int(np.sum(viol_i) + np.sum(viol_ii))
-        gap = np.where(low, lhs_i - rhs, lhs_ii - rhs) / (1.0 + rhs)
-        worst = max(worst, float(gap.max()))
-        checked += size
-    return {"samples": checked, "fails": fails, "worst_relative_excess": worst}
+        violated, excess = tally(h, a, b)
+        fails += int(np.sum(violated))
+        worst = max(worst, float(excess.max()))
+    return {"samples": max(n_samples, 0), "fails": fails, "worst_relative_excess": worst}
+
+
+def _two_point_tally(h, a, b):
+    lhs_i, lhs_ii, rhs = _two_point_gaps(h, a, b)
+    lhs = np.where(h <= 2.0, lhs_i, lhs_ii)
+    return lhs > rhs + REL_SLACK * (1.0 + rhs), (lhs - rhs) / (1.0 + rhs)
+
+
+def _monotonicity_tally(r, A, B):
+    lhs, rhs = monotonicity_sides(r, A, B)
+    slack = REL_SLACK * (1.0 + np.sum(A**2, axis=-1) + np.sum(B**2, axis=-1))
+    return lhs < rhs - slack, (rhs - lhs) / (1.0 + np.abs(rhs))
+
+
+def sweep_two_point(n_samples: int, seed: int, h_max: float = 8.0, amplitude: float = 10.0):
+    """Random sweep of the two-point inequalities; returns a tally dict."""
+    return _sweep(n_samples, seed, h_max, amplitude, _two_point_tally)
 
 
 def sweep_monotonicity(
     n_samples: int, seed: int, r_max: float = 8.0, amplitude: float = 10.0
 ):
     """Random sweep of the monotonicity lower bounds; returns a tally dict."""
-    rng = np.random.default_rng(seed)
-    checked = 0
-    fails = 0
-    worst = 0.0
-    chunk = 200_000
-    remaining = n_samples
-    while remaining > 0:
-        size = min(chunk, remaining)
-        remaining -= size
-        r = rng.uniform(1.0, r_max, size)
-        r = np.nextafter(r, np.inf)
-        A = rng.uniform(-amplitude, amplitude, (size, 2))
-        B = rng.uniform(-amplitude, amplitude, (size, 2))
-        lhs, rhs = _monotonicity_sides(r, A, B)
-        slack = REL_SLACK * (1.0 + np.sum(A**2, axis=-1) + np.sum(B**2, axis=-1))
-        viol = lhs < rhs - slack
-        fails += int(np.sum(viol))
-        gap = (rhs - lhs) / (1.0 + np.abs(rhs))
-        worst = max(worst, float(gap.max()))
-        checked += size
-    return {"samples": checked, "fails": fails, "worst_relative_excess": worst}
+    return _sweep(n_samples, seed, r_max, amplitude, _monotonicity_tally)
 
 
 def sweep_uc_pairs(

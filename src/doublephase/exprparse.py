@@ -9,6 +9,8 @@ Grammar (highest binding last):
 
 Names: variables ``x`` and ``y``, constants ``pi`` and ``e``, and the calls
 sin, cos, exp, log, sqrt, abs (one argument), min, max (two arguments).
+
+Evaluation runs each operation as one numpy ufunc over all sample points.
 """
 
 from __future__ import annotations
@@ -20,16 +22,18 @@ from typing import Union
 
 import numpy as np
 
+# each call's ufunc; its arity is the ufunc's input count
 _FUNCTIONS = {
-    "sin": 1,
-    "cos": 1,
-    "exp": 1,
-    "log": 1,
-    "sqrt": 1,
-    "abs": 1,
-    "min": 2,
-    "max": 2,
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+    "min": np.minimum,
+    "max": np.maximum,
 }
+_OPERATORS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _VARIABLES = ("x", "y")
 
@@ -158,7 +162,7 @@ class _Parser:
                     self.pos += 1
                     args.append(self.parse_expr())
                 self.expect(")")
-                arity = _FUNCTIONS[name]
+                arity = _FUNCTIONS[name].nin
                 if len(args) != arity:
                     raise ParseError(
                         f"'{name}' takes {arity} argument(s), got {len(args)}", start
@@ -182,90 +186,79 @@ def parse(src: str) -> Expr:
     return node
 
 
-def variables_used(e: Expr) -> set[str]:
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Neg):
-        return variables_used(e.operand)
-    if isinstance(e, BinOp):
-        return variables_used(e.left) | variables_used(e.right)
-    if isinstance(e, Call):
-        out: set[str] = set()
-        for a in e.args:
-            out |= variables_used(a)
-        return out
-    return set()
+def _check(bad: np.ndarray, coords: np.ndarray, template: str, *operands):
+    """Raise EvalError at the first point where ``bad`` holds, if any.
+
+    ``template`` is formatted with each operand's value at that point.
+    """
+    if bad.any():
+        i = int(np.argmax(bad))
+        message = template.format(*(float(v[i]) for v in operands))
+        raise EvalError(message, tuple(float(c) for c in coords[i]))
 
 
-def _eval(e: Expr, point: tuple[float, ...]) -> float:
+def _eval(e: Expr, coords: np.ndarray) -> np.ndarray:
+    """Evaluate over every row of an (n_points, dim) coordinate array at once.
+
+    Each operation's domain is checked on its whole operand arrays before or
+    after the ufunc runs, so the first failing operation in evaluation order
+    raises at its first offending point.
+    """
     if isinstance(e, Num):
-        return e.value
+        return np.full(len(coords), e.value)
     if isinstance(e, Var):
-        idx = 0 if e.name == "x" else 1
-        if idx >= len(point):
-            raise EvalError(f"variable '{e.name}' undefined on a {len(point)}d point", point)
-        return point[idx]
+        idx = _VARIABLES.index(e.name)
+        dim = coords.shape[1]
+        _check(np.full(len(coords), idx >= dim), coords,
+               f"variable '{e.name}' undefined on a {dim}d point")
+        return coords[:, idx]
     if isinstance(e, Neg):
-        return -_eval(e.operand, point)
+        return -_eval(e.operand, coords)
     if isinstance(e, BinOp):
-        a = _eval(e.left, point)
-        b = _eval(e.right, point)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0.0:
-                raise EvalError("division by zero", point)
-            return a / b
-        try:
-            return math.pow(a, b)
-        except (ValueError, OverflowError) as exc:
-            raise EvalError(f"invalid power {a}^{b}", point) from exc
-    a = _eval(e.args[0], point)
-    if e.func == "sin":
-        return math.sin(a)
-    if e.func == "cos":
-        return math.cos(a)
-    if e.func == "exp":
-        try:
-            return math.exp(a)
-        except OverflowError as exc:
-            raise EvalError("exp overflow", point) from exc
-    if e.func == "log":
-        if a <= 0.0:
-            raise EvalError(f"log of non-positive value {a}", point)
-        return math.log(a)
-    if e.func == "sqrt":
-        if a < 0.0:
-            raise EvalError(f"sqrt of negative value {a}", point)
-        return math.sqrt(a)
-    if e.func == "abs":
-        return abs(a)
-    b = _eval(e.args[1], point)
-    return min(a, b) if e.func == "min" else max(a, b)
+        name, args, ufunc = e.op, (e.left, e.right), _OPERATORS[e.op]
+    else:
+        name, args, ufunc = e.func, e.args, _FUNCTIONS[e.func]
+    vals = [_eval(arg, coords) for arg in args]
+    a, b = vals[0], vals[-1]
+    if name == "/":
+        _check(b == 0.0, coords, "division by zero")
+    elif name == "log":
+        _check(a <= 0.0, coords, "log of non-positive value {}", a)
+    elif name == "sqrt":
+        _check(a < 0.0, coords, "sqrt of negative value {}", a)
+    out = ufunc(*vals)
+    # a non-finite power or exp of finite operands is a pole, a complex
+    # value or an overflow
+    if name == "^":
+        _check(~np.isfinite(out) & np.isfinite(a) & np.isfinite(b), coords,
+               "invalid power {}^{}", a, b)
+    elif name == "exp":
+        _check(np.isinf(out) & np.isfinite(a), coords, "exp overflow")
+    return out
+
+
+def _evaluate(e: Expr, coords: np.ndarray) -> np.ndarray:
+    """Values at every row of ``coords``; non-finite results are errors."""
+    with np.errstate(all="ignore"):
+        out = np.array(_eval(e, coords), dtype=float)  # a bare variable is a view
+    _check(~np.isfinite(out), coords, "non-finite value {}", out)
+    return out
 
 
 def eval_at(e: Expr, point) -> float:
     """Evaluate at a point (x,) or (x, y); non-finite results are errors."""
-    pt = tuple(float(c) for c in np.atleast_1d(point))
-    val = _eval(e, pt)
-    if not math.isfinite(val):
-        raise EvalError(f"non-finite value {val}", pt)
-    return val
+    return float(_evaluate(e, np.asarray(point, dtype=float).reshape(1, -1))[0])
 
 
 def sample(e: Expr, grid, where: str = "nodes") -> np.ndarray:
-    """Evaluate on node coordinates or cell centers of a grid."""
+    """Evaluate on node coordinates or cell centers of a grid, all points at once."""
     if where == "nodes":
         coords = grid.node_coords()
     elif where == "cells":
         coords = grid.cell_centers()
     else:
         raise ValueError(f"where must be 'nodes' or 'cells', got {where!r}")
-    return np.array([eval_at(e, pt) for pt in coords])
+    return _evaluate(e, coords)
 
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}

@@ -158,12 +158,14 @@ def _with(section, key, value):
         ("solve", _with("solver", "uc_epsilon", -1)),
         ("solve", _with("solver", "max_iterations", 2.5)),
         ("solve", laplace_config(seed=True)),
+        ("solve", _with("phase", "phases", [{"q": "2", "mu": "sin(1e200*1e200)"}])),
+        ("solve", laplace_config(source="cos(1e200*1e200)")),
     ],
     ids=["samples-text", "samples-negative", "amplitude-text", "dual-bound-negative",
          "two-start-text", "resolution-fractional", "source-eval-error",
          "dual-probes-text", "dual-probes-fractional", "dual-probes-negative",
          "uc-epsilon-text", "uc-epsilon-negative", "max-iterations-fractional",
-         "seed-bool"],
+         "seed-bool", "mu-sin-of-inf", "source-cos-of-inf"],
 )
 def test_config_holes_exit_1(tmp_path, capsys, command, cfg):
     cfg_path = write_config(tmp_path, cfg)
@@ -194,17 +196,27 @@ def test_norm_zero_field(tmp_path, capsys):
         assert payload["kinds"][k]["modular"] == 0.0
 
 
-# the modular of 1e50*x with q = 8 is 1e400 and overflows to inf; only the
-# Luxemburg norms have to stay finite
-@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+# the modular of 1e50*x with q = 8 is 1e400 and overflows: it is reported as
+# null with its sandwich, while the Luxemburg norms stay finite
 @pytest.mark.parametrize("field", ["1e50*x", "1e-50*x"])
 def test_norm_extreme_field_scales(tmp_path, capsys, field):
     cfg = laplace_config()
     cfg["phase"] = {"p": "2", "phases": [{"q": "8", "mu": "1"}]}
     assert run_cli(["norm", write_config(tmp_path, cfg), "--field", field]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     for entry in payload["kinds"].values():
         assert np.isfinite(entry["luxemburg_norm"]) and entry["luxemburg_norm"] > 0
+        if entry["modular"] is None:
+            assert entry["sandwich_lower"] is None and entry["sandwich_upper"] is None
+            assert entry["sandwich_holds"] is None
+        else:
+            assert entry["sandwich_holds"] is True
+    overflowed = [entry["modular"] is None for entry in payload["kinds"].values()]
+    assert overflowed == [field == "1e50*x"] * 3
 
 
 def test_verify_uc_command(tmp_path, capsys):

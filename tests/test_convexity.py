@@ -154,9 +154,9 @@ def test_monotonicity_check():
     assert monotonicity_lower_bound_check(3.0, A, A)
     # r = 2: lhs = |A - B|^2 and gamma(2) = 1, equality
     B = rng.normal(size=2)
-    from doublephase.convexity import _monotonicity_sides
+    from doublephase.convexity import monotonicity_sides
 
-    lhs, rhs = _monotonicity_sides(2.0, A, B)
+    lhs, rhs = monotonicity_sides(2.0, A, B)
     assert lhs[0] == pytest.approx(rhs[0], rel=1e-12)
     assert monotonicity_lower_bound_check(2.0, A, B)
     out = sweep_monotonicity(50_000, seed=8)

@@ -1,7 +1,10 @@
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doublephase.exprparse import (
     BinOp,
@@ -122,30 +125,95 @@ def test_pretty_roundtrip_corpus(src):
     assert parse(pretty(ast)) == ast
 
 
-def _random_ast(rng, depth):
-    if depth == 0 or rng.random() < 0.3:
-        k = rng.integers(0, 3)
-        if k == 0:
-            return Num(float(abs(rng.normal()) + 0.25))
-        return Var("x" if k == 1 else "y")
-    k = rng.integers(0, 4)
-    if k == 0:
-        return Neg(_random_ast(rng, depth - 1))
-    if k == 1:
-        op = ["+", "-", "*", "/", "^"][rng.integers(0, 5)]
-        return BinOp(op, _random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
-    if k == 2:
-        f = ["sin", "cos", "exp", "sqrt", "abs"][rng.integers(0, 5)]
-        return Call(f, (_random_ast(rng, depth - 1),))
-    f = ["min", "max"][rng.integers(0, 2)]
-    return Call(f, (_random_ast(rng, depth - 1), _random_ast(rng, depth - 1)))
+def asts(numbers):
+    """Parser-shaped ASTs: literals are nonnegative (a minus sign is a Neg)."""
+    leaves = st.one_of(numbers.map(Num), st.sampled_from([Var("x"), Var("y")]))
+
+    def extend(children):
+        return st.one_of(
+            children.map(Neg),
+            st.builds(BinOp, st.sampled_from("+-*/^"), children, children),
+            st.builds(lambda f, a: Call(f, (a,)),
+                      st.sampled_from(["sin", "cos", "exp", "log", "sqrt", "abs"]), children),
+            st.builds(lambda f, a, b: Call(f, (a, b)), st.sampled_from(["min", "max"]),
+                      children, children),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=16)
 
 
-def test_pretty_roundtrip_random():
-    rng = np.random.default_rng(42)
-    for _ in range(300):
-        ast = _random_ast(rng, 5)
-        assert parse(pretty(ast)) == ast
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(asts(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)))
+def test_pretty_roundtrip_random(ast):
+    assert parse(pretty(ast)) == ast
+
+
+class OracleError(Exception):
+    pass
+
+
+def oracle(e, point):
+    """Scalar reference semantics with math: IEEE arithmetic on floats, an
+    error for each domain violation, and a non-finite result is an error."""
+    value = _scalar(e, point)
+    if not math.isfinite(value):
+        raise OracleError(f"non-finite value {value}")
+    return value
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _scalar(e, point):
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        idx = "xy".index(e.name)
+        if idx >= len(point):
+            raise OracleError("undefined variable")
+        return point[idx]
+    if isinstance(e, Neg):
+        return -_scalar(e.operand, point)
+    if isinstance(e, BinOp):
+        a, b = _scalar(e.left, point), _scalar(e.right, point)
+        if e.op == "/" and b == 0.0:
+            raise OracleError("division by zero")
+        if e.op == "^":
+            try:
+                return math.pow(a, b)  # raises only for finite operands
+            except (ValueError, OverflowError) as exc:
+                raise OracleError("invalid power") from exc
+        return _ARITHMETIC[e.op](a, b)
+    a = _scalar(e.args[0], point)
+    if e.func in ("min", "max"):
+        b = _scalar(e.args[1], point)
+        if math.isnan(a) or math.isnan(b):
+            return math.nan
+        return min(a, b) if e.func == "min" else max(a, b)
+    if e.func in ("sin", "cos"):
+        return getattr(math, e.func)(a) if math.isfinite(a) else math.nan
+    if e.func == "exp":
+        try:
+            return math.exp(a)
+        except OverflowError as exc:
+            raise OracleError("exp overflow") from exc
+    if (e.func == "log" and a <= 0.0) or (e.func == "sqrt" and a < 0.0):
+        raise OracleError(f"{e.func} domain")
+    return abs(a) if e.func == "abs" else getattr(math, e.func)(a)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(asts(st.floats(min_value=0.0, max_value=4.0) | st.just(1e200)))
+def test_sample_matches_scalar_oracle(ast):
+    grid = build_grid(2, [(-1, 1), (0, 2)], [4, 2])
+    try:
+        want = np.array([oracle(ast, tuple(pt)) for pt in grid.node_coords().tolist()])
+    except OracleError:
+        with pytest.raises(EvalError):
+            sample(ast, grid, "nodes")
+        return
+    got = sample(ast, grid, "nodes")
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), 1.0))
 
 
 def test_eval_deterministic():
