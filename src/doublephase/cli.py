@@ -306,8 +306,7 @@ def cmd_norm(config: Config, field_expr: str, kind: str | None, out_dir: Path | 
     for k in kinds:
         # the raw modular of a huge field may overflow; the norm cannot
         with np.errstate(over="ignore"):
-            modular = rho(u, phase, k).value
-            lower, upper, norm, holds = norm_modular_sandwich(u, phase, k)
+            modular, lower, upper, norm, holds = norm_modular_sandwich(u, phase, k)
         # an overflowed modular and the sandwich built on it are out of range
         in_range = bool(np.isfinite(modular))
         results["kinds"][k] = {
@@ -338,7 +337,7 @@ def _sweep_sandwich(config: Config, phase: PhaseStructure) -> dict:
         scale = 10.0 ** rng.uniform(-2, 2)
         u = ScalarField(grid, scale * rng.normal(size=grid.n_nodes))
         kind = ("zero_order", "gradient", "sobolev")[int(rng.integers(0, 3))]
-        _, _, norm, holds = norm_modular_sandwich(u, phase, kind)
+        _, _, _, norm, holds = norm_modular_sandwich(u, phase, kind)
         unit_ok = True
         if norm > 0:
             unit = ScalarField(grid, u.values / norm)

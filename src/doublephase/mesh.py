@@ -3,7 +3,9 @@
 Nodal data is stored as a flat float64 array in row-major order over the node
 lattice; per-cell data likewise over the cell lattice.  Gradients live at cell
 centers: each entry is the gradient of the multilinear nodal interpolant
-evaluated at the center of that cell.
+evaluated at the center of that cell.  A per-cell weight matrix B turns into
+the nodal form vol * G^T B G (``gradient_form``), stored as nearest-neighbour
+stencil coefficients and solved on the interior nodes by ``form_solve``.
 """
 
 from __future__ import annotations
@@ -222,6 +224,97 @@ def cell_average_adjoint(grid: Grid, cells: np.ndarray) -> np.ndarray:
     share = (1.0 / len(grid.stencil.corners)) * cells.reshape(grid.cell_shape)
     for corner in grid.stencil.corners:
         out[corner] += share
+    return out.reshape(-1)
+
+
+# A symmetric nodal form with nearest-neighbour coupling is stored as stencil
+# coefficients: ``coeffs[d + 1][i]`` is the matrix entry M[i, i + d] for the
+# node offset d in {-1, 0, 1}^dim (zero where i + d leaves the lattice).
+
+
+def _corner_weights(grid: Grid) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """Node offset and gradient weight per axis of every cell corner.
+
+    Read off ``grid.stencil``: a corner is the ``hi`` end of one pair per axis
+    (weight +1/scale) or its ``lo`` end (weight -1/scale).
+    """
+    st = grid.stencil
+    out = []
+    for corner in st.corners:
+        offset = tuple(int(s.start == 1) for s in corner)
+        weights = np.zeros(grid.dim)
+        for k, (pairs, scale) in enumerate(zip(st.pairs, st.scales)):
+            for lo, hi in pairs:
+                weights[k] += (corner == hi) / scale - (corner == lo) / scale
+        out.append((offset, weights))
+    return out
+
+
+def gradient_form(grid: Grid, cell_matrices: np.ndarray) -> np.ndarray:
+    """Stencil coefficients of vol * sum_c G_c^T B_c G_c over all nodes.
+
+    ``cell_matrices`` holds one symmetric dim x dim matrix B_c per cell, so
+    the form applied to v is ``vol * gradient_adjoint(B gradient_values(v))``.
+    """
+    coeffs = np.zeros((3,) * grid.dim + grid.node_shape)
+    corners = _corner_weights(grid)
+    vol = grid.cell_volume
+    for oi, wi in corners:
+        row = np.einsum("k,ckl->cl", wi, cell_matrices)
+        for oj, wj in corners:
+            delta = tuple(b - a + 1 for a, b in zip(oi, oj))
+            coeffs[delta][_corner(oi)] += vol * (row @ wj).reshape(grid.cell_shape)
+    return coeffs
+
+
+def form_solve(grid: Grid, coeffs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the form restricted to the interior nodes; zero on the boundary.
+
+    Block-tridiagonal elimination over interior node rows along axis 0: each
+    block couples the interior nodes of one row (1 x 1 in 1D), and only the
+    Schur factors P_i = S_i^-1 U_i, one dense block per row, are kept for the
+    back substitution.  The form must be symmetric positive definite on the
+    interior nodes.
+    """
+    inner = slice(1, -1)
+    if grid.dim == 1:
+        # one node per row, with no coupling along a second axis
+        c = np.zeros((3, 3) + grid.node_shape + (1,))
+        c[:, 1] = coeffs[..., None]
+        coeffs, inner = c, slice(None)
+    # couplings of each interior row within itself (d0 = 1) and to the next
+    # row (d0 = 2), by the offset d1 - 1 along axis 1
+    band = coeffs[1:, :, 1:-1, inner]
+    rows, m = band.shape[2:]
+    # flat positions of the three block diagonals in an m x (m + 1) array,
+    # and the matching coefficients of every row
+    j = np.arange(m)
+    keep = (j >= 1, j >= 0, j < m - 1)
+    pos = np.concatenate([j[k] * (m + 1) + j[k] + d1 - 1 for d1, k in enumerate(keep)])
+    vals = np.concatenate([band[:, d1][..., k] for d1, k in enumerate(keep)], axis=-1)
+    b = rhs.reshape(coeffs.shape[2:])[1:-1, inner]
+    # factors[r] = [P_r | z_r] with S_r P_r = U_r and S_r z_r = the eliminated
+    # rhs; one small array per row, so that no large buffer is allocated
+    factors = []
+    for r in range(rows):
+        system = np.zeros(m * (m + 1))
+        system[pos] = vals[0, r]
+        system = system.reshape(m, m + 1)
+        system[:, m] = b[r]
+        if factors:
+            # the coupling to the previous row is U_(r-1)^T, by symmetry
+            system -= upper[:, :m].T @ factors[-1]
+        upper = np.zeros(m * (m + 1))
+        upper[pos] = vals[1, r]
+        upper = upper.reshape(m, m + 1)
+        upper[:, m] = system[:, m]
+        factors.append(np.linalg.solve(system[:, :m], upper))
+    x = np.empty((rows, m))
+    x[-1] = factors[-1][:, m]
+    for r in range(rows - 2, -1, -1):
+        x[r] = factors[r][:, m] - factors[r][:, :m] @ x[r + 1]
+    out = np.zeros(coeffs.shape[2:])
+    out[1:-1, inner] = x
     return out.reshape(-1)
 
 

@@ -143,10 +143,10 @@ def luxemburg_norm(u: ScalarField, phase: PhaseStructure, kind: str) -> float:
 
 def norm_modular_sandwich(
     u: ScalarField, phase: PhaseStructure, kind: str
-) -> tuple[float, float, float, bool]:
+) -> tuple[float, float, float, float, bool]:
     """Bounds min/max of rho^(1/m), rho^(1/M) around the Luxemburg norm.
 
-    Returns (lower, upper, norm, holds).
+    Returns (modular, lower, upper, norm, holds).
     """
     _check_kind(kind)
     s = phase.summary
@@ -156,7 +156,7 @@ def norm_modular_sandwich(
     norm = luxemburg_norm(u, phase, kind)
     slack = 1e-9
     holds = lower * (1.0 - slack) <= norm <= upper * (1.0 + slack)
-    return lower, upper, norm, bool(holds)
+    return value, lower, upper, norm, bool(holds)
 
 
 def overline_equivalence_check(u: ScalarField, phase: PhaseStructure, kind: str) -> bool:

@@ -239,7 +239,7 @@ def test_criterion_07_luxemburg_norms():
         c = float(rng.uniform(0.05, 20.0))
         hom = abs(luxemburg_norm(ScalarField(grid, c * u.values), phase, kind) - c * norm)
         worst_hom = max(worst_hom, hom / (c * norm))
-        _, _, _, holds = norm_modular_sandwich(u, phase, kind)
+        _, _, _, _, holds = norm_modular_sandwich(u, phase, kind)
         all_sandwich = all_sandwich and holds
         all_overline = all_overline and overline_equivalence_check(u, phase, kind)
     ok = worst_unit <= 1e-9 and worst_hom <= 1e-12 and all_sandwich and all_overline

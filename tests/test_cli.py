@@ -108,7 +108,10 @@ def test_solve_2d_artifacts(tmp_path):
 
 
 def test_solve_nonconvergence_exit_code(tmp_path):
+    # a quadratic energy is minimized by one curvature step, so the phase
+    # must be non-quadratic for one step to leave the run unconverged
     cfg = laplace_config()
+    cfg["phase"] = {"p": "1.5", "phases": [{"q": "3", "mu": "1"}]}
     cfg["solver"]["max_iterations"] = 1
     cfg["solver"]["gradient_tolerance"] = 1e-14
     cfg_path = write_config(tmp_path, cfg)
@@ -185,6 +188,26 @@ def test_norm_command(tmp_path, capsys):
     assert payload["kinds"]["gradient"]["luxemburg_norm"] == 0.0
     assert all(payload["kinds"][k]["sandwich_holds"] for k in payload["kinds"])
     assert payload["overline_equivalent"] is True
+
+
+def test_norm_computes_one_modular_per_kind(tmp_path, capsys, monkeypatch):
+    import doublephase.cli
+    import doublephase.modular
+
+    calls = []
+    original = doublephase.modular.rho
+
+    def counting_rho(*args, **kwargs):
+        calls.append(args[2] if len(args) > 2 else kwargs["kind"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(doublephase.modular, "rho", counting_rho)
+    monkeypatch.setattr(doublephase.cli, "rho", counting_rho)
+    cfg_path = write_config(tmp_path, laplace_config())
+    assert run_cli(["norm", cfg_path, "--field", "x*(1 - x)"]) == 0
+    assert sorted(calls) == ["gradient", "sobolev", "zero_order"]
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["kinds"]["zero_order"]["modular"] > 0
 
 
 def test_norm_zero_field(tmp_path, capsys):

@@ -9,7 +9,9 @@ from doublephase.mesh import (
     build_grid,
     cell_average_adjoint,
     cell_average_values,
+    form_solve,
     gradient_adjoint,
+    gradient_form,
     gradient_values,
     integrate_cells,
 )
@@ -204,6 +206,67 @@ def test_adjoints_match_forward_operators_random_grids(resolution, origins, leng
     terms = cell_average_values(g, v) * c
     rhs = float(np.dot(v, cell_average_adjoint(g, c)))
     assert float(np.sum(terms)) == pytest.approx(rhs, abs=1e-12 * np.sum(np.abs(terms)))
+
+
+def form_apply(g, coeffs, values):
+    """The stencil-coefficient form applied to flat nodal values:
+    sum over offsets d of coeffs[d + 1] * v[i + d], with v = 0 off the lattice."""
+    padded = np.pad(values.reshape(g.node_shape), 1)
+    out = np.zeros(g.node_shape)
+    for idx in np.ndindex(*(3,) * g.dim):
+        out += coeffs[idx] * padded[tuple(slice(k, k + n) for k, n in zip(idx, g.node_shape))]
+    return out.reshape(-1)
+
+
+def _random_cell_matrices(g, rng, spread):
+    """Symmetric positive definite per-cell matrices, eigenvalues over 10^spread."""
+    a = rng.normal(size=(g.n_cells, g.dim, g.dim))
+    q, _ = np.linalg.qr(a)
+    eig = 10.0 ** rng.uniform(-spread, spread, size=(g.n_cells, g.dim))
+    return np.einsum("cij,cj,ckj->cik", q, eig, q)
+
+
+grids = dict(
+    resolution=st.lists(st.integers(2, 9), min_size=1, max_size=2),
+    lengths=st.lists(st.floats(0.1, 10.0), min_size=2, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**grids)
+def test_gradient_form_matches_operator_chain(resolution, lengths, seed):
+    dim = len(resolution)
+    g = build_grid(dim, [(0.0, length) for length in lengths[:dim]], resolution)
+    rng = np.random.default_rng(seed)
+    cells = _random_cell_matrices(g, rng, spread=3)
+    v = rng.normal(size=g.n_nodes)
+    expected = g.cell_volume * gradient_adjoint(
+        g, np.einsum("ckl,cl->ck", cells, gradient_values(g, v))
+    )
+    got = form_apply(g, gradient_form(g, cells), v)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**grids)
+def test_form_solve_matches_dense_solve(resolution, lengths, seed):
+    dim = len(resolution)
+    g = build_grid(dim, [(0.0, length) for length in lengths[:dim]], resolution)
+    rng = np.random.default_rng(seed)
+    coeffs = gradient_form(g, _random_cell_matrices(g, rng, spread=3))
+    interior = np.flatnonzero(~boundary_mask(g))
+    dense = np.stack(
+        [form_apply(g, coeffs, np.eye(g.n_nodes)[i])[interior] for i in interior], axis=1
+    )
+    rhs = np.zeros(g.n_nodes)
+    rhs[interior] = rng.normal(size=interior.size)
+    x = form_solve(g, coeffs, rhs)
+    expected = np.linalg.solve(dense, rhs[interior])
+    assert np.all(x[boundary_mask(g)] == 0.0)
+    # both solves are accurate to about cond * eps relative
+    err = np.max(np.abs(x[interior] - expected))
+    assert err <= 1e-14 * np.linalg.cond(dense) * np.max(np.abs(expected))
 
 
 def test_scalar_field_validation():

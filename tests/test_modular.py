@@ -135,8 +135,9 @@ def test_sandwich_unit_modular_fixed_point():
     u = random_field(rng, GRID)
     norm = luxemburg_norm(u, ph, "zero_order")
     unit = ScalarField(GRID, u.values / norm)
-    lower, upper, unit_norm, holds = norm_modular_sandwich(unit, ph, "zero_order")
+    modular, lower, upper, unit_norm, holds = norm_modular_sandwich(unit, ph, "zero_order")
     assert holds
+    assert modular == pytest.approx(1.0, abs=1e-10)
     assert lower == pytest.approx(1.0, abs=1e-9)
     assert upper == pytest.approx(1.0, abs=1e-9)
     assert unit_norm == pytest.approx(1.0, abs=1e-9)
@@ -146,11 +147,12 @@ def test_sandwich_hilbert_case():
     ph = make_phase(GRID, 2.0, [(2.0, 0.0)])
     rng = np.random.default_rng(4)
     u = random_field(rng, GRID)
-    lower, upper, norm, holds = norm_modular_sandwich(u, ph, "zero_order")
+    modular, lower, upper, norm, holds = norm_modular_sandwich(u, ph, "zero_order")
     assert holds
     assert lower == pytest.approx(upper, rel=1e-14)
     assert luxemburg_norm(u, ph, "zero_order") == pytest.approx(lower, rel=1e-10)
     assert norm == luxemburg_norm(u, ph, "zero_order")
+    assert modular == rho(u, ph, "zero_order").value
 
 
 def test_sandwich_random_sweep():
@@ -159,7 +161,7 @@ def test_sandwich_random_sweep():
         ph = random_phase(rng, GRID)
         u = random_field(rng, GRID, scale=10.0 ** rng.uniform(-2, 2))
         kind = ("zero_order", "gradient", "sobolev")[rng.integers(0, 3)]
-        _, _, _, holds = norm_modular_sandwich(u, ph, kind)
+        _, _, _, _, holds = norm_modular_sandwich(u, ph, kind)
         assert holds
 
 

@@ -1,7 +1,16 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doublephase.mesh import ScalarField, boundary_mask, build_grid
+from doublephase.modular import rho
 from doublephase.solver import (
     Problem,
     SolverOptions,
@@ -349,9 +358,10 @@ def test_two_starts_agree():
 
 
 def test_minimize_respects_max_iterations():
+    # non-quadratic: one curvature step solves a quadratic energy exactly
     grid = build_grid(1, [(0, 1)], [32])
     x = grid.node_coords()[:, 0]
-    prob = make_problem(grid, 2.0, [(2.0, 0.0)],
+    prob = make_problem(grid, 1.5, [(3.0, 1.0)],
                         f_values=np.pi**2 * np.sin(np.pi * x))
     sol = minimize(prob, SolverOptions(max_iterations=1, gradient_tolerance=1e-14,
                                        energy_tolerance=1e-30))
@@ -386,3 +396,94 @@ def test_p_laplacian_analytic_small():
     r = p / (p - 1.0)
     exact = (p - 1.0) / p * (0.5**r - np.abs(x - 0.5) ** r)
     assert np.max(np.abs(sol.w_star.values - exact)) < 5e-3
+
+
+@pytest.mark.parametrize("r", [1.3, 1.8, 2.0, 2.7, 4.5])
+def test_curvature_model_is_hessian_or_secant(r):
+    from doublephase.solver import _curvature, _flux
+
+    grid = build_grid(2, [(0, 1), (0, 1)], [3, 3])
+    rng = np.random.default_rng(int(10 * r))
+    ph = make_phase(grid, r, [(r + 0.5, 0.7)])
+    gvec = rng.normal(size=(grid.n_cells, 2))
+    model = _curvature(ph, gvec)
+    for exponent in (r, r + 0.5):
+        term = make_phase(grid, exponent, [(exponent, 0.0)])
+        if exponent >= 2:
+            # the exact Hessian: central differences of the flux
+            v = rng.normal(size=gvec.shape)
+            h = 1e-6
+            fd = (_flux(term, gvec + h * v) - _flux(term, gvec - h * v)) / (2 * h)
+            got = np.einsum("ckl,cl->ck", _curvature(term, gvec), v)
+            assert np.allclose(got, fd, rtol=1e-6, atol=1e-9)
+        else:
+            # the secant weight: B g is the flux itself
+            got = np.einsum("ckl,cl->ck", _curvature(term, gvec), gvec)
+            assert np.allclose(got, _flux(term, gvec), rtol=1e-13)
+    assert np.all(np.linalg.eigvalsh(model) > 0)
+
+
+@st.composite
+def small_problems(draw):
+    dim = draw(st.integers(1, 2))
+    resolution = draw(st.integers(3, 20)) if dim == 1 else draw(st.integers(2, 7))
+    grid = build_grid(dim, [(0, 1)] * dim, [resolution] * dim)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = grid.n_cells
+    # exponents in [1.4, 5]: closer to 1, cells where the minimizer's gradient
+    # vanishes make the energy nearly non-smooth, and a 1e-8 residual can be
+    # out of reach (README, numerical notes)
+    p0, q0 = draw(st.floats(1.4, 4.0)), draw(st.floats(1.4, 4.5))
+    p = np.clip(p0 + 0.2 * rng.normal(size=n), 1.4, 5.0)
+    q = np.clip(q0 + 0.2 * rng.normal(size=n), 1.4, 5.0)
+    mu = rng.uniform(0.0, 2.0, size=n) * (rng.random(n) < 0.7)
+    f_scale = 10.0 ** draw(st.floats(-1.0, 1.0))
+    prob = make_problem(
+        grid, p, [(q, mu)],
+        f_values=f_scale * rng.normal(size=grid.n_nodes),
+        phi_values=0.5 * rng.normal(size=grid.n_nodes),
+    )
+    start = zero_trace_random(grid, rng, scale=0.5 * (1.0 + np.max(np.abs(prob.phi.values))))
+    return prob, start
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=small_problems(), method=st.sampled_from(["gd", "cg"]))
+def test_minimize_converges_from_two_starts(case, method):
+    prob, start = case
+    sols = []
+    for guess in (None, start):
+        opts = SolverOptions(method=method, gradient_tolerance=1e-8, energy_tolerance=1e-300,
+                             max_iterations=100, initial_guess=guess)
+        sol = minimize(prob, opts)
+        assert sol.termination == "gradient_tolerance"
+        assert np.all(np.diff(sol.energy_history) < 0)
+        sols.append(sol)
+    half = ScalarField(prob.grid, (sols[0].u_star.values - sols[1].u_star.values) / 2)
+    assert rho(half, prob.phase, "gradient").value <= 1e-8
+
+
+def test_solve_imports_no_scipy():
+    # the solver is numpy only: scipy would add to the import time and memory
+    code = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        from doublephase import (PhasePair, PhaseStructure, Problem, ScalarField,
+                                 SolverOptions, build_grid, solve_weak)
+        grid = build_grid(2, [(0, 1), (0, 1)], [6, 6])
+        n = grid.n_cells
+        phase = PhaseStructure(grid, np.full(n, 1.5), (PhasePair(np.full(n, 3.0), np.ones(n)),))
+        prob = Problem(grid, phase, ScalarField.zeros(grid), ScalarField(grid, np.ones(grid.n_nodes)))
+        sol = solve_weak(prob, SolverOptions(two_start_check=True, dual_probes=4))
+        assert sol.converged
+        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+        """
+    )
+    import doublephase
+
+    src = str(Path(doublephase.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
