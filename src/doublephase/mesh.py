@@ -267,32 +267,49 @@ def gradient_form(grid: Grid, cell_matrices: np.ndarray) -> np.ndarray:
     return coeffs
 
 
+# bytes of dense block factors one ``form_solve`` may keep; 2^30 admits 512^2
+FORM_SOLVE_MAX_BYTES = 2**30
+
+
 def form_solve(grid: Grid, coeffs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the form restricted to the interior nodes; zero on the boundary.
 
-    Block-tridiagonal elimination over interior node rows along axis 0: each
-    block couples the interior nodes of one row (1 x 1 in 1D), and only the
-    Schur factors P_i = S_i^-1 U_i, one dense block per row, are kept for the
-    back substitution.  The form must be symmetric positive definite on the
-    interior nodes.
+    Block-tridiagonal elimination over the interior node rows of the longer
+    axis: each block couples the interior nodes of one row along the shorter
+    axis (1 x 1 in 1D), and only the Schur factors P_i = S_i^-1 U_i, one
+    dense block per row, are kept for the back substitution.  The form must
+    be symmetric positive definite on the interior nodes.  Raises
+    ``MemoryError`` before factoring when the factors would exceed
+    ``FORM_SOLVE_MAX_BYTES``.
     """
-    inner = slice(1, -1)
+    c = coeffs
+    b = rhs.reshape(grid.node_shape)
     if grid.dim == 1:
         # one node per row, with no coupling along a second axis
-        c = np.zeros((3, 3) + grid.node_shape + (1,))
+        c = np.zeros((3, 3) + grid.node_shape + (3,))
         c[:, 1] = coeffs[..., None]
-        coeffs, inner = c, slice(None)
+        b = np.stack([np.zeros_like(b), b, np.zeros_like(b)], axis=-1)
+    flip = grid.dim == 2 and b.shape[1] > b.shape[0]
+    if flip:
+        c, b = c.transpose(1, 0, 3, 2), b.T
     # couplings of each interior row within itself (d0 = 1) and to the next
-    # row (d0 = 2), by the offset d1 - 1 along axis 1
-    band = coeffs[1:, :, 1:-1, inner]
+    # row (d0 = 2), by the offset d1 - 1 along the row
+    band = c[1:, :, 1:-1, 1:-1]
+    b = b[1:-1, 1:-1]
     rows, m = band.shape[2:]
+    need = rows * m * (m + 1) * 8
+    if need > FORM_SOLVE_MAX_BYTES:
+        raise MemoryError(
+            f"block elimination on {' x '.join(map(str, grid.node_shape))} nodes needs "
+            f"{need / 2**20:.0f} MiB of factors, over the "
+            f"{FORM_SOLVE_MAX_BYTES / 2**20:.0f} MiB limit"
+        )
     # flat positions of the three block diagonals in an m x (m + 1) array,
     # and the matching coefficients of every row
     j = np.arange(m)
     keep = (j >= 1, j >= 0, j < m - 1)
     pos = np.concatenate([j[k] * (m + 1) + j[k] + d1 - 1 for d1, k in enumerate(keep)])
     vals = np.concatenate([band[:, d1][..., k] for d1, k in enumerate(keep)], axis=-1)
-    b = rhs.reshape(coeffs.shape[2:])[1:-1, inner]
     # factors[r] = [P_r | z_r] with S_r P_r = U_r and S_r z_r = the eliminated
     # rhs; one small array per row, so that no large buffer is allocated
     factors = []
@@ -309,13 +326,14 @@ def form_solve(grid: Grid, coeffs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         upper = upper.reshape(m, m + 1)
         upper[:, m] = system[:, m]
         factors.append(np.linalg.solve(system[:, :m], upper))
-    x = np.empty((rows, m))
+    out = np.zeros((rows + 2, m + 2))
+    x = out[1:-1, 1:-1]
     x[-1] = factors[-1][:, m]
     for r in range(rows - 2, -1, -1):
         x[r] = factors[r][:, m] - factors[r][:, :m] @ x[r + 1]
-    out = np.zeros(coeffs.shape[2:])
-    out[1:-1, inner] = x
-    return out.reshape(-1)
+    if flip:
+        out = out.T
+    return (out[:, 1] if grid.dim == 1 else out).reshape(-1)
 
 
 def integrate_cells(grid: Grid, cells: np.ndarray) -> float:

@@ -54,6 +54,10 @@ from .phase import PhaseStructure
 # lower clamp of |grad w| in the curvature model, so that the weights
 # te^(r-2) of exponents below 2 stay finite at cells with a vanishing gradient
 CURVATURE_FLOOR = 1e-12
+# least isotropic curvature weight of a cell relative to the largest
+CURVATURE_CONTRAST = 1e-12
+# a search direction moves u by at most this factor times 1 + max|u|
+MAX_DIRECTION_RATIO = 2.0**64
 
 
 class SolverError(RuntimeError):
@@ -103,7 +107,7 @@ class SolverOptions:
     step_floor: float = 1e-16
     initial_guess: np.ndarray | None = None
     seed: int = 0
-    method: str = "cg"  # "cg" (conjugate in the curvature metric) or "gd" (-B^-1 g)
+    method: str = "cg"  # "cg" or "gd"; both take the curvature step -B^-1 g
     two_start_check: bool = False
     dual_probes: int = 256
     uc_epsilon: float = 0.5
@@ -218,7 +222,7 @@ def _modular_step_delta(
     return vol * float(np.sum(acc))
 
 
-def _curvature(phase: PhaseStructure, w_grad: np.ndarray) -> np.ndarray:
+def _curvature(phase: PhaseStructure, w_grad: np.ndarray) -> tuple[np.ndarray, float]:
     """Per-cell curvature model B of the integrand at the cell gradients g.
 
     Each term t^r / r (coefficient 1 or mu) adds its exact Hessian
@@ -226,15 +230,30 @@ def _curvature(phase: PhaseStructure, w_grad: np.ndarray) -> np.ndarray:
     weight te^(r-2) I where r < 2, with te = max(|g|, CURVATURE_FLOOR).  The
     secant weight majorizes the curvature of a term with r < 2, so full
     steps along -B^-1 grad I pass the Armijo test near the minimizer.
+
+    Returns (C, L) with B = e^L C.  The weights are formed as logarithms and
+    scaled so that the largest is 1, because te^(r-2) leaves the float range
+    at a vanishing gradient for r beyond ~30; the isotropic weight of every
+    cell is kept at least CURVATURE_CONTRAST times the largest, so the
+    assembled form stays positive definite.
     """
     te = np.maximum(np.sqrt(np.sum(w_grad**2, axis=1)), CURVATURE_FLOOR)
+    log_te = np.log(te)
+    terms = phase.terms(bar=True)
+    with np.errstate(divide="ignore"):
+        logs = [np.log(weight) + (r - 2.0) * log_te for r, weight in terms]
+    log_scale = max(float(np.max(x)) for x in logs)
     iso = np.zeros_like(te)
     outer = np.zeros_like(te)
-    for r, weight in phase.terms(bar=True):
-        iso += weight * te ** (r - 2.0)
-        outer += weight * np.maximum(r - 2.0, 0.0) * te ** (r - 4.0)
+    for (r, _), x in zip(terms, logs):
+        a = np.exp(x - log_scale)
+        iso += a
+        outer += np.maximum(r - 2.0, 0.0) * a
+    iso = np.maximum(iso, CURVATURE_CONTRAST * np.max(iso))
+    n = w_grad / te[:, None]
     eye = np.eye(w_grad.shape[1])
-    return iso[:, None, None] * eye + outer[:, None, None] * w_grad[:, :, None] * w_grad[:, None, :]
+    cells = iso[:, None, None] * eye + outer[:, None, None] * n[:, :, None] * n[:, None, :]
+    return cells, log_scale
 
 
 def minimize(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
@@ -242,16 +261,16 @@ def minimize(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
 
     Each gradient g is preconditioned by the curvature model of
     ``_curvature``, assembled over the mesh as vol sum_c G_c^T B_c G_c and
-    solved exactly on the interior nodes: z = B^-1 g.  ``"gd"`` steps along
-    -z (a damped Newton step where every exponent is >= 2, a relaxed Kacanov
-    step below 2); ``"cg"`` takes Polak-Ribiere+ directions in the B metric,
-    d = -z + beta d_prev with beta = max(0, z.(g - g_prev) / z_prev.g_prev),
-    and retries a rejected one as -z.  Every search starts at
+    solved exactly on the interior nodes: the step is along d = -B^-1 g, a
+    damped Newton step where every exponent is >= 2 and a relaxed Kacanov
+    step below 2 (``method`` "cg" and "gd" both name this step).  Where the
+    model is nearly singular, d is shortened to move u by at most
+    MAX_DIRECTION_RATIO (1 + max|u|).  Every search starts at
     ``initial_step`` and halves the step until the Armijo condition holds or
     the change of u falls below ``step_floor`` relative to 1 + max|u|.  So
     the recorded energies decrease strictly; a decrease below the float
     resolution of the energy is recorded once the accumulated decreases
-    change it.
+    change it.  A model that cannot be factored raises ``SolverError``.
     """
     grid, phase = prob.grid, prob.phase
     interior = ~boundary_mask(grid)
@@ -275,7 +294,6 @@ def minimize(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
     phi_grad = gradient_values(grid, prob.phi.values)
     w_grad = phi_grad - gradient_values(grid, u)
     g = _gradient_from_wgrad(prob, w_grad, load, interior)
-    d = z_prev = g_prev = None
     pending = 0.0
 
     def search(d):
@@ -308,16 +326,15 @@ def minimize(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
             break
         it += 1
 
-        coeffs = gradient_form(grid, _curvature(phase, w_grad))
-        z = form_solve(grid, coeffs, g)
-        beta = 0.0
-        if opts.method == "cg" and d is not None:
-            beta = max(0.0, float(np.dot(z, g - g_prev) / np.dot(z_prev, g_prev)))
-        d = -z + beta * d if beta > 0.0 else -z
+        cells, log_scale = _curvature(phase, w_grad)
+        try:
+            z = form_solve(grid, gradient_form(grid, cells), g)
+        except (np.linalg.LinAlgError, MemoryError) as err:
+            raise SolverError(f"curvature solve failed at iteration {it}: {err}") from err
+        # d = -B^-1 g = -e^(-L) z, shortened where that would move u too far
+        reach = np.log(MAX_DIRECTION_RATIO * (1.0 + float(np.max(np.abs(u)))))
+        d = -np.exp(min(-log_scale, reach - np.log(float(np.max(np.abs(z)))))) * z
         step = search(d)
-        if step is None and beta > 0.0:
-            d = -z
-            step = search(d)
         if step is None:
             raise LineSearchError(
                 f"line search underflow at iteration {it}", it, E, u.copy()
@@ -336,7 +353,6 @@ def minimize(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
             pending -= E_next - E
             E = E_next
             history.append(E)
-        z_prev, g_prev = z, g
         g = _gradient_from_wgrad(prob, w_grad, load, interior)
         if abs(dE) <= opts.energy_tolerance * (1.0 + abs(E)):
             converged = True

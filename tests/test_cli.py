@@ -123,6 +123,28 @@ def test_solve_nonconvergence_exit_code(tmp_path):
     assert report["results"]["iterations"] == 1
 
 
+def test_solve_high_exponents_from_zero_gradient(tmp_path):
+    # p = q = 30 with phi = 0: the first curvature model underflows unless scaled
+    cfg = laplace_config(source="1")
+    cfg["phase"] = {"p": "30", "phases": [{"q": "30", "mu": "1"}]}
+    cfg["solver"] = {"gradient_tolerance": 1e-8, "dual_probes": 4}
+    out = tmp_path / "out"
+    assert run_cli(["solve", write_config(tmp_path, cfg), "--out-dir", out]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["results"]["termination"] == "gradient_tolerance"
+
+
+def test_solve_over_memory_limit_is_a_solver_error(tmp_path, capsys, monkeypatch):
+    import doublephase.mesh as mesh
+
+    cfg = laplace_config()
+    cfg["domain"] = {"dim": 2, "extents": [[0, 1], [0, 1]], "resolution": [8, 8]}
+    monkeypatch.setattr(mesh, "FORM_SOLVE_MAX_BYTES", 1000)
+    assert run_cli(["solve", write_config(tmp_path, cfg), "--out-dir", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: curvature solve failed") and "MiB" in err
+
+
 def test_solve_unwritable_path(tmp_path):
     cfg_path = write_config(tmp_path, laplace_config())
     blocker = tmp_path / "blocker"

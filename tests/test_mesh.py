@@ -269,6 +269,24 @@ def test_form_solve_matches_dense_solve(resolution, lengths, seed):
     assert err <= 1e-14 * np.linalg.cond(dense) * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("resolution", [[30, 2], [2, 30]])
+def test_form_solve_blocks_span_the_shorter_axis(resolution, monkeypatch):
+    import doublephase.mesh as mesh
+
+    g = build_grid(2, [(0.0, 1.0), (0.0, 2.0)], resolution)
+    rng = np.random.default_rng(3)
+    coeffs = gradient_form(g, _random_cell_matrices(g, rng, spread=1))
+    rhs = np.where(boundary_mask(g), 0.0, rng.normal(size=g.n_nodes))
+    # 29 rows of one interior node each: the long axis would need 29 x 30
+    monkeypatch.setattr(mesh, "FORM_SOLVE_MAX_BYTES", 29 * 1 * 2 * 8)
+    x = form_solve(g, coeffs, rhs)
+    interior = ~boundary_mask(g)
+    assert np.max(np.abs(form_apply(g, coeffs, x)[interior] - rhs[interior])) < 1e-12
+    monkeypatch.setattr(mesh, "FORM_SOLVE_MAX_BYTES", 29 * 1 * 2 * 8 - 1)
+    with pytest.raises(MemoryError, match="MiB"):
+        form_solve(g, coeffs, rhs)
+
+
 def test_scalar_field_validation():
     g = build_grid(1, [(0, 1)], [4])
     with pytest.raises(ValueError, match="node count"):
