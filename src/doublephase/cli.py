@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import sys
 import time
@@ -33,7 +34,7 @@ from .modular import (
     rho,
 )
 from .phase import PhasePair, PhaseStructure
-from .solver import LineSearchError, Problem, SolverError, SolverOptions, solve_weak
+from .solver import Problem, SolverError, SolverOptions, _is_finite, _is_number, solve_weak
 
 
 class ConfigError(Exception):
@@ -141,24 +142,32 @@ def parse_config(source: str | Path) -> Config:
     if "verify" in raw:
         _require_keys(raw["verify"], "verify", required=(), optional=tuple(_VERIFY_DEFAULTS))
         verify.update(raw["verify"])
-    samples = verify["samples"]
-    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
+    samples, eps = verify["samples"], verify["epsilon"]
+    amplitude, exponent_max = verify["amplitude"], verify["exponent_max"]
+    if not (_is_number(samples, int) and samples >= 1):
         raise ConfigError(f"verify.samples: expected a positive integer, got {samples!r}")
-    for key in ("epsilon", "amplitude", "exponent_max"):
-        value = verify[key]
-        if value is None and key == "epsilon":
-            continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"verify.{key}: expected a number, got {value!r}")
+    if eps is not None and not _is_number(eps):
+        raise ConfigError(f"verify.epsilon: expected a number, got {eps!r}")
+    # the sweeps draw from [-amplitude, amplitude], whose width must be finite
+    if not (_is_number(amplitude) and amplitude > 0 and math.isfinite(2 * amplitude)):
+        raise ConfigError(
+            f"verify.amplitude: expected a positive number with a finite double, got {amplitude!r}"
+        )
+    if not (_is_finite(exponent_max) and exponent_max > 1):
+        raise ConfigError(
+            f"verify.exponent_max: expected a finite number above 1, got {exponent_max!r}"
+        )
 
     seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
+    if not _is_number(seed, int):
         raise ConfigError("seed: expected an integer")
 
     out_dir = None
     if "output" in raw:
         _require_keys(raw["output"], "output", required=(), optional=("dir",))
         out_dir = raw["output"].get("dir")
+        if out_dir is not None and not isinstance(out_dir, str):
+            raise ConfigError(f"output.dir: expected a string, got {out_dir!r}")
 
     return Config(
         grid=grid,
@@ -249,24 +258,7 @@ def _write_solution_csv(path: Path, grid: Grid, u: np.ndarray, w: np.ndarray):
 def cmd_solve(config: Config, out_dir: Path) -> int:
     started = time.perf_counter()
     prob = build_problem(config)
-    opts = solver_options(config)
-    error = None
-    try:
-        sol = solve_weak(prob, opts)
-    except LineSearchError as err:
-        grid = config.grid
-        u = err.u_values
-        results = {
-            "error": str(err),
-            "iterations": err.iteration,
-            "energy": err.energy,
-            "converged": False,
-        }
-        report = _report("solve", config, results, started)
-        _write_report(report, out_dir)
-        _write_solution_csv(out_dir / "solution.csv", grid, u, prob.phi.values - u)
-        return 2
-
+    sol = solve_weak(prob, solver_options(config))
     results = {
         "converged": sol.converged,
         "termination": sol.termination,
@@ -320,15 +312,42 @@ def cmd_norm(config: Config, field_expr: str, kind: str | None, out_dir: Path | 
         results["overline_equivalent"] = all(
             overline_equivalence_check(u, phase, k) for k in kinds
         )
-    report = _report("norm", config, results, started)
-    print(json.dumps(report["results"], indent=2, sort_keys=True))
-    if out_dir is not None:
-        _write_report(report, out_dir)
+    _emit(_report("norm", config, results, started), out_dir)
     return 0
 
 
-def _sweep_sandwich(config: Config, phase: PhaseStructure) -> dict:
+def _emit(report: dict, out_dir: Path | None):
+    """Print the results, and write the report when an output directory is set."""
+    print(json.dumps(report["results"], indent=2, sort_keys=True))
+    if out_dir is not None:
+        _write_report(report, out_dir)
+
+
+def _sweep_uc(config: Config) -> dict:
+    phase = build_phase(config)
+    try:
+        tallies = sweep_uc_pairs(
+            config.grid,
+            phase,
+            config.verify["samples"],
+            config.seed,
+            kinds=("gradient", "zero_order", "sobolev"),
+            eps=config.verify["epsilon"],
+        )
+    except ValueError as err:
+        raise ConfigError(f"verify.epsilon: {err}") from err
+    fails = sum(t["fail"] for t in tallies.values())
+    return {"tallies": tallies, "fails": fails, "multiphase": phase.k > 1}
+
+
+def _scalar_sweep_args(config: Config) -> tuple:
+    v = config.verify
+    return v["samples"], config.seed, float(v["exponent_max"]), float(v["amplitude"])
+
+
+def _sweep_sandwich(config: Config) -> dict:
     grid = config.grid
+    phase = build_phase(config)
     rng = np.random.default_rng(config.seed)
     n = config.verify["samples"]
     fails = 0
@@ -355,57 +374,31 @@ def _sweep_sandwich(config: Config, phase: PhaseStructure) -> dict:
     return {"samples": checks, "fails": fails}
 
 
-def cmd_verify(config: Config, suite: str, out_dir: Path | None) -> int:
-    started = time.perf_counter()
-    verify = config.verify
-    if suite == "uc":
-        phase = build_phase(config)
-        eps = verify["epsilon"]
-        try:
-            tallies = sweep_uc_pairs(
-                config.grid,
-                phase,
-                verify["samples"],
-                config.seed,
-                kinds=("gradient", "zero_order", "sobolev"),
-                eps=eps,
-            )
-        except ValueError as err:
-            raise ConfigError(f"verify.epsilon: {err}") from err
-        fails = sum(t["fail"] for t in tallies.values())
-        results = {"suite": "uc", "tallies": tallies, "fails": fails,
-                   "multiphase": phase.k > 1}
-    elif suite == "monotone":
-        out = sweep_monotonicity(
-            verify["samples"],
-            config.seed,
-            r_max=float(verify["exponent_max"]),
-            amplitude=float(verify["amplitude"]),
-        )
-        fails = out["fails"]
-        results = {"suite": "monotone", **out}
-    elif suite == "inequalities":
-        out = sweep_two_point(
-            verify["samples"],
-            config.seed,
-            h_max=float(verify["exponent_max"]),
-            amplitude=float(verify["amplitude"]),
-        )
-        fails = out["fails"]
-        results = {"suite": "inequalities", **out}
-    elif suite == "sandwich":
-        phase = build_phase(config)
-        out = _sweep_sandwich(config, phase)
-        fails = out["fails"]
-        results = {"suite": "sandwich", **out}
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown suite {suite!r}")
+# verify command -> (suite name in the report, help text, sweep returning the
+# results with their "fails" count).  The lambdas look the sweeps up when
+# called, so a wrapper set on the module attribute takes effect.
+_SUITES = {
+    "verify-uc": ("uc", "uniform-convexity sweep", _sweep_uc),
+    "check-monotone": (
+        "monotone",
+        "flux monotonicity sweep",
+        lambda config: sweep_monotonicity(*_scalar_sweep_args(config)),
+    ),
+    "check-inequalities": (
+        "inequalities",
+        "two-point inequality sweep",
+        lambda config: sweep_two_point(*_scalar_sweep_args(config)),
+    ),
+    "check-sandwich": ("sandwich", "norm-modular sandwich sweep", _sweep_sandwich),
+}
 
-    report = _report(f"verify-{suite}", config, results, started)
-    print(json.dumps(report["results"], indent=2, sort_keys=True))
-    if out_dir is not None:
-        _write_report(report, out_dir)
-    return 0 if fails == 0 else 2
+
+def cmd_verify(config: Config, command: str, out_dir: Path | None) -> int:
+    started = time.perf_counter()
+    suite, _, sweep = _SUITES[command]
+    results = {"suite": suite, **sweep(config)}
+    _emit(_report(f"verify-{suite}", config, results, started), out_dir)
+    return 0 if results["fails"] == 0 else 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -427,19 +420,9 @@ def _build_parser() -> argparse.ArgumentParser:
     norm_p.add_argument(
         "--kind", choices=("zero_order", "gradient", "sobolev"), default=None
     )
-    add_common(sub.add_parser("verify-uc", help="uniform-convexity sweep"))
-    add_common(sub.add_parser("check-monotone", help="flux monotonicity sweep"))
-    add_common(sub.add_parser("check-inequalities", help="two-point inequality sweep"))
-    add_common(sub.add_parser("check-sandwich", help="norm-modular sandwich sweep"))
+    for command, (_, help_text, _) in _SUITES.items():
+        add_common(sub.add_parser(command, help=help_text))
     return parser
-
-
-_SUITES = {
-    "verify-uc": "uc",
-    "check-monotone": "monotone",
-    "check-inequalities": "inequalities",
-    "check-sandwich": "sandwich",
-}
 
 
 def main(argv=None) -> int:
@@ -456,7 +439,7 @@ def main(argv=None) -> int:
             return cmd_solve(config, out_path if out_path is not None else Path("."))
         if args.command == "norm":
             return cmd_norm(config, args.field, args.kind, out_path)
-        return cmd_verify(config, _SUITES[args.command], out_path)
+        return cmd_verify(config, args.command, out_path)
     except (ConfigError, EvalError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1

@@ -26,6 +26,7 @@ and lets the solver reach residuals near 1e-9 on desk-scale problems.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -64,14 +65,12 @@ class SolverError(RuntimeError):
     pass
 
 
-class LineSearchError(SolverError):
-    """Raised when backtracking underflows; carries the iterate state."""
+def _is_number(value, kinds=(int, float)) -> bool:
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
-    def __init__(self, message: str, iteration: int, energy: float, u_values: np.ndarray):
-        super().__init__(message)
-        self.iteration = iteration
-        self.energy = energy
-        self.u_values = u_values
+
+def _is_finite(value) -> bool:
+    return _is_number(value) and math.isfinite(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,12 +87,9 @@ class Problem:
         for name, fld in (("phi", self.phi), ("f", self.f)):
             if fld.values.size != self.grid.n_nodes:
                 raise ValueError(f"{name} does not match the grid node count")
-        if self.dual_bound is not None and self.dual_bound < 0:
-            raise ValueError("dual_bound must be nonnegative")
-
-
-def _is_number(value, kinds=(int, float)) -> bool:
-    return isinstance(value, kinds) and not isinstance(value, bool)
+        a = self.dual_bound
+        if a is not None and not (_is_finite(a) and a >= 0):
+            raise ValueError("dual_bound must be null or a finite nonnegative number")
 
 
 @dataclass(frozen=True)
@@ -115,24 +111,25 @@ class SolverOptions:
     def __post_init__(self):
         if not (_is_number(self.max_iterations, int) and self.max_iterations >= 1):
             raise ValueError("max_iterations must be an integer of at least 1")
-        if self.gradient_tolerance is not None and self.gradient_tolerance <= 0:
-            raise ValueError("gradient_tolerance must be positive")
-        if self.energy_tolerance <= 0:
-            raise ValueError("energy_tolerance must be positive")
+        gtol = self.gradient_tolerance
+        if gtol is not None and not (_is_finite(gtol) and gtol > 0):
+            raise ValueError("gradient_tolerance must be null or a finite positive number")
+        if not (_is_finite(self.energy_tolerance) and self.energy_tolerance > 0):
+            raise ValueError("energy_tolerance must be a finite positive number")
         if not 0 < self.armijo_constant < 1:
             raise ValueError("armijo_constant must lie in (0, 1)")
         if not 0 < self.shrink_factor < 1:
             raise ValueError("shrink_factor must lie in (0, 1)")
-        if self.initial_step <= 0 or self.step_floor <= 0:
-            raise ValueError("steps must be positive")
+        if not all(_is_finite(x) and x > 0 for x in (self.initial_step, self.step_floor)):
+            raise ValueError("initial_step and step_floor must be finite positive numbers")
         if self.method not in ("cg", "gd"):
             raise ValueError("method must be 'cg' or 'gd'")
         if not isinstance(self.two_start_check, bool):
             raise ValueError("two_start_check must be true or false")
         if not (_is_number(self.dual_probes, int) and self.dual_probes >= 0):
             raise ValueError("dual_probes must be a nonnegative integer")
-        if not (_is_number(self.uc_epsilon) and self.uc_epsilon > 0):
-            raise ValueError("uc_epsilon must be a positive number")
+        if not (_is_finite(self.uc_epsilon) and self.uc_epsilon > 0):
+            raise ValueError("uc_epsilon must be a finite positive number")
 
 
 @dataclass(eq=False)
@@ -270,7 +267,13 @@ def minimize(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
     the change of u falls below ``step_floor`` relative to 1 + max|u|.  So
     the recorded energies decrease strictly; a decrease below the float
     resolution of the energy is recorded once the accumulated decreases
-    change it.  A model that cannot be factored raises ``SolverError``.
+    change it.
+
+    Every stop returns a ``Solution`` at the last accepted iterate, with
+    ``iterations`` counting accepted steps and ``termination`` one of
+    "gradient_tolerance" or "energy_tolerance" (converged), "max_iterations"
+    or "line_search" (a search reached the step floor).  A model that cannot
+    be factored or a non-finite energy raises ``SolverError``.
     """
     grid, phase = prob.grid, prob.phase
     interior = ~boundary_mask(grid)
@@ -324,22 +327,20 @@ def minimize(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
             converged = True
             termination = "gradient_tolerance"
             break
-        it += 1
-
         cells, log_scale = _curvature(phase, w_grad)
         try:
             z = form_solve(grid, gradient_form(grid, cells), g)
         except (np.linalg.LinAlgError, MemoryError) as err:
-            raise SolverError(f"curvature solve failed at iteration {it}: {err}") from err
+            raise SolverError(f"curvature solve failed at iteration {it + 1}: {err}") from err
         # d = -B^-1 g = -e^(-L) z, shortened where that would move u too far
         reach = np.log(MAX_DIRECTION_RATIO * (1.0 + float(np.max(np.abs(u)))))
         d = -np.exp(min(-log_scale, reach - np.log(float(np.max(np.abs(z)))))) * z
         step = search(d)
         if step is None:
-            raise LineSearchError(
-                f"line search underflow at iteration {it}", it, E, u.copy()
-            )
+            termination = "line_search"
+            break
         s, dE = step
+        it += 1
 
         u += s * d
         w_grad = phi_grad - gradient_values(grid, u)

@@ -36,6 +36,15 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def read_json(text: str):
+    """Parse a CLI payload as strict JSON: NaN and +-Infinity are errors."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def test_parse_config_minimal():
     cfg = parse_config(json.dumps(laplace_config()))
     assert cfg.grid.n_cells == 32
@@ -83,7 +92,7 @@ def test_solve_writes_artifacts(tmp_path):
     last = csv_lines[-1].split(",")
     assert float(first[1]) == 0.0 and float(last[1]) == 0.0  # zero trace
     assert float(first[2]) == 0.0 and float(last[2]) == 0.0  # w = phi at ends
-    report = json.loads((out / "report.json").read_text())
+    report = read_json((out / "report.json").read_text())
     assert report["results"]["converged"] is True
     assert report["results"]["residual"] <= 1e-9
     x = np.array([float(line.split(",")[0]) for line in csv_lines[1:]])
@@ -118,9 +127,28 @@ def test_solve_nonconvergence_exit_code(tmp_path):
     out = tmp_path / "out"
     code = run_cli(["solve", cfg_path, "--out-dir", out])
     assert code == 2
-    report = json.loads((out / "report.json").read_text())
+    report = read_json((out / "report.json").read_text())
     assert report["results"]["converged"] is False
     assert report["results"]["iterations"] == 1
+
+
+def test_solve_line_search_stop_is_certified(tmp_path):
+    # a step floor above every trial step stops both starts in their first
+    # search; the report still carries the termination and the certificates
+    cfg = laplace_config()
+    cfg["phase"] = {"p": "1.5", "phases": [{"q": "3", "mu": "x"}]}
+    cfg["solver"].update(step_floor=10, two_start_check=True)
+    out = tmp_path / "out"
+    assert run_cli(["solve", write_config(tmp_path, cfg), "--out-dir", out]) == 2
+    results = read_json((out / "report.json").read_text())["results"]
+    assert results["termination"] == "line_search"
+    assert results["converged"] is False and results["iterations"] == 0
+    assert results["residual"] > 0
+    assert set(results["uniqueness"]) >= {"modular_distance", "certificate", "uc_verdict"}
+    # the first start's iterate (zero), not the random second start's
+    csv_lines = (out / "solution.csv").read_text().splitlines()
+    assert csv_lines[0] == "x,u,w" and len(csv_lines) == 33 + 1
+    assert all(float(line.split(",")[1]) == 0.0 for line in csv_lines[1:])
 
 
 def test_solve_high_exponents_from_zero_gradient(tmp_path):
@@ -130,7 +158,7 @@ def test_solve_high_exponents_from_zero_gradient(tmp_path):
     cfg["solver"] = {"gradient_tolerance": 1e-8, "dual_probes": 4}
     out = tmp_path / "out"
     assert run_cli(["solve", write_config(tmp_path, cfg), "--out-dir", out]) == 0
-    report = json.loads((out / "report.json").read_text())
+    report = read_json((out / "report.json").read_text())
     assert report["results"]["termination"] == "gradient_tolerance"
 
 
@@ -160,6 +188,9 @@ def test_bad_config_exit_code(tmp_path):
     assert run_cli(["solve", cfg_path]) == 1
 
 
+INF, NAN = float("inf"), float("nan")
+
+
 def _with(section, key, value):
     cfg = laplace_config()
     cfg.setdefault(section, {})[key] = value
@@ -185,12 +216,32 @@ def _with(section, key, value):
         ("solve", laplace_config(seed=True)),
         ("solve", _with("phase", "phases", [{"q": "2", "mu": "sin(1e200*1e200)"}])),
         ("solve", laplace_config(source="cos(1e200*1e200)")),
+        ("solve", _with("solver", "gradient_tolerance", INF)),
+        ("solve", _with("solver", "gradient_tolerance", NAN)),
+        ("solve", _with("solver", "energy_tolerance", INF)),
+        ("solve", _with("solver", "energy_tolerance", True)),
+        ("solve", _with("solver", "initial_step", NAN)),
+        ("solve", _with("solver", "step_floor", INF)),
+        ("solve", _with("solver", "dual_bound", NAN)),
+        ("solve", _with("solver", "dual_bound", INF)),
+        ("solve", _with("solver", "uc_epsilon", INF)),
+        ("check-monotone", _with("verify", "exponent_max", 0.5)),
+        ("check-inequalities", _with("verify", "exponent_max", INF)),
+        ("check-monotone", _with("verify", "amplitude", -3)),
+        ("check-monotone", _with("verify", "amplitude", NAN)),
+        ("check-inequalities", _with("verify", "amplitude", 1e308)),
+        ("solve", _with("output", "dir", 5)),
     ],
     ids=["samples-text", "samples-negative", "amplitude-text", "dual-bound-negative",
          "two-start-text", "resolution-fractional", "source-eval-error",
          "dual-probes-text", "dual-probes-fractional", "dual-probes-negative",
          "uc-epsilon-text", "uc-epsilon-negative", "max-iterations-fractional",
-         "seed-bool", "mu-sin-of-inf", "source-cos-of-inf"],
+         "seed-bool", "mu-sin-of-inf", "source-cos-of-inf",
+         "gradient-tolerance-inf", "gradient-tolerance-nan", "energy-tolerance-inf",
+         "energy-tolerance-bool", "initial-step-nan", "step-floor-inf",
+         "dual-bound-nan", "dual-bound-inf", "uc-epsilon-inf", "exponent-max-below-1", "exponent-max-inf",
+         "amplitude-negative", "amplitude-nan", "amplitude-double-overflows",
+         "output-dir-int"],
 )
 def test_config_holes_exit_1(tmp_path, capsys, command, cfg):
     cfg_path = write_config(tmp_path, cfg)
@@ -203,7 +254,7 @@ def test_norm_command(tmp_path, capsys):
     cfg_path = write_config(tmp_path, cfg)
     code = run_cli(["norm", cfg_path, "--field", "1"])
     assert code == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = read_json(capsys.readouterr().out)
     zero = payload["kinds"]["zero_order"]
     assert zero["luxemburg_norm"] == pytest.approx(1 / np.sqrt(2), abs=1e-9)
     assert zero["modular"] == pytest.approx(0.5, rel=1e-12)
@@ -228,21 +279,17 @@ def test_norm_computes_one_modular_per_kind(tmp_path, capsys, monkeypatch):
     cfg_path = write_config(tmp_path, laplace_config())
     assert run_cli(["norm", cfg_path, "--field", "x*(1 - x)"]) == 0
     assert sorted(calls) == ["gradient", "sobolev", "zero_order"]
-    payload = json.loads(capsys.readouterr().out)
+    payload = read_json(capsys.readouterr().out)
     assert payload["kinds"]["zero_order"]["modular"] > 0
 
 
 def test_norm_zero_field(tmp_path, capsys):
     cfg_path = write_config(tmp_path, laplace_config())
     assert run_cli(["norm", cfg_path, "--field", "0"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = read_json(capsys.readouterr().out)
     for k in payload["kinds"]:
         assert payload["kinds"][k]["luxemburg_norm"] == 0.0
         assert payload["kinds"][k]["modular"] == 0.0
-
-
-def _reject_constant(name):
-    raise ValueError(f"{name} is not valid JSON")
 
 
 # the modular of 1e50*x with q = 8 is 1e400 and overflows: it is reported as
@@ -252,7 +299,7 @@ def test_norm_extreme_field_scales(tmp_path, capsys, field):
     cfg = laplace_config()
     cfg["phase"] = {"p": "2", "phases": [{"q": "8", "mu": "1"}]}
     assert run_cli(["norm", write_config(tmp_path, cfg), "--field", field]) == 0
-    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    payload = read_json(capsys.readouterr().out)
     for entry in payload["kinds"].values():
         assert np.isfinite(entry["luxemburg_norm"]) and entry["luxemburg_norm"] > 0
         if entry["modular"] is None:
@@ -271,7 +318,7 @@ def test_verify_uc_command(tmp_path, capsys):
     cfg_path = write_config(tmp_path, cfg)
     code = run_cli(["verify-uc", cfg_path])
     assert code == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = read_json(capsys.readouterr().out)
     assert payload["fails"] == 0
     total = sum(payload["tallies"]["gradient"].values())
     assert total == 40
@@ -291,9 +338,9 @@ def test_check_monotone_and_inequalities(tmp_path, capsys):
     cfg["verify"] = {"samples": 20000}
     cfg_path = write_config(tmp_path, cfg)
     assert run_cli(["check-monotone", cfg_path]) == 0
-    assert json.loads(capsys.readouterr().out)["fails"] == 0
+    assert read_json(capsys.readouterr().out)["fails"] == 0
     assert run_cli(["check-inequalities", cfg_path]) == 0
-    assert json.loads(capsys.readouterr().out)["fails"] == 0
+    assert read_json(capsys.readouterr().out)["fails"] == 0
 
 
 def test_check_sandwich(tmp_path, capsys):
@@ -302,11 +349,11 @@ def test_check_sandwich(tmp_path, capsys):
     cfg["verify"] = {"samples": 25}
     cfg_path = write_config(tmp_path, cfg)
     assert run_cli(["check-sandwich", cfg_path]) == 0
-    assert json.loads(capsys.readouterr().out)["fails"] == 0
+    assert read_json(capsys.readouterr().out)["fails"] == 0
 
 
 def _strip_timing(text: str) -> str:
-    payload = json.loads(text)
+    payload = read_json(text)
     payload.pop("timing_seconds", None)
     return json.dumps(payload, sort_keys=True)
 
@@ -335,7 +382,7 @@ def test_seed_flag_overrides(tmp_path):
     assert _strip_timing((out1 / "report.json").read_text()) == _strip_timing(
         (out2 / "report.json").read_text()
     )
-    r = json.loads((out1 / "report.json").read_text())
+    r = read_json((out1 / "report.json").read_text())
     assert r["seed"] == 99
 
 
@@ -347,5 +394,5 @@ def test_module_entry_point(tmp_path):
         text=True,
     )
     assert proc.returncode == 0
-    payload = json.loads(proc.stdout)
+    payload = read_json(proc.stdout)
     assert payload["kinds"]["gradient"]["luxemburg_norm"] > 0

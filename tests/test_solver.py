@@ -371,6 +371,21 @@ def test_minimize_respects_max_iterations():
     assert sol.iterations == 1
 
 
+def test_minimize_returns_a_line_search_stop():
+    # a step floor above every trial step ends the first search: the run
+    # stops at the start with a solution, not an exception
+    grid = build_grid(1, [(0, 1)], [32])
+    prob = make_problem(grid, 1.5, [(3.0, grid.cell_centers()[:, 0])],
+                        f_values=np.ones(grid.n_nodes))
+    sol = minimize(prob, SolverOptions(step_floor=10.0))
+    assert sol.termination == "line_search"
+    assert sol.converged is False
+    assert sol.iterations == 0
+    assert len(sol.energy_history) == 1
+    assert np.all(sol.u_star.values == 0.0)
+    assert sol.gradient_norm > 0
+
+
 def test_laplace_2d_manufactured_solution():
     # -div grad w = 2 pi^2 sin(pi x) sin(pi y) has w = sin(pi x) sin(pi y)
     grid = build_grid(2, [(0, 1), (0, 1)], [24, 24])
