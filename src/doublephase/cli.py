@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .convexity import sweep_monotonicity, sweep_two_point, sweep_uc_pairs
+from .convexity import delta_of_epsilon, sweep_monotonicity, sweep_two_point, sweep_uc_pairs
 from .exprparse import EvalError, Expr, ParseError, parse, sample
 from .mesh import Grid, ScalarField, build_grid
 from .modular import (
@@ -87,6 +87,13 @@ class Config:
     seed: int
     out_dir: str | None
     raw: dict
+
+
+def _check_seed(seed, path: str) -> int:
+    """A seed of the numpy generator: an integer >= 0."""
+    if not (_is_number(seed, int) and seed >= 0):
+        raise ConfigError(f"{path}: expected a non-negative integer, got {seed!r}")
+    return seed
 
 
 def parse_config(source: str | Path) -> Config:
@@ -158,9 +165,7 @@ def parse_config(source: str | Path) -> Config:
             f"verify.exponent_max: expected a finite number above 1, got {exponent_max!r}"
         )
 
-    seed = raw.get("seed", 0)
-    if not _is_number(seed, int):
-        raise ConfigError("seed: expected an integer")
+    seed = _check_seed(raw.get("seed", 0), "seed")
 
     out_dir = None
     if "output" in raw:
@@ -325,17 +330,20 @@ def _emit(report: dict, out_dir: Path | None):
 
 def _sweep_uc(config: Config) -> dict:
     phase = build_phase(config)
-    try:
-        tallies = sweep_uc_pairs(
-            config.grid,
-            phase,
-            config.verify["samples"],
-            config.seed,
-            kinds=("gradient", "zero_order", "sobolev"),
-            eps=config.verify["epsilon"],
-        )
-    except ValueError as err:
-        raise ConfigError(f"verify.epsilon: {err}") from err
+    eps = config.verify["epsilon"]
+    if eps is not None:
+        try:
+            delta_of_epsilon(eps, phase.summary.m)
+        except ValueError as err:
+            raise ConfigError(f"verify.epsilon: {err}") from err
+    tallies = sweep_uc_pairs(
+        config.grid,
+        phase,
+        config.verify["samples"],
+        config.seed,
+        kinds=("gradient", "zero_order", "sobolev"),
+        eps=eps,
+    )
     fails = sum(t["fail"] for t in tallies.values())
     return {"tallies": tallies, "fails": fails, "multiphase": phase.k > 1}
 
@@ -430,7 +438,7 @@ def main(argv=None) -> int:
     try:
         config = parse_config(args.config)
         if args.seed is not None:
-            config.seed = args.seed
+            config.seed = _check_seed(args.seed, "--seed")
             config.raw = dict(config.raw, seed=args.seed)
         out_dir = args.out_dir if args.out_dir is not None else config.out_dir
         out_path = Path(out_dir) if out_dir is not None else None

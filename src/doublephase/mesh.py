@@ -3,7 +3,10 @@
 Nodal data is stored as a flat float64 array in row-major order over the node
 lattice; per-cell data likewise over the cell lattice.  Gradients live at cell
 centers: each entry is the gradient of the multilinear nodal interpolant
-evaluated at the center of that cell.  A per-cell weight matrix B turns into
+evaluated at the center of that cell.  ``gradient_values`` and
+``cell_average_values`` also take a stack ``values[..., n_nodes]``: leading
+batch axes pass through, and each row comes out bit-identical to the operator
+applied to that row alone.  A per-cell weight matrix B turns into
 the nodal form vol * G^T B G (``gradient_form``), stored as nearest-neighbour
 stencil coefficients and solved on the interior nodes by ``form_solve``.
 """
@@ -21,9 +24,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _corner(offsets) -> tuple[slice, ...]:
-    """Node-lattice slice of the cell corner at 0/1 offsets along each axis."""
-    return tuple(slice(1, None) if o else slice(None, -1) for o in offsets)
+def _corner(offsets) -> tuple:
+    """Node-lattice slice of the cell corner at 0/1 offsets along each axis.
+
+    The leading ``...`` passes any batch axes in front of the lattice through.
+    """
+    return (Ellipsis, *(slice(1, None) if o else slice(None, -1) for o in offsets))
 
 
 @dataclass(frozen=True)
@@ -36,9 +42,9 @@ class Stencil:
     ``corners`` lists every cell corner, first axis fastest.
     """
 
-    pairs: tuple[tuple[tuple[tuple[slice, ...], tuple[slice, ...]], ...], ...]
+    pairs: tuple[tuple[tuple[tuple, tuple], ...], ...]
     scales: tuple[float, ...]
-    corners: tuple[tuple[slice, ...], ...]
+    corners: tuple[tuple, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,10 +182,14 @@ def boundary_mask(grid: Grid) -> np.ndarray:
 
 
 def gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Per-cell gradient of the multilinear interpolant of flat nodal values."""
-    v = values.reshape(grid.node_shape)
-    out = np.empty((grid.n_cells, grid.dim))
-    components = out.reshape(grid.cell_shape + (grid.dim,))
+    """Per-cell gradient of the multilinear interpolant of flat nodal values.
+
+    Maps ``values[..., n_nodes]`` to ``out[..., n_cells, dim]``.
+    """
+    batch = values.shape[:-1]
+    v = values.reshape(batch + grid.node_shape)
+    out = np.empty(batch + (grid.n_cells, grid.dim))
+    components = out.reshape(batch + grid.cell_shape + (grid.dim,))
     for k, (pairs, scale) in enumerate(zip(grid.stencil.pairs, grid.stencil.scales)):
         comp = components[..., k]
         (lo, hi), rest = pairs[0], pairs[1:]
@@ -208,14 +218,18 @@ def gradient_adjoint(grid: Grid, vectors: np.ndarray) -> np.ndarray:
 
 
 def cell_average_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Arithmetic mean of the corner nodal values, one value per cell."""
-    v = values.reshape(grid.node_shape)
+    """Arithmetic mean of the corner nodal values, one value per cell.
+
+    Maps ``values[..., n_nodes]`` to ``out[..., n_cells]``.
+    """
+    batch = values.shape[:-1]
+    v = values.reshape(batch + grid.node_shape)
     first, second, *rest = grid.stencil.corners
     out = v[first] + v[second]
     for corner in rest:
         out += v[corner]
     out *= 1.0 / len(grid.stencil.corners)
-    return out.reshape(-1)
+    return out.reshape(batch + (grid.n_cells,))
 
 
 def cell_average_adjoint(grid: Grid, cells: np.ndarray) -> np.ndarray:
@@ -241,7 +255,7 @@ def _corner_weights(grid: Grid) -> list[tuple[tuple[int, ...], np.ndarray]]:
     st = grid.stencil
     out = []
     for corner in st.corners:
-        offset = tuple(int(s.start == 1) for s in corner)
+        offset = tuple(int(s.start == 1) for s in corner[1:])
         weights = np.zeros(grid.dim)
         for k, (pairs, scale) in enumerate(zip(st.pairs, st.scales)):
             for lo, hi in pairs:

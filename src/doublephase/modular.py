@@ -6,6 +6,9 @@ Three modular kinds are supported:
 * ``gradient``    integrates the integrand of |grad u| (cell gradients),
 * ``sobolev``     is the exact sum of the two.
 
+``stacked_rho`` evaluates each of the two parts once for a whole stack of
+fields and forms every requested kind from them.
+
 All integrals use the one-point cell-center quadrature of the mesh module,
 so every modular is a finite weighted sum and is convex, symmetric, and
 strictly decreasing in the Luxemburg scaling parameter wherever positive.
@@ -50,13 +53,29 @@ def _check_kind(kind: str):
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
-def _magnitudes(u_values: np.ndarray, grid: Grid, kind: str) -> list[np.ndarray]:
-    """Per-cell integrand arguments: |cell average|, |cell gradient|, or both."""
-    out = []
-    if kind in ("zero_order", "sobolev"):
-        out.append(np.abs(cell_average_values(grid, u_values)))
-    if kind in ("gradient", "sobolev"):
-        out.append(np.sqrt(np.sum(gradient_values(grid, u_values) ** 2, axis=1)))
+# the integrand arguments each kind sums, in this order: |cell average| for
+# "zero_order", |cell gradient| for "gradient"
+_PARTS = {
+    "zero_order": ("zero_order",),
+    "gradient": ("gradient",),
+    "sobolev": ("zero_order", "gradient"),
+}
+
+
+def _magnitude(u_values: np.ndarray, grid: Grid, part: str) -> np.ndarray:
+    """Per-cell integrand argument of one part, for ``u_values[..., n_nodes]``."""
+    if part == "zero_order":
+        return np.abs(cell_average_values(grid, u_values))
+    return np.sqrt(np.sum(gradient_values(grid, u_values) ** 2, axis=-1))
+
+
+def _assemble(h: dict[str, np.ndarray], kind: str, grid: Grid) -> np.ndarray:
+    """Per-cell contributions of one kind from its parts' integrand values."""
+    parts = _PARTS[kind]
+    out = np.zeros(h[parts[0]].shape)
+    for part in parts:
+        out += h[part]
+    out *= grid.cell_volume
     return out
 
 
@@ -68,13 +87,27 @@ def _cell_contributions(
     mask: np.ndarray | None,
     bar: bool = False,
 ) -> np.ndarray:
-    out = np.zeros(grid.n_cells)
-    for t in _magnitudes(u_values, grid, kind):
-        out += phase.h_of(t, bar=bar)
-    out *= grid.cell_volume
+    h = {part: phase.h_of(_magnitude(u_values, grid, part), bar=bar) for part in _PARTS[kind]}
+    out = _assemble(h, kind, grid)
     if mask is not None:
         out = np.where(np.asarray(mask, dtype=bool), out, 0.0)
     return out
+
+
+def stacked_rho(
+    u_values: np.ndarray, grid: Grid, phase: PhaseStructure, kinds
+) -> dict[str, np.ndarray]:
+    """Modular of every row of ``u_values[..., n_nodes]``, for each kind in ``kinds``.
+
+    Each part the kinds need is evaluated once for the whole stack, and a
+    sobolev modular adds its two parts as ``rho`` does, so every value
+    equals ``rho`` of that row bit for bit.
+    """
+    for kind in kinds:
+        _check_kind(kind)
+    parts = {part for kind in kinds for part in _PARTS[kind]}
+    h = {part: phase.h_of(_magnitude(u_values, grid, part)) for part in parts}
+    return {kind: np.sum(_assemble(h, kind, grid), axis=-1) for kind in kinds}
 
 
 def modular_value(
@@ -107,7 +140,7 @@ def _luxemburg(
     kind: str,
     bar: bool = False,
 ) -> float:
-    mags = _magnitudes(u_values, grid, kind)
+    mags = [_magnitude(u_values, grid, part) for part in _PARTS[kind]]
     top = max(float(np.max(t)) for t in mags)
     if top == 0.0:
         return 0.0

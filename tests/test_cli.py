@@ -231,6 +231,9 @@ def _with(section, key, value):
         ("check-monotone", _with("verify", "amplitude", NAN)),
         ("check-inequalities", _with("verify", "amplitude", 1e308)),
         ("solve", _with("output", "dir", 5)),
+        ("solve", laplace_config(seed=-1)),
+        ("check-monotone", laplace_config(seed=-1)),
+        ("verify-uc --seed -2", laplace_config()),
     ],
     ids=["samples-text", "samples-negative", "amplitude-text", "dual-bound-negative",
          "two-start-text", "resolution-fractional", "source-eval-error",
@@ -241,11 +244,13 @@ def _with(section, key, value):
          "energy-tolerance-bool", "initial-step-nan", "step-floor-inf",
          "dual-bound-nan", "dual-bound-inf", "uc-epsilon-inf", "exponent-max-below-1", "exponent-max-inf",
          "amplitude-negative", "amplitude-nan", "amplitude-double-overflows",
-         "output-dir-int"],
+         "output-dir-int", "seed-negative", "seed-negative-check-monotone",
+         "seed-flag-negative-verify-uc"],
 )
 def test_config_holes_exit_1(tmp_path, capsys, command, cfg):
+    command, *flags = command.split()
     cfg_path = write_config(tmp_path, cfg)
-    assert run_cli([command, cfg_path, "--out-dir", tmp_path / "out"]) == 1
+    assert run_cli([command, cfg_path, *flags, "--out-dir", tmp_path / "out"]) == 1
     assert capsys.readouterr().err.startswith("config error:")
 
 
@@ -330,7 +335,15 @@ def test_verify_uc_epsilon_out_of_range(tmp_path, capsys):
     cfg_path = write_config(tmp_path, cfg)
     assert run_cli(["verify-uc", cfg_path]) == 1
     err = capsys.readouterr().err
+    assert err.startswith("config error: verify.epsilon: ")
     assert "sqrt(32/(m-1))" in err
+
+
+def test_verify_uc_labels_a_bad_seed_as_the_seed(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, laplace_config())
+    assert run_cli(["verify-uc", cfg_path, "--seed", -2]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: --seed: expected a non-negative integer, got -2\n"
 
 
 def test_check_monotone_and_inequalities(tmp_path, capsys):

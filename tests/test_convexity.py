@@ -1,7 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from doublephase import convexity
 from doublephase.convexity import (
+    VERDICTS,
+    _uc_modulars,
     admissible_epsilon_bound,
     delta_of_epsilon,
     monotonicity_lower_bound_check,
@@ -12,10 +19,11 @@ from doublephase.convexity import (
     sweep_two_point,
     sweep_uc_pairs,
     two_point_inequality_check,
+    uc_verdicts,
     verify_uc_pair,
 )
 from doublephase.mesh import ScalarField, build_grid
-from doublephase.modular import rho
+from doublephase.modular import KINDS, rho
 from test_phase import make_phase
 
 GRID = build_grid(1, [(0, 1)], [12])
@@ -267,3 +275,100 @@ def test_gap_concentration_estimate():
         lhs = rho(half, ph, "gradient", mask=target).value
         assert lhs >= 0.25 * eps * avg - 1e-12 * (1.0 + avg)
     assert checked > 20  # the hypothesis fires often enough to be meaningful
+
+
+def per_pair_sweep(grid, phase, n_samples, seed, kinds, eps):
+    """The sweep as one ``verify_uc_pair`` call per sample and kind, with the
+    draws of ``sweep_uc_pairs``; returns the tallies and the drawn u, v rows."""
+    rng = np.random.default_rng(seed)
+    bound = admissible_epsilon_bound(phase.summary.m)
+    tallies = {kind: {"pass": 0, "vacuous": 0, "fail": 0} for kind in kinds}
+    us, vs = [], []
+    for _ in range(n_samples):
+        scale_u = 10.0 ** rng.uniform(-1, 1)
+        scale_v = 10.0 ** rng.uniform(-1, 1)
+        u = ScalarField(grid, scale_u * rng.normal(size=grid.n_nodes))
+        v = ScalarField(grid, scale_v * rng.normal(size=grid.n_nodes))
+        e = eps if eps is not None else float(rng.uniform(0.02, 0.98) * min(1.0, bound))
+        for kind in kinds:
+            tallies[kind][verify_uc_pair(u, v, e, phase, kind).verdict] += 1
+        us.append(u.values)
+        vs.append(v.values)
+    return tallies, np.array(us), np.array(vs)
+
+
+def assert_uc_modulars_equal_rho(grid, phase, us, vs, kinds):
+    """Batched midpoint, average and gap modulars == rho of each pair."""
+    modulars = _uc_modulars(us, vs, grid, phase, kinds)
+    for i, (u, v) in enumerate(zip(us, vs)):
+        for kind in kinds:
+            midpoint, average, gap = (values[i] for values in modulars[kind])
+            ru, rv, rmid, rhalf = (
+                rho(ScalarField(grid, w), phase, kind).value
+                for w in (u, v, (u + v) / 2.0, (u - v) / 2.0)
+            )
+            assert midpoint == rmid
+            assert average == (ru + rv) / 2.0
+            assert gap == rhalf
+
+
+def random_phase(grid, rng, n_phases):
+    n = grid.n_cells
+    mus = [rng.uniform(0.0, 3.0, n) * (rng.uniform(size=n) > 0.3) for _ in range(n_phases)]
+    return make_phase(
+        grid, rng.uniform(1.1, 5.0, n), [(rng.uniform(1.1, 5.0, n), mu) for mu in mus]
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    resolution=st.lists(st.integers(2, 6), min_size=1, max_size=2),
+    n_phases=st.integers(1, 3),
+    kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=3, unique=True),
+    eps=st.none() | st.floats(0.05, 0.9),
+    chunk=st.integers(2, 5),
+    count=st.sampled_from(["one", "chunk-1", "chunk+1", "non-multiple"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chunked_sweep_matches_per_pair_sweep(
+    resolution, n_phases, kinds, eps, chunk, count, seed
+):
+    dim = len(resolution)
+    grid = build_grid(dim, [(0.0, 1.0), (-0.5, 1.5)][:dim], resolution)
+    rng = np.random.default_rng(seed)
+    phase = random_phase(grid, rng, n_phases)
+    n_samples = {
+        "one": 1,
+        "chunk-1": chunk - 1,
+        "chunk+1": chunk + 1,
+        "non-multiple": 2 * chunk + 1 + int(rng.integers(0, chunk - 1)),
+    }[count]
+    kinds = tuple(kinds)
+    with mock.patch.object(convexity, "UC_CHUNK_NODES", chunk * grid.n_nodes):
+        tallies = sweep_uc_pairs(grid, phase, n_samples, seed, kinds=kinds, eps=eps)
+    expected, us, vs = per_pair_sweep(grid, phase, n_samples, seed, kinds, eps)
+    assert tallies == expected
+    assert_uc_modulars_equal_rho(grid, phase, us, vs, kinds)
+
+
+def test_sweep_at_the_default_chunk_matches_per_pair_sweep():
+    grid = build_grid(2, [(0.0, 1.0), (0.0, 1.0)], [16, 16])
+    phase = random_phase(grid, np.random.default_rng(13), 2)
+    chunk = convexity.UC_CHUNK_NODES // grid.n_nodes
+    assert chunk > 1
+    tallies = sweep_uc_pairs(grid, phase, chunk + 1, 5, kinds=KINDS)
+    expected, us, vs = per_pair_sweep(grid, phase, chunk + 1, 5, KINDS, None)
+    assert tallies == expected
+    assert sum(expected["gradient"].values()) == chunk + 1
+    assert_uc_modulars_equal_rho(grid, phase, us[:3], vs[:3], KINDS)
+
+
+def test_uc_verdicts_rule():
+    # vacuous at gap == threshold, pass within the slack, fail beyond it
+    average = np.array([2.0, 2.0, 2.0, 2.0])
+    eps, delta = 0.5, 0.125
+    gap = np.array([1.0, 1.5, 1.5, 1.5])
+    midpoint = np.array([9.0, 1.75, 1.75 + 2e-12, 1.75 + 1e-10])
+    verdicts, threshold = uc_verdicts(midpoint, average, gap, eps, delta)
+    assert [VERDICTS[i] for i in verdicts] == ["vacuous", "pass", "pass", "fail"]
+    np.testing.assert_array_equal(threshold, eps * average)

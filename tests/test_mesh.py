@@ -157,6 +157,25 @@ def test_operators_match_explicit_corner_formulas():
     np.testing.assert_array_equal(gradient_adjoint(g2, w), out.reshape(-1))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    resolution=st.lists(st.integers(2, 12), min_size=1, max_size=2),
+    batch=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_operators_match_row_by_row(resolution, batch, seed):
+    dim = len(resolution)
+    g = build_grid(dim, [(0.0, 1.3), (-1.0, 2.0)][:dim], resolution)
+    stack = np.random.default_rng(seed).normal(size=(*batch, g.n_nodes))
+    grads = gradient_values(g, stack)
+    averages = cell_average_values(g, stack)
+    assert grads.shape == (*batch, g.n_cells, dim)
+    assert averages.shape == (*batch, g.n_cells)
+    for row in np.ndindex(*batch):
+        np.testing.assert_array_equal(grads[row], gradient_values(g, stack[row]))
+        np.testing.assert_array_equal(averages[row], cell_average_values(g, stack[row]))
+
+
 def test_boundary_mask_counts():
     g1 = build_grid(1, [(0, 1)], [9])
     assert boundary_mask(g1).sum() == 2
