@@ -6,6 +6,8 @@ of :mod:`doublephase.exprparse`.  Reports are emitted as pretty-printed JSON
 with sorted keys so identical configs and seeds reproduce byte-identical
 files apart from the ``timing_seconds`` entry.
 
+Every check a command reports is computed by the library.
+
 Exit codes: 0 success, 1 usage or config error, 2 non-convergence or failed
 verification, 3 I/O error.
 """
@@ -27,12 +29,7 @@ from . import __version__
 from .convexity import delta_of_epsilon, sweep_monotonicity, sweep_two_point, sweep_uc_pairs
 from .exprparse import EvalError, Expr, ParseError, parse, sample
 from .mesh import Grid, ScalarField, build_grid
-from .modular import (
-    luxemburg_norm,
-    norm_modular_sandwich,
-    overline_equivalence_check,
-    rho,
-)
+from .modular import norm_report, sweep_sandwich
 from .phase import PhasePair, PhaseStructure
 from .solver import Problem, SolverError, SolverOptions, _is_finite, _is_number, solve_weak
 
@@ -299,24 +296,22 @@ def cmd_norm(config: Config, field_expr: str, kind: str | None, out_dir: Path | 
     expr = _parse_expr(field_expr, "--field")
     u = ScalarField(config.grid, sample(expr, config.grid, "nodes"))
     kinds = (kind,) if kind else ("zero_order", "gradient", "sobolev")
+    # the raw modular of a huge field may overflow; the norm cannot
+    with np.errstate(over="ignore"):
+        reports = [norm_report(u, phase, k) for k in kinds]
     results: dict = {"field": field_expr, "kinds": {}}
-    for k in kinds:
-        # the raw modular of a huge field may overflow; the norm cannot
-        with np.errstate(over="ignore"):
-            modular, lower, upper, norm, holds = norm_modular_sandwich(u, phase, k)
+    for r in reports:
         # an overflowed modular and the sandwich built on it are out of range
-        in_range = bool(np.isfinite(modular))
-        results["kinds"][k] = {
-            "modular": modular if in_range else None,
-            "luxemburg_norm": norm,
-            "sandwich_lower": lower if in_range else None,
-            "sandwich_upper": upper if in_range else None,
-            "sandwich_holds": holds if in_range else None,
+        in_range = bool(np.isfinite(r.modular))
+        results["kinds"][r.kind] = {
+            "modular": r.modular if in_range else None,
+            "luxemburg_norm": r.norm,
+            "sandwich_lower": r.sandwich_lower if in_range else None,
+            "sandwich_upper": r.sandwich_upper if in_range else None,
+            "sandwich_holds": r.sandwich_holds if in_range else None,
         }
     if phase.k == 1:
-        results["overline_equivalent"] = all(
-            overline_equivalence_check(u, phase, k) for k in kinds
-        )
+        results["overline_equivalent"] = all(r.overline_holds for r in reports)
     _emit(_report("norm", config, results, started), out_dir)
     return 0
 
@@ -353,35 +348,6 @@ def _scalar_sweep_args(config: Config) -> tuple:
     return v["samples"], config.seed, float(v["exponent_max"]), float(v["amplitude"])
 
 
-def _sweep_sandwich(config: Config) -> dict:
-    grid = config.grid
-    phase = build_phase(config)
-    rng = np.random.default_rng(config.seed)
-    n = config.verify["samples"]
-    fails = 0
-    checks = 0
-    for _ in range(n):
-        scale = 10.0 ** rng.uniform(-2, 2)
-        u = ScalarField(grid, scale * rng.normal(size=grid.n_nodes))
-        kind = ("zero_order", "gradient", "sobolev")[int(rng.integers(0, 3))]
-        _, _, _, norm, holds = norm_modular_sandwich(u, phase, kind)
-        unit_ok = True
-        if norm > 0:
-            unit = ScalarField(grid, u.values / norm)
-            unit_ok = abs(rho(unit, phase, kind).value - 1.0) <= 1e-9
-        c = float(rng.uniform(0.1, 10.0))
-        hom_ok = abs(
-            luxemburg_norm(ScalarField(grid, c * u.values), phase, kind) - c * norm
-        ) <= 1e-12 * max(1.0, c * norm)
-        over_ok = (
-            overline_equivalence_check(u, phase, kind) if phase.k == 1 else True
-        )
-        checks += 1
-        if not (holds and unit_ok and hom_ok and over_ok):
-            fails += 1
-    return {"samples": checks, "fails": fails}
-
-
 # verify command -> (suite name in the report, help text, sweep returning the
 # results with their "fails" count).  The lambdas look the sweeps up when
 # called, so a wrapper set on the module attribute takes effect.
@@ -397,7 +363,13 @@ _SUITES = {
         "two-point inequality sweep",
         lambda config: sweep_two_point(*_scalar_sweep_args(config)),
     ),
-    "check-sandwich": ("sandwich", "norm-modular sandwich sweep", _sweep_sandwich),
+    "check-sandwich": (
+        "sandwich",
+        "norm-modular sandwich sweep",
+        lambda config: sweep_sandwich(
+            config.grid, build_phase(config), config.verify["samples"], config.seed
+        ),
+    ),
 }
 
 

@@ -240,15 +240,13 @@ def monotonicity_lower_bound_check(r: float, A, B) -> bool:
     """Check the flux-difference pairing against its power lower bound.
 
     For r >= 2 the bound is 2^(2-r) |A - B|^r; for 1 < r < 2 it is
-    (r - 1) |A - B|^2 (1 + |A|^2 + |B|^2)^((r-2)/2).
+    (r - 1) |A - B|^2 (1 + |A|^2 + |B|^2)^((r-2)/2).  Each row is held to
+    the sweep's rule: its own relative slack.
     """
     if r <= 1:
         raise ValueError(f"r must exceed 1, got {r}")
-    lhs, rhs = monotonicity_sides(r, A, B)
-    na = float(np.sum(np.square(np.asarray(A, dtype=float))))
-    nb = float(np.sum(np.square(np.asarray(B, dtype=float))))
-    slack = REL_SLACK * (1.0 + na + nb)
-    return bool(np.all(lhs >= rhs - slack))
+    violated, _ = _monotonicity_tally(r, A, B)
+    return not np.any(violated)
 
 
 def scalar_lower_bound_check(x: float, a: float, m: float) -> bool:
@@ -298,6 +296,7 @@ def _two_point_tally(h, a, b):
 
 
 def _monotonicity_tally(r, A, B):
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     lhs, rhs = monotonicity_sides(r, A, B)
     slack = REL_SLACK * (1.0 + np.sum(A**2, axis=-1) + np.sum(B**2, axis=-1))
     return lhs < rhs - slack, (rhs - lhs) / (1.0 + np.abs(rhs))

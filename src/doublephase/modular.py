@@ -7,7 +7,8 @@ Three modular kinds are supported:
 * ``sobolev``     is the exact sum of the two.
 
 ``stacked_rho`` evaluates each of the two parts once for a whole stack of
-fields and forms every requested kind from them.
+fields and forms every requested kind from them; ``norm_report`` takes one
+field's parts once for its modular, its norm and both norm-modular checks.
 
 All integrals use the one-point cell-center quadrature of the mesh module,
 so every modular is a finite weighted sum and is convex, symmetric, and
@@ -139,8 +140,10 @@ def _luxemburg(
     phase: PhaseStructure,
     kind: str,
     bar: bool = False,
+    mags: list[np.ndarray] | None = None,
 ) -> float:
-    mags = [_magnitude(u_values, grid, part) for part in _PARTS[kind]]
+    """The Luxemburg norm; ``mags`` are the kind's part magnitudes of u, if known."""
+    mags = mags if mags is not None else [_magnitude(u_values, grid, p) for p in _PARTS[kind]]
     top = max(float(np.max(t)) for t in mags)
     if top == 0.0:
         return 0.0
@@ -174,39 +177,61 @@ def luxemburg_norm(u: ScalarField, phase: PhaseStructure, kind: str) -> float:
     return _luxemburg(u.values, u.grid, phase, kind)
 
 
-def norm_modular_sandwich(
-    u: ScalarField, phase: PhaseStructure, kind: str
-) -> tuple[float, float, float, float, bool]:
-    """Bounds min/max of rho^(1/m), rho^(1/M) around the Luxemburg norm.
+@dataclass(frozen=True)
+class NormReport:
+    kind: str
+    modular: float
+    norm: float
+    sandwich_lower: float
+    sandwich_upper: float
+    sandwich_holds: bool
+    bar_norm: float | None  # norm under t^p + mu t^q; double-phase (k = 1) only
+    overline_holds: bool | None
 
-    Returns (modular, lower, upper, norm, holds).
+
+def norm_report(u: ScalarField, phase: PhaseStructure, kind: str) -> NormReport:
+    """Modular, Luxemburg norm and the two norm-modular checks of one field.
+
+    The sandwich bounds the norm by min/max of rho^(1/m), rho^(1/M).  With
+    k = 1, the larger norm under t^p + mu t^q must lie in the band
+    norm <= bar-norm <= e^(1/e) * norm.  The magnitudes are taken once.
     """
     _check_kind(kind)
+    mags = [_magnitude(u.values, u.grid, part) for part in _PARTS[kind]]
+    h = {part: phase.h_of(t) for part, t in zip(_PARTS[kind], mags)}
+    value = float(np.sum(_assemble(h, kind, u.grid)))
     s = phase.summary
-    value = rho(u, phase, kind).value
     lower = min(value ** (1.0 / s.m), value ** (1.0 / s.M))
     upper = max(value ** (1.0 / s.m), value ** (1.0 / s.M))
-    norm = luxemburg_norm(u, phase, kind)
-    slack = 1e-9
-    holds = lower * (1.0 - slack) <= norm <= upper * (1.0 + slack)
-    return value, lower, upper, norm, bool(holds)
+    norm = _luxemburg(u.values, u.grid, phase, kind, mags=mags)
+    holds = lower * (1.0 - 1e-9) <= norm <= upper * (1.0 + 1e-9)
+    bar_norm = overline = None
+    if phase.k == 1:
+        bar_norm = _luxemburg(u.values, u.grid, phase, kind, bar=True, mags=mags)
+        slack = 1e-9 * (1.0 + norm + bar_norm)
+        band = np.exp(1.0 / np.e) * norm
+        overline = bool(norm <= bar_norm + slack and bar_norm <= band + slack)
+    return NormReport(kind, value, norm, lower, upper, bool(holds), bar_norm, overline)
 
 
-def overline_equivalence_check(u: ScalarField, phase: PhaseStructure, kind: str) -> bool:
-    """Check the norm band against the unnormalized integrand t^p + mu t^q.
+def sweep_sandwich(grid: Grid, phase: PhaseStructure, n_samples: int, seed: int) -> dict:
+    """Seeded sweep of ``norm_report``'s checks and of ||c u|| = c ||u|| (1e-12 relative).
 
-    The unit-coefficient variant has a larger integrand, hence a larger norm,
-    and the band is norm <= bar-norm <= e^(1/e) * norm.
+    Each sample draws a scale, a field u, a kind and c, in this order.
     """
-    _check_kind(kind)
-    if phase.k != 1:
-        raise ValueError("overline equivalence is stated for double-phase (k = 1) only")
-    norm = _luxemburg(u.values, u.grid, phase, kind)
-    bar_norm = _luxemburg(u.values, u.grid, phase, kind, bar=True)
-    slack = 1e-9 * (1.0 + norm + bar_norm)
-    return bool(
-        norm <= bar_norm + slack and bar_norm <= np.exp(1.0 / np.e) * norm + slack
-    )
+    rng = np.random.default_rng(seed)
+    fails = 0
+    for _ in range(n_samples):
+        scale = 10.0 ** rng.uniform(-2, 2)
+        u = ScalarField(grid, scale * rng.normal(size=grid.n_nodes))
+        kind = KINDS[int(rng.integers(0, 3))]
+        report = norm_report(u, phase, kind)
+        c = float(rng.uniform(0.1, 10.0))
+        scaled = luxemburg_norm(ScalarField(grid, c * u.values), phase, kind)
+        hom_ok = abs(scaled - c * report.norm) <= 1e-12 * max(1.0, c * report.norm)
+        if not (report.sandwich_holds and hom_ok and report.overline_holds is not False):
+            fails += 1
+    return {"samples": max(n_samples, 0), "fails": fails}
 
 
 def poincare_ratio(u: ScalarField, phase: PhaseStructure) -> float:

@@ -122,6 +122,8 @@ class SolverOptions:
             raise ValueError("shrink_factor must lie in (0, 1)")
         if not all(_is_finite(x) and x > 0 for x in (self.initial_step, self.step_floor)):
             raise ValueError("initial_step and step_floor must be finite positive numbers")
+        if not (_is_number(self.seed, int) and self.seed >= 0):
+            raise ValueError("seed must be a nonnegative integer")
         if self.method not in ("cg", "gd"):
             raise ValueError("method must be 'cg' or 'gd'")
         if not isinstance(self.two_start_check, bool):

@@ -15,12 +15,7 @@ from doublephase.convexity import (
     scalar_lower_bound_check,
 )
 from doublephase.mesh import ScalarField, boundary_mask, build_grid
-from doublephase.modular import (
-    luxemburg_norm,
-    norm_modular_sandwich,
-    overline_equivalence_check,
-    rho,
-)
+from doublephase.modular import luxemburg_norm, norm_report, rho
 from doublephase.phase import matuszewska_index
 from doublephase.solver import Problem, SolverOptions, energy_gradient, energy, solve_weak
 from test_phase import make_phase, numeric_matuszewska
@@ -239,9 +234,9 @@ def test_criterion_07_luxemburg_norms():
         c = float(rng.uniform(0.05, 20.0))
         hom = abs(luxemburg_norm(ScalarField(grid, c * u.values), phase, kind) - c * norm)
         worst_hom = max(worst_hom, hom / (c * norm))
-        _, _, _, _, holds = norm_modular_sandwich(u, phase, kind)
-        all_sandwich = all_sandwich and holds
-        all_overline = all_overline and overline_equivalence_check(u, phase, kind)
+        report = norm_report(u, phase, kind)
+        all_sandwich = all_sandwich and report.sandwich_holds
+        all_overline = all_overline and report.overline_holds
     ok = worst_unit <= 1e-9 and worst_hom <= 1e-12 and all_sandwich and all_overline
     report_line(
         7, ok, f"worst |rho(u/norm)-1| {worst_unit:.1e} <= 1e-9, worst homogeneity "

@@ -269,21 +269,27 @@ def test_norm_command(tmp_path, capsys):
 
 
 def test_norm_computes_one_modular_per_kind(tmp_path, capsys, monkeypatch):
-    import doublephase.cli
+    # per kind of a double-phase structure: one magnitude pass serves the
+    # modular and both roots, and each root checks its own unit modular
     import doublephase.modular
 
-    calls = []
-    original = doublephase.modular.rho
+    roots, passes = [], []
+    luxemburg, magnitude = doublephase.modular._luxemburg, doublephase.modular._magnitude
 
-    def counting_rho(*args, **kwargs):
-        calls.append(args[2] if len(args) > 2 else kwargs["kind"])
-        return original(*args, **kwargs)
+    def counting_luxemburg(*args, **kwargs):
+        roots.append(args[3])
+        return luxemburg(*args, **kwargs)
 
-    monkeypatch.setattr(doublephase.modular, "rho", counting_rho)
-    monkeypatch.setattr(doublephase.cli, "rho", counting_rho)
+    def counting_magnitude(*args, **kwargs):
+        passes.append(args[2])
+        return magnitude(*args, **kwargs)
+
+    monkeypatch.setattr(doublephase.modular, "_luxemburg", counting_luxemburg)
+    monkeypatch.setattr(doublephase.modular, "_magnitude", counting_magnitude)
     cfg_path = write_config(tmp_path, laplace_config())
     assert run_cli(["norm", cfg_path, "--field", "x*(1 - x)"]) == 0
-    assert sorted(calls) == ["gradient", "sobolev", "zero_order"]
+    assert sorted(roots) == ["gradient"] * 2 + ["sobolev"] * 2 + ["zero_order"] * 2
+    assert sorted(passes) == ["gradient"] * 6 + ["zero_order"] * 6
     payload = read_json(capsys.readouterr().out)
     assert payload["kinds"]["zero_order"]["modular"] > 0
 

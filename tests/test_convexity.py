@@ -171,6 +171,26 @@ def test_monotonicity_check():
     assert out["fails"] == 0
 
 
+def test_monotonicity_check_uses_the_sweep_rule(monkeypatch):
+    # a small row next to a large one: a slack from the squared norms of all
+    # rows would hide a violation that the sweep's per-row slack flags
+    A = np.array([[1e-3, 0.0], [1e4, 0.0]])
+    B = np.array([[0.0, 1e-3], [0.0, 1e4]])
+    original = convexity.monotonicity_sides
+
+    def violated_row0(r, A, B):
+        lhs, rhs = original(r, A, B)
+        lhs = lhs.copy()
+        lhs[0] = rhs[0] - 1e-9 * (1.0 + abs(rhs[0]))
+        return lhs, rhs
+
+    assert monotonicity_lower_bound_check(3.0, A, B)
+    monkeypatch.setattr(convexity, "monotonicity_sides", violated_row0)
+    flagged, _ = convexity._monotonicity_tally(3.0, A, B)
+    assert flagged.tolist() == [True, False]
+    assert not monotonicity_lower_bound_check(3.0, A, B)
+
+
 def test_scalar_lower_bound():
     assert scalar_lower_bound_check(5.0, 0.0, 2.0)
     assert scalar_lower_bound_check(0.0, 3.0, 2.0)

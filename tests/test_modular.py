@@ -3,17 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doublephase import modular
 from doublephase.mesh import ScalarField, boundary_mask, build_grid
 from doublephase.modular import (
     KINDS,
+    _luxemburg,
     dual_pairing_bound_check,
     estimate_dual_bound,
     l2_pairing,
     luxemburg_norm,
-    norm_modular_sandwich,
-    overline_equivalence_check,
+    norm_report,
     poincare_ratio,
     rho,
+    sweep_sandwich,
 )
 from test_phase import make_phase
 
@@ -135,24 +137,24 @@ def test_sandwich_unit_modular_fixed_point():
     u = random_field(rng, GRID)
     norm = luxemburg_norm(u, ph, "zero_order")
     unit = ScalarField(GRID, u.values / norm)
-    modular, lower, upper, unit_norm, holds = norm_modular_sandwich(unit, ph, "zero_order")
-    assert holds
-    assert modular == pytest.approx(1.0, abs=1e-10)
-    assert lower == pytest.approx(1.0, abs=1e-9)
-    assert upper == pytest.approx(1.0, abs=1e-9)
-    assert unit_norm == pytest.approx(1.0, abs=1e-9)
+    report = norm_report(unit, ph, "zero_order")
+    assert report.sandwich_holds
+    assert report.modular == pytest.approx(1.0, abs=1e-10)
+    assert report.sandwich_lower == pytest.approx(1.0, abs=1e-9)
+    assert report.sandwich_upper == pytest.approx(1.0, abs=1e-9)
+    assert report.norm == pytest.approx(1.0, abs=1e-9)
 
 
 def test_sandwich_hilbert_case():
     ph = make_phase(GRID, 2.0, [(2.0, 0.0)])
     rng = np.random.default_rng(4)
     u = random_field(rng, GRID)
-    modular, lower, upper, norm, holds = norm_modular_sandwich(u, ph, "zero_order")
-    assert holds
-    assert lower == pytest.approx(upper, rel=1e-14)
-    assert luxemburg_norm(u, ph, "zero_order") == pytest.approx(lower, rel=1e-10)
-    assert norm == luxemburg_norm(u, ph, "zero_order")
-    assert modular == rho(u, ph, "zero_order").value
+    report = norm_report(u, ph, "zero_order")
+    assert report.sandwich_holds
+    assert report.sandwich_lower == pytest.approx(report.sandwich_upper, rel=1e-14)
+    assert luxemburg_norm(u, ph, "zero_order") == pytest.approx(report.sandwich_lower, rel=1e-10)
+    assert report.norm == luxemburg_norm(u, ph, "zero_order")
+    assert report.modular == rho(u, ph, "zero_order").value
 
 
 def test_sandwich_random_sweep():
@@ -161,19 +163,103 @@ def test_sandwich_random_sweep():
         ph = random_phase(rng, GRID)
         u = random_field(rng, GRID, scale=10.0 ** rng.uniform(-2, 2))
         kind = ("zero_order", "gradient", "sobolev")[rng.integers(0, 3)]
-        _, _, _, _, holds = norm_modular_sandwich(u, ph, kind)
-        assert holds
+        assert norm_report(u, ph, kind).sandwich_holds
 
 
 def test_overline_equivalence():
     ph = make_phase(GRID, 2.0, [(2.0, 0.0)])
-    assert overline_equivalence_check(ScalarField.zeros(GRID), ph, "zero_order")
+    assert norm_report(ScalarField.zeros(GRID), ph, "zero_order").overline_holds
     rng = np.random.default_rng(6)
     for _ in range(100):
         ph = random_phase(rng, GRID)
         u = random_field(rng, GRID, scale=10.0 ** rng.uniform(-1, 1))
         kind = ("zero_order", "gradient", "sobolev")[rng.integers(0, 3)]
-        assert overline_equivalence_check(u, ph, kind)
+        assert norm_report(u, ph, kind).overline_holds
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 2),
+    k=st.integers(1, 2),
+    kind=st.sampled_from(KINDS),
+    scale=st.integers(-3, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_norm_report_equals_separate_evaluations(dim, k, kind, scale, seed):
+    # one pass over the magnitudes gives the same floats as rho and the roots
+    rng = np.random.default_rng(seed)
+    grid = build_grid(dim, [(0, 1)] * dim, [6] * dim)
+    ph = random_phase(rng, grid, k=k)
+    u = random_field(rng, grid, scale=10.0**scale)
+    report = norm_report(u, ph, kind)
+    assert report.kind == kind
+    assert report.modular == rho(u, ph, kind).value
+    assert report.norm == luxemburg_norm(u, ph, kind)
+    if k == 1:
+        assert report.bar_norm == _luxemburg(u.values, grid, ph, kind, bar=True)
+        assert report.overline_holds is True
+    else:
+        assert report.bar_norm is None and report.overline_holds is None
+    assert report.sandwich_holds
+
+
+def _sandwich_loop_reference(grid, ph, n_samples, seed):
+    """The per-sample check-sandwich loop as the CLI ran it, from primitives.
+
+    Draws scale, u, kind and c per sample; a sample fails unless the
+    sandwich, rho(u / norm) = 1 to 1e-9, homogeneity to 1e-12 and (k = 1)
+    the overline band hold.
+    """
+    rng = np.random.default_rng(seed)
+    fails = checks = 0
+    s = ph.summary
+    for _ in range(n_samples):
+        scale = 10.0 ** rng.uniform(-2, 2)
+        u = ScalarField(grid, scale * rng.normal(size=grid.n_nodes))
+        kind = ("zero_order", "gradient", "sobolev")[int(rng.integers(0, 3))]
+        value = rho(u, ph, kind).value
+        lower = min(value ** (1.0 / s.m), value ** (1.0 / s.M))
+        upper = max(value ** (1.0 / s.m), value ** (1.0 / s.M))
+        norm = _luxemburg(u.values, grid, ph, kind)
+        holds = lower * (1.0 - 1e-9) <= norm <= upper * (1.0 + 1e-9)
+        unit_ok = True
+        if norm > 0:
+            unit_ok = abs(rho(ScalarField(grid, u.values / norm), ph, kind).value - 1.0) <= 1e-9
+        c = float(rng.uniform(0.1, 10.0))
+        scaled = modular.luxemburg_norm(ScalarField(grid, c * u.values), ph, kind)
+        hom_ok = abs(scaled - c * norm) <= 1e-12 * max(1.0, c * norm)
+        over_ok = True
+        if ph.k == 1:
+            bar = _luxemburg(u.values, grid, ph, kind, bar=True)
+            slack = 1e-9 * (1.0 + norm + bar)
+            over_ok = norm <= bar + slack and bar <= np.exp(1.0 / np.e) * norm + slack
+        checks += 1
+        if not (holds and unit_ok and hom_ok and over_ok):
+            fails += 1
+    return {"samples": checks, "fails": fails}
+
+
+@pytest.mark.parametrize("dim,k", [(1, 1), (2, 1), (2, 2)])
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_sweep_sandwich_matches_the_per_sample_loop(monkeypatch, dim, k, seed):
+    rng = np.random.default_rng(100 + seed)
+    grid = build_grid(dim, [(0, 1)] * dim, [12] if dim == 1 else [4, 4])
+    ph = random_phase(rng, grid, k=k)
+    # record the homogeneity calls (they carry c u and the kind) and break
+    # homogeneity for sobolev draws, so both loops see failures
+    calls = []
+    original = modular.luxemburg_norm
+
+    def skewed(u, phase, kind):
+        calls.append((kind, u.values.tobytes()))
+        return original(u, phase, kind) * (1.0 + 1e-9 * (kind == "sobolev"))
+
+    monkeypatch.setattr(modular, "luxemburg_norm", skewed)
+    expected = _sandwich_loop_reference(grid, ph, 25, seed)
+    expected_calls, calls[:] = list(calls), []
+    assert sweep_sandwich(grid, ph, 25, seed) == expected
+    assert calls == expected_calls
+    assert 0 < expected["fails"] < 25
 
 
 def test_poincare_ratio():

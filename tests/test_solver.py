@@ -51,6 +51,13 @@ def test_problem_rejects_phase_from_other_grid():
     Problem(grid, make_phase(twin, 2.0, [(3.0, 1.0)]), zero, zero)
 
 
+@pytest.mark.parametrize("seed", [-1, True, 1.5])
+def test_solver_options_reject_bad_seed(seed):
+    # numpy's generator would raise from inside solve_weak, or take True as 1
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        SolverOptions(seed=seed, two_start_check=True)
+
+
 def test_energy_trivial_cases():
     grid = build_grid(1, [(0, 1)], [8])
     prob = make_problem(grid, 2.0, [(3.0, 1.0)])
