@@ -28,10 +28,10 @@ import numpy as np
 from . import __version__
 from .convexity import delta_of_epsilon, sweep_monotonicity, sweep_two_point, sweep_uc_pairs
 from .exprparse import EvalError, Expr, ParseError, parse, sample
-from .mesh import Grid, ScalarField, build_grid
-from .modular import norm_report, sweep_sandwich
+from .mesh import Grid, ScalarField, _is_number, build_grid
+from .modular import KINDS, norm_report, sweep_sandwich
 from .phase import PhasePair, PhaseStructure
-from .solver import Problem, SolverError, SolverOptions, _is_finite, _is_number, solve_weak
+from .solver import Problem, SolverError, SolverOptions, _is_finite, solve_weak
 
 
 class ConfigError(Exception):
@@ -295,7 +295,7 @@ def cmd_norm(config: Config, field_expr: str, kind: str | None, out_dir: Path | 
     phase = build_phase(config)
     expr = _parse_expr(field_expr, "--field")
     u = ScalarField(config.grid, sample(expr, config.grid, "nodes"))
-    kinds = (kind,) if kind else ("zero_order", "gradient", "sobolev")
+    kinds = (kind,) if kind else KINDS
     # the raw modular of a huge field may overflow; the norm cannot
     with np.errstate(over="ignore"):
         reports = [norm_report(u, phase, k) for k in kinds]
@@ -336,7 +336,7 @@ def _sweep_uc(config: Config) -> dict:
         phase,
         config.verify["samples"],
         config.seed,
-        kinds=("gradient", "zero_order", "sobolev"),
+        kinds=KINDS,
         eps=eps,
     )
     fails = sum(t["fail"] for t in tallies.values())
@@ -397,9 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
     norm_p = sub.add_parser("norm", help="modulars and Luxemburg norms of a field")
     add_common(norm_p)
     norm_p.add_argument("--field", required=True, help="expression for the field")
-    norm_p.add_argument(
-        "--kind", choices=("zero_order", "gradient", "sobolev"), default=None
-    )
+    norm_p.add_argument("--kind", choices=KINDS, default=None)
     for command, (_, help_text, _) in _SUITES.items():
         add_common(sub.add_parser(command, help=help_text))
     return parser

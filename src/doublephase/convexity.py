@@ -125,23 +125,16 @@ def two_point_inequality_check(h: float, a, b) -> bool:
     """Check the midpoint inequality for exponent h at a vector pair.
 
     For 1 < h <= 2 the inequality carries the quadratic correction term and
-    requires |a| + |b| > 0; for h >= 2 it is the power-mean form.  At h = 2
-    both coincide with the parallelogram identity and both are checked.
+    requires |a| + |b| > 0; for h > 2 it is the power-mean form.  At h = 2
+    both coincide with the parallelogram identity.  Each row is held to the
+    sweep's rule: both sides finite and within its own relative slack.
     """
     if h <= 1:
         raise ValueError(f"h must exceed 1, got {h}")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if h < 2 and np.all(a == 0) and np.all(b == 0):
+    if h < 2 and not (np.any(a) or np.any(b)):
         raise ValueError("case h < 2 requires |a| + |b| > 0")
-    lhs_i, lhs_ii, rhs = _two_point_gaps(h, a, b)
-    slack = REL_SLACK * (1.0 + rhs)
-    ok = True
-    if h <= 2.0:
-        ok = ok and bool(np.all(lhs_i <= rhs + slack))
-    if h >= 2.0:
-        ok = ok and bool(np.all(lhs_ii <= rhs + slack))
-    return ok
+    violated, _ = _two_point_tally(h, a, b)
+    return not np.any(violated)
 
 
 def admissible_epsilon_bound(m: float) -> float:
@@ -249,18 +242,24 @@ def monotonicity_lower_bound_check(r: float, A, B) -> bool:
     return not np.any(violated)
 
 
+def _energy_floor(a: float, m: float) -> float:
+    """a (a/m)^(1/(m-1)), which bounds -(x - a x^(1/m)) over x >= 0; inf on overflow."""
+    if m <= 1:
+        raise ValueError(f"m must exceed 1, got {m}")
+    if a < 0:
+        raise ValueError("a must be nonnegative")
+    try:
+        return a * (a / m) ** (1.0 / (m - 1.0))
+    except OverflowError:
+        return np.inf  # the floor is unboundedly deep
+
+
 def scalar_lower_bound_check(x: float, a: float, m: float) -> bool:
     """Check x - a x^(1/m) >= -a (a/m)^(1/(m-1)) with absolute slack."""
     if x < 0 or a < 0:
         raise ValueError("x and a must be nonnegative")
-    if m <= 1:
-        raise ValueError(f"m must exceed 1, got {m}")
-    lhs = x - a * x ** (1.0 / m)
-    try:
-        rhs = -a * (a / m) ** (1.0 / (m - 1.0))
-    except OverflowError:
-        rhs = -np.inf  # the floor is unboundedly deep; the bound holds trivially
-    return bool(lhs >= rhs - 1e-12)
+    rhs = -_energy_floor(a, m)
+    return bool(x - a * x ** (1.0 / m) >= rhs - 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +271,8 @@ def _sweep(n_samples: int, seed: int, exponent_max: float, amplitude: float, tal
 
     Each chunk draws exponents in (1, exponent_max] and two uniform vector
     sets in [-amplitude, amplitude]^2; ``tally(h, a, b)`` returns the
-    per-sample violation mask and relative excess.  Returns a tally dict.
+    per-sample violation mask and relative excess.  Returns a tally dict whose
+    worst relative excess is taken over the finite rows.
     """
     rng = np.random.default_rng(seed)
     chunk = 200_000
@@ -285,21 +285,27 @@ def _sweep(n_samples: int, seed: int, exponent_max: float, amplitude: float, tal
         b = rng.uniform(-amplitude, amplitude, (size, 2))
         violated, excess = tally(h, a, b)
         fails += int(np.sum(violated))
-        worst = max(worst, float(excess.max()))
+        worst = max(worst, float(np.max(excess[np.isfinite(excess)], initial=0.0)))
     return {"samples": max(n_samples, 0), "fails": fails, "worst_relative_excess": worst}
 
 
+# A row passes only where both sides are finite and its inequality holds, so
+# an overflowed row (NaN compares false) fails, silently: overflow is a verdict.
 def _two_point_tally(h, a, b):
-    lhs_i, lhs_ii, rhs = _two_point_gaps(h, a, b)
-    lhs = np.where(h <= 2.0, lhs_i, lhs_ii)
-    return lhs > rhs + REL_SLACK * (1.0 + rhs), (lhs - rhs) / (1.0 + rhs)
+    with np.errstate(all="ignore"):
+        lhs_i, lhs_ii, rhs = _two_point_gaps(h, a, b)
+        lhs = np.where(h <= 2.0, lhs_i, lhs_ii)
+        holds = np.isfinite(lhs) & np.isfinite(rhs) & (lhs <= rhs + REL_SLACK * (1.0 + rhs))
+        return ~holds, (lhs - rhs) / (1.0 + rhs)
 
 
 def _monotonicity_tally(r, A, B):
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
-    lhs, rhs = monotonicity_sides(r, A, B)
-    slack = REL_SLACK * (1.0 + np.sum(A**2, axis=-1) + np.sum(B**2, axis=-1))
-    return lhs < rhs - slack, (rhs - lhs) / (1.0 + np.abs(rhs))
+    with np.errstate(all="ignore"):
+        lhs, rhs = monotonicity_sides(r, A, B)
+        slack = REL_SLACK * (1.0 + np.sum(A**2, axis=-1) + np.sum(B**2, axis=-1))
+        holds = np.isfinite(lhs) & np.isfinite(rhs) & (lhs >= rhs - slack)
+        return ~holds, (rhs - lhs) / (1.0 + np.abs(rhs))
 
 
 def sweep_two_point(n_samples: int, seed: int, h_max: float = 8.0, amplitude: float = 10.0):

@@ -13,6 +13,7 @@ stencil coefficients and solved on the interior nodes by ``form_solve``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -135,11 +136,21 @@ class Grid:
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
+def _is_number(value, kinds=(int, float)) -> bool:
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def build_grid(dim, extents, resolution) -> Grid:
-    """Validate and build a Grid from plain sequences."""
-    for n in resolution:
-        if not float(n).is_integer():
-            raise ValueError(f"resolution must be integral, got {n}")
+    """Validate and build a Grid from plain sequences.
+
+    ``dim`` and every resolution entry must be integral numbers (``8.0``
+    passes) and every extent a number; bools and strings are rejected.
+    """
+    for name, n in [("dim", dim)] + [("resolution", n) for n in resolution]:
+        if not (_is_number(n, numbers.Real) and float(n).is_integer()):
+            raise ValueError(f"{name} must be integral, got {n!r}")
+    if not all(_is_number(x, numbers.Real) for pair in extents for x in pair):
+        raise ValueError(f"extents must be numbers, got {extents!r}")
     return Grid(
         dim=int(dim),
         extents=tuple((float(lo), float(hi)) for lo, hi in extents),
@@ -249,19 +260,12 @@ def cell_average_adjoint(grid: Grid, cells: np.ndarray) -> np.ndarray:
 def _corner_weights(grid: Grid) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """Node offset and gradient weight per axis of every cell corner.
 
-    Read off ``grid.stencil``: a corner is the ``hi`` end of one pair per axis
-    (weight +1/scale) or its ``lo`` end (weight -1/scale).
+    Along axis k a corner at offset o_k is the ``hi`` (o_k = 1) or ``lo``
+    (o_k = 0) end of one stencil pair, so its weight is (2 o_k - 1) / scale_k.
     """
     st = grid.stencil
-    out = []
-    for corner in st.corners:
-        offset = tuple(int(s.start == 1) for s in corner[1:])
-        weights = np.zeros(grid.dim)
-        for k, (pairs, scale) in enumerate(zip(st.pairs, st.scales)):
-            for lo, hi in pairs:
-                weights[k] += (corner == hi) / scale - (corner == lo) / scale
-        out.append((offset, weights))
-    return out
+    offsets = [tuple(int(s.start == 1) for s in corner[1:]) for corner in st.corners]
+    return [(o, np.array([(2 * ok - 1) / h for ok, h in zip(o, st.scales)])) for o in offsets]
 
 
 def gradient_form(grid: Grid, cell_matrices: np.ndarray) -> np.ndarray:

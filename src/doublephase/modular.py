@@ -6,9 +6,10 @@ Three modular kinds are supported:
 * ``gradient``    integrates the integrand of |grad u| (cell gradients),
 * ``sobolev``     is the exact sum of the two.
 
-``stacked_rho`` evaluates each of the two parts once for a whole stack of
-fields and forms every requested kind from them; ``norm_report`` takes one
-field's parts once for its modular, its norm and both norm-modular checks.
+``rho``, ``modular_value``, ``stacked_rho`` and ``norm_report`` all take
+their integrand values from ``_part_values``, which evaluates each part the
+kinds need once, for one field or a whole stack; ``norm_report`` takes one
+field's magnitudes once for its modular, its norm and both norm-modular checks.
 
 All integrals use the one-point cell-center quadrature of the mesh module,
 so every modular is a finite weighted sum and is convex, symmetric, and
@@ -70,6 +71,19 @@ def _magnitude(u_values: np.ndarray, grid: Grid, part: str) -> np.ndarray:
     return np.sqrt(np.sum(gradient_values(grid, u_values) ** 2, axis=-1))
 
 
+def _part_values(
+    u_values: np.ndarray, grid: Grid, phase: PhaseStructure, kinds, bar: bool = False, mags=None
+) -> dict[str, np.ndarray]:
+    """{part: h(|part|)} of ``u_values[..., n_nodes]``, once for each part the kinds sum.
+
+    ``mags``, where known, lists the parts' magnitudes in the order the kinds name them.
+    """
+    parts = list(dict.fromkeys(part for kind in kinds for part in _PARTS[kind]))
+    if mags is None:
+        mags = (_magnitude(u_values, grid, part) for part in parts)
+    return {part: phase.h_of(t, bar=bar) for part, t in zip(parts, mags)}
+
+
 def _assemble(h: dict[str, np.ndarray], kind: str, grid: Grid) -> np.ndarray:
     """Per-cell contributions of one kind from its parts' integrand values."""
     parts = _PARTS[kind]
@@ -77,21 +91,6 @@ def _assemble(h: dict[str, np.ndarray], kind: str, grid: Grid) -> np.ndarray:
     for part in parts:
         out += h[part]
     out *= grid.cell_volume
-    return out
-
-
-def _cell_contributions(
-    u_values: np.ndarray,
-    grid: Grid,
-    phase: PhaseStructure,
-    kind: str,
-    mask: np.ndarray | None,
-    bar: bool = False,
-) -> np.ndarray:
-    h = {part: phase.h_of(_magnitude(u_values, grid, part), bar=bar) for part in _PARTS[kind]}
-    out = _assemble(h, kind, grid)
-    if mask is not None:
-        out = np.where(np.asarray(mask, dtype=bool), out, 0.0)
     return out
 
 
@@ -106,20 +105,14 @@ def stacked_rho(
     """
     for kind in kinds:
         _check_kind(kind)
-    parts = {part for kind in kinds for part in _PARTS[kind]}
-    h = {part: phase.h_of(_magnitude(u_values, grid, part)) for part in parts}
+    h = _part_values(u_values, grid, phase, kinds)
     return {kind: np.sum(_assemble(h, kind, grid), axis=-1) for kind in kinds}
 
 
 def modular_value(
-    u_values: np.ndarray,
-    grid: Grid,
-    phase: PhaseStructure,
-    kind: str,
-    mask: np.ndarray | None = None,
-    bar: bool = False,
+    u_values: np.ndarray, grid: Grid, phase: PhaseStructure, kind: str, bar: bool = False
 ) -> float:
-    return float(np.sum(_cell_contributions(u_values, grid, phase, kind, mask, bar)))
+    return float(np.sum(_assemble(_part_values(u_values, grid, phase, (kind,), bar), kind, grid)))
 
 
 def rho(
@@ -130,7 +123,9 @@ def rho(
 ) -> ModularReport:
     """Modular of u under the phase integrand, optionally restricted to a cell mask."""
     _check_kind(kind)
-    cells = _cell_contributions(u.values, u.grid, phase, kind, mask)
+    cells = _assemble(_part_values(u.values, u.grid, phase, (kind,)), kind, u.grid)
+    if mask is not None:
+        cells = np.where(np.asarray(mask, dtype=bool), cells, 0.0)
     return ModularReport(kind=kind, value=float(np.sum(cells)), cell_values=cells)
 
 
@@ -198,7 +193,7 @@ def norm_report(u: ScalarField, phase: PhaseStructure, kind: str) -> NormReport:
     """
     _check_kind(kind)
     mags = [_magnitude(u.values, u.grid, part) for part in _PARTS[kind]]
-    h = {part: phase.h_of(t) for part, t in zip(_PARTS[kind], mags)}
+    h = _part_values(u.values, u.grid, phase, (kind,), mags=mags)
     value = float(np.sum(_assemble(h, kind, u.grid)))
     s = phase.summary
     lower = min(value ** (1.0 / s.m), value ** (1.0 / s.M))

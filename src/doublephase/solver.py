@@ -28,11 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .convexity import (
     ConvexityReport,
+    _energy_floor,
     admissible_epsilon_bound,
     monotonicity_sides,
     verify_uc_pair,
@@ -40,6 +42,8 @@ from .convexity import (
 from .mesh import (
     Grid,
     ScalarField,
+    _is_number,
+    _readonly,
     boundary_mask,
     cell_average_adjoint,
     cell_average_values,
@@ -65,10 +69,6 @@ class SolverError(RuntimeError):
     pass
 
 
-def _is_number(value, kinds=(int, float)) -> bool:
-    return isinstance(value, kinds) and not isinstance(value, bool)
-
-
 def _is_finite(value) -> bool:
     return _is_number(value) and math.isfinite(value)
 
@@ -90,6 +90,14 @@ class Problem:
         a = self.dual_bound
         if a is not None and not (_is_finite(a) and a >= 0):
             raise ValueError("dual_bound must be null or a finite nonnegative number")
+
+    @cached_property
+    def load(self) -> np.ndarray:
+        """vol A^T A f with A the cell average, zero on boundary nodes; read-only."""
+        fc = cell_average_values(self.grid, self.f.values)
+        load = self.grid.cell_volume * cell_average_adjoint(self.grid, fc)
+        load[boundary_mask(self.grid)] = 0.0
+        return _readonly(load)
 
 
 @dataclass(frozen=True)
@@ -167,30 +175,22 @@ def energy(u: ScalarField, prob: Problem) -> float:
     return value + l2_pairing(prob.f, u)
 
 
-def _load_vector(prob: Problem) -> np.ndarray:
-    fc = cell_average_values(prob.grid, prob.f.values)
-    return prob.grid.cell_volume * cell_average_adjoint(prob.grid, fc)
-
-
 def _flux(phase: PhaseStructure, w_grad: np.ndarray) -> np.ndarray:
     t = np.sqrt(np.sum(w_grad**2, axis=1))
     return phase.flux_coefficient(t)[:, None] * w_grad
 
 
-def _gradient_from_wgrad(
-    prob: Problem, w_grad: np.ndarray, load: np.ndarray, interior: np.ndarray
-) -> np.ndarray:
-    g = -prob.grid.cell_volume * gradient_adjoint(prob.grid, _flux(prob.phase, w_grad)) + load
-    g[~interior] = 0.0
-    return g
+def _defect(prob: Problem, w_grad: np.ndarray) -> np.ndarray:
+    """Weak-form defect vol G^T flux(grad w) - load, zero on boundary nodes."""
+    r = prob.grid.cell_volume * gradient_adjoint(prob.grid, _flux(prob.phase, w_grad)) - prob.load
+    r[boundary_mask(prob.grid)] = 0.0
+    return r
 
 
 def energy_gradient(u: ScalarField, prob: Problem) -> np.ndarray:
     """Exact gradient of the discrete energy; zero on boundary nodes."""
     _require_zero_trace(prob.grid, u.values, "u")
-    interior = ~boundary_mask(prob.grid)
-    w_grad = gradient_values(prob.grid, prob.phi.values - u.values)
-    return _gradient_from_wgrad(prob, w_grad, _load_vector(prob), interior)
+    return -_defect(prob, gradient_values(prob.grid, prob.phi.values - u.values))
 
 
 def _modular_step_delta(
@@ -278,7 +278,6 @@ def minimize(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
     be factored or a non-finite energy raises ``SolverError``.
     """
     grid, phase = prob.grid, prob.phase
-    interior = ~boundary_mask(grid)
 
     if opts.initial_guess is None:
         u = np.zeros(grid.n_nodes)
@@ -294,18 +293,16 @@ def minimize(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
     if gtol is None:
         gtol = 1e-8 * (1.0 + abs(E)) / grid.volume
 
-    load = _load_vector(prob)
-    load[~interior] = 0.0
     phi_grad = gradient_values(grid, prob.phi.values)
     w_grad = phi_grad - gradient_values(grid, u)
-    g = _gradient_from_wgrad(prob, w_grad, load, interior)
+    g = -_defect(prob, w_grad)
     pending = 0.0
 
     def search(d):
         """Armijo backtracking on the cancellation-free energy difference."""
         gTd = float(np.dot(g, d))
         Gd = gradient_values(grid, d)
-        pair_rate = float(np.dot(load, d))
+        pair_rate = float(np.dot(prob.load, d))
         # the floor bounds the change of u, not s: where every exponent
         # exceeds 2 and the gradient vanishes (a zero start), B is nearly
         # singular and the accepted step is many orders shorter than -B^-1 g
@@ -356,7 +353,7 @@ def minimize(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
             pending -= E_next - E
             E = E_next
             history.append(E)
-        g = _gradient_from_wgrad(prob, w_grad, load, interior)
+        g = -_defect(prob, w_grad)
         if abs(dE) <= opts.energy_tolerance * (1.0 + abs(E)):
             converged = True
             termination = "energy_tolerance"
@@ -375,6 +372,13 @@ def minimize(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
     )
 
 
+def _require_phi_trace(prob: Problem, fld: ScalarField, name: str):
+    bmask = boundary_mask(prob.grid)
+    scale = 1.0 + float(np.max(np.abs(prob.phi.values)))
+    if np.max(np.abs((fld.values - prob.phi.values)[bmask])) > 1e-12 * scale:
+        raise ValueError(f"{name} must equal phi on boundary nodes")
+
+
 def weak_residual(w: ScalarField, prob: Problem) -> float:
     """Max weak-form defect over interior nodal test functions.
 
@@ -382,22 +386,13 @@ def weak_residual(w: ScalarField, prob: Problem) -> float:
     load, with the same quadrature as the energy; asserts agreement with the
     energy gradient at u = phi - w.
     """
-    grid = prob.grid
-    bmask = boundary_mask(grid)
-    scale = 1.0 + float(np.max(np.abs(prob.phi.values)))
-    if np.max(np.abs((w.values - prob.phi.values)[bmask])) > 1e-12 * scale:
-        raise ValueError("w must equal phi on boundary nodes")
-    interior = ~bmask
-    load = _load_vector(prob)
-    r = grid.cell_volume * gradient_adjoint(
-        grid, _flux(prob.phase, gradient_values(grid, w.values))
-    ) - load
-    r[bmask] = 0.0
-    residual = float(np.max(np.abs(r[interior])))
+    _require_phi_trace(prob, w, "w")
+    r = _defect(prob, gradient_values(prob.grid, w.values))
+    residual = float(np.max(np.abs(r)))
     # consistency with the energy gradient at u = phi - w
     u_vals = prob.phi.values - w.values
-    u_vals[bmask] = 0.0
-    g = energy_gradient(ScalarField(grid, u_vals), prob)
+    u_vals[boundary_mask(prob.grid)] = 0.0
+    g = energy_gradient(ScalarField(prob.grid, u_vals), prob)
     if np.max(np.abs(r + g)) > 1e-10 * (1.0 + residual):
         raise SolverError("weak residual disagrees with the energy gradient")
     return residual
@@ -405,17 +400,8 @@ def weak_residual(w: ScalarField, prob: Problem) -> float:
 
 def lower_bound(a: float, m: float, grad_phi_norm: float) -> float:
     """Energy floor -a (a/m)^(1/(m-1)) - a (1 + ||grad phi||)."""
-    if m <= 1:
-        raise ValueError(f"m must exceed 1, got {m}")
-    if a < 0:
-        raise ValueError("a must be nonnegative")
-    if a == 0.0:
-        return 0.0
-    try:
-        head = a * (a / m) ** (1.0 / (m - 1.0))
-    except OverflowError:
-        head = np.inf
-    return float(-head - a * (1.0 + grad_phi_norm))
+    head = _energy_floor(a, m)
+    return 0.0 if a == 0.0 else float(-head - a * (1.0 + grad_phi_norm))
 
 
 def uniqueness_certificate(
@@ -430,11 +416,8 @@ def uniqueness_certificate(
     gradients_equal).
     """
     grid = prob.grid
-    bmask = boundary_mask(grid)
-    scale = 1.0 + float(np.max(np.abs(prob.phi.values)))
     for name, fld in (("v", v), ("w", w)):
-        if np.max(np.abs((fld.values - prob.phi.values)[bmask])) > 1e-12 * scale:
-            raise ValueError(f"{name} must equal phi on boundary nodes")
+        _require_phi_trace(prob, fld, name)
     gv = gradient_values(grid, v.values)
     gw = gradient_values(grid, w.values)
     pairing_cells = np.zeros(grid.n_cells)

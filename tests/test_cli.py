@@ -234,6 +234,12 @@ def _with(section, key, value):
         ("solve", laplace_config(seed=-1)),
         ("check-monotone", laplace_config(seed=-1)),
         ("verify-uc --seed -2", laplace_config()),
+        ("solve", _with("domain", "dim", 1.5)),
+        ("solve", _with("domain", "dim", True)),
+        ("solve", _with("domain", "dim", "1")),
+        ("solve", _with("domain", "extents", [["0", "1"]])),
+        ("solve", _with("domain", "extents", [[False, 1]])),
+        ("solve", _with("domain", "resolution", ["8"])),
     ],
     ids=["samples-text", "samples-negative", "amplitude-text", "dual-bound-negative",
          "two-start-text", "resolution-fractional", "source-eval-error",
@@ -245,7 +251,8 @@ def _with(section, key, value):
          "dual-bound-nan", "dual-bound-inf", "uc-epsilon-inf", "exponent-max-below-1", "exponent-max-inf",
          "amplitude-negative", "amplitude-nan", "amplitude-double-overflows",
          "output-dir-int", "seed-negative", "seed-negative-check-monotone",
-         "seed-flag-negative-verify-uc"],
+         "seed-flag-negative-verify-uc", "dim-fractional", "dim-bool", "dim-text",
+         "extents-text", "extents-bool", "resolution-text"],
 )
 def test_config_holes_exit_1(tmp_path, capsys, command, cfg):
     command, *flags = command.split()
@@ -360,6 +367,19 @@ def test_check_monotone_and_inequalities(tmp_path, capsys):
     assert read_json(capsys.readouterr().out)["fails"] == 0
     assert run_cli(["check-inequalities", cfg_path]) == 0
     assert read_json(capsys.readouterr().out)["fails"] == 0
+
+
+@pytest.mark.parametrize("command", ["check-inequalities", "check-monotone"])
+@pytest.mark.parametrize("exponent_max", [1e3, 1e5])
+def test_scalar_sweeps_fail_overflowed_rows(tmp_path, capsys, command, exponent_max):
+    # most rows overflow at these exponents: they fail instead of passing as
+    # NaN comparisons, and the report stays strict JSON
+    cfg = laplace_config(seed=0)
+    cfg["verify"] = {"samples": 1000, "exponent_max": exponent_max}
+    assert run_cli([command, write_config(tmp_path, cfg)]) == 2
+    payload = read_json(capsys.readouterr().out)
+    assert payload["fails"] >= 500
+    assert payload["samples"] == 1000
 
 
 def test_check_sandwich(tmp_path, capsys):

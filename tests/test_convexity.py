@@ -392,3 +392,47 @@ def test_uc_verdicts_rule():
     verdicts, threshold = uc_verdicts(midpoint, average, gap, eps, delta)
     assert [VERDICTS[i] for i in verdicts] == ["vacuous", "pass", "pass", "fail"]
     np.testing.assert_array_equal(threshold, eps * average)
+
+
+def test_two_point_check_applies_the_sweep_rule():
+    # per row, the check and the sweep's tally agree: at h = 2 exactly, on
+    # rows with a zero vector, and on rows whose sides overflow
+    from doublephase.convexity import _two_point_tally
+
+    rng = np.random.default_rng(12)
+    hs = [2.0, np.nextafter(2.0, 0.0), np.nextafter(2.0, 3.0), 1.5, 3.7, 400.0]
+    hs += list(rng.uniform(1.01, 12.0, 20))
+    seen = set()
+    for h in hs:
+        for amplitude in (1e-3, 1.0, 10.0, 1e3):
+            a = rng.uniform(-amplitude, amplitude, (8, 2))
+            b = rng.uniform(-amplitude, amplitude, (8, 2))
+            b[0] = 0.0
+            violated, _ = _two_point_tally(h, a, b)
+            for i in range(len(a)):
+                ok = two_point_inequality_check(h, a[i], b[i])
+                assert ok == (not violated[i])
+                seen.add(ok)
+            assert two_point_inequality_check(h, a, b) == (not violated.any())
+    assert seen == {True, False}  # overflowed rows fail
+
+
+@pytest.mark.parametrize("tally", ["_two_point_tally", "_monotonicity_tally"])
+def test_tallies_fail_overflowed_rows(tally):
+    # finite rows keep their verdicts; an overflowed row fails, without a
+    # RuntimeWarning (which the test settings turn into an error)
+    h = np.array([3.0, 3.0, 900.0, 900.0])
+    a = np.array([[1.0, 0.5], [0.2, -0.3], [9.0, 4.0], [-7.0, 8.0]])
+    b = np.array([[-0.5, 2.0], [0.1, 0.1], [3.0, -6.0], [2.0, 2.0]])
+    violated, excess = getattr(convexity, tally)(h, a, b)
+    assert violated.tolist() == [False, False, True, True]
+    assert np.all(np.isfinite(excess[:2]))
+
+
+@pytest.mark.parametrize("sweep", [sweep_two_point, sweep_monotonicity])
+def test_sweeps_count_overflowed_rows_as_fails(sweep):
+    # with exponents up to 1e3 most rows overflow; the worst excess is read
+    # off the finite rows only
+    out = sweep(2000, 4, 1e3)
+    assert 0 < out["fails"] < 2000
+    assert np.isfinite(out["worst_relative_excess"])

@@ -312,3 +312,37 @@ def test_scalar_field_validation():
         ScalarField(g, np.zeros(4))
     with pytest.raises(ValueError, match="non-finite"):
         ScalarField(g, [0, 1, np.nan, 2, 3])
+
+
+def _corner_weights_by_pair_scan(grid):
+    # the weights read off every (lo, hi) stencil pair of every axis
+    st = grid.stencil
+    out = []
+    for corner in st.corners:
+        offset = tuple(int(s.start == 1) for s in corner[1:])
+        weights = np.zeros(grid.dim)
+        for k, (pairs, scale) in enumerate(zip(st.pairs, st.scales)):
+            for lo, hi in pairs:
+                weights[k] += (corner == hi) / scale - (corner == lo) / scale
+        out.append((offset, weights))
+    return out
+
+
+@pytest.mark.parametrize(
+    "dim,extents,res",
+    [
+        (1, [(0, 1)], [7]),
+        (1, [(-2, 3)], [3]),
+        (2, [(0, 1), (0, 2)], [3, 5]),
+        (2, [(0, 0.3), (1, 8)], [9, 2]),
+    ],
+)
+def test_corner_weights_equal_the_pair_scan(dim, extents, res):
+    from doublephase.mesh import _corner_weights
+
+    grid = build_grid(dim, extents, res)
+    got = _corner_weights(grid)
+    expected = _corner_weights_by_pair_scan(grid)
+    assert [o for o, _ in got] == [o for o, _ in expected]
+    for (_, w), (_, w_ref) in zip(got, expected):
+        assert w.dtype == w_ref.dtype and np.array_equal(w, w_ref)

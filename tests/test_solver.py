@@ -556,3 +556,66 @@ def test_minimize_reports_unfactorable_model(monkeypatch):
     monkeypatch.setattr(mesh, "FORM_SOLVE_MAX_BYTES", 1000)
     with pytest.raises(SolverError, match="curvature solve failed at iteration 1: .*MiB"):
         minimize(prob)
+
+
+def test_two_start_solve_assembles_the_load_once(monkeypatch):
+    import doublephase.solver as solver
+
+    calls = []
+    adjoint = solver.cell_average_adjoint
+
+    def counting_adjoint(*args):
+        calls.append(1)
+        return adjoint(*args)
+
+    monkeypatch.setattr(solver, "cell_average_adjoint", counting_adjoint)
+    grid = build_grid(1, [(0, 1)], [16])
+    x = grid.node_coords()[:, 0]
+    prob = make_problem(grid, 1.5, [(3.0, 1.0)], f_values=np.sin(np.pi * x), phi_values=x)
+    sol = solve_weak(prob, SolverOptions(two_start_check=True, dual_probes=8))
+    assert sol.uc_certificate is not None
+    assert len(calls) == 1
+
+
+def test_problem_load_is_read_only_and_cached():
+    grid = build_grid(2, [(0, 1), (0, 1)], [4, 3])
+    prob = make_problem(grid, 2.0, [(3.0, 1.0)], f_values=np.ones(grid.n_nodes))
+    assert prob.load is prob.load
+    assert not prob.load.flags.writeable
+    with pytest.raises(ValueError):
+        prob.load[0] = 1.0
+    assert np.all(prob.load[boundary_mask(grid)] == 0.0)
+    assert np.all(prob.load[~boundary_mask(grid)] > 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(1, 2),
+    resolution=st.integers(2, 7),
+    p=st.floats(1.2, 4.0),
+    q=st.floats(1.2, 4.0),
+    seed=st.integers(0, 2**16),
+)
+def test_weak_residual_is_the_energy_gradient_norm(dim, resolution, p, q, seed):
+    # with phi = 0 the field w is the correction -u, and the weak-form defect
+    # at w is minus the energy gradient at u, bit for bit
+    grid = build_grid(dim, [(0, 1)] * dim, [resolution] * dim)
+    rng = np.random.default_rng(seed)
+    mu = rng.uniform(0.0, 2.0, grid.n_cells)
+    prob = make_problem(grid, p, [(q, mu)], f_values=rng.normal(size=grid.n_nodes))
+    w = zero_trace_random(grid, rng)
+    g = energy_gradient(ScalarField(grid, -w), prob)
+    assert weak_residual(ScalarField(grid, w), prob) == float(np.max(np.abs(g)))
+
+
+def test_energy_floor_is_shared_and_infinite_on_overflow():
+    from doublephase.convexity import _energy_floor
+
+    a, m, grad_phi = 3.0, 1.7, 0.4
+    assert lower_bound(a, m, grad_phi) == -_energy_floor(a, m) - a * (1.0 + grad_phi)
+    # (a/m)^(1/(m-1)) overflows: the floor is unboundedly deep
+    assert _energy_floor(1e10, 1.0 + 1e-9) == np.inf
+    assert lower_bound(1e10, 1.0 + 1e-9, 0.0) == -np.inf
+    for a, m in ((-1.0, 2.0), (1.0, 1.0)):
+        with pytest.raises(ValueError):
+            _energy_floor(a, m)
