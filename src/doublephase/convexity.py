@@ -98,12 +98,25 @@ def pair_split(
     )
 
 
-def _two_point_gaps(h, a, b):
-    """Left- and right-hand sides of the two pointwise inequalities.
+def _correction_term(h, nhalf, total):
+    """(h - 1) 2^-(h+1) |a - b|^2 / (|a| + |b|)^(2-h), the second left-hand term
+    for 1 < h <= 2, from nhalf = |(a - b)/2| and total = |a| + |b| > 0."""
+    safe = np.where(total > 0, total, 1.0)
+    return (h - 1.0) / 2.0 ** (h + 1.0) * (2.0 * nhalf) ** 2 / safe ** (2.0 - h)
+
+
+def _power_mean_term(h, nhalf):
+    """|(a - b)/2|^h / h, the second left-hand term for h >= 2."""
+    return nhalf**h / h
+
+
+def _two_point_sides(h, a, b):
+    """Left- and right-hand side of each row's two-point inequality.
 
     Broadcasts over leading axes: ``a`` and ``b`` have one trailing vector
-    axis.  Returns (lhs_i, lhs_ii, rhs) with lhs_i valid where h <= 2 and
-    |a| + |b| > 0, lhs_ii valid where h >= 2.
+    axis.  The left-hand side is |(a + b)/2|^h / h plus the correction term
+    where h <= 2 and the power-mean term elsewhere; each term is evaluated on
+    its own rows only.  Returns (lhs, rhs).
     """
     h = np.asarray(h, dtype=float)
     a = np.atleast_2d(np.asarray(a, dtype=float))
@@ -112,13 +125,15 @@ def _two_point_gaps(h, a, b):
     nb = np.sqrt(np.sum(b**2, axis=-1))
     nmid = np.sqrt(np.sum(((a + b) / 2.0) ** 2, axis=-1))
     nhalf = np.sqrt(np.sum(((a - b) / 2.0) ** 2, axis=-1))
-    ndiff = 2.0 * nhalf
     rhs = (na**h + nb**h) / (2.0 * h)
-    total = na + nb
-    safe = np.where(total > 0, total, 1.0)
-    lhs_i = nmid**h / h + (h - 1.0) / 2.0 ** (h + 1.0) * ndiff**2 / safe ** (2.0 - h)
-    lhs_ii = nmid**h / h + nhalf**h / h
-    return lhs_i, lhs_ii, rhs
+    h, nhalf, total = np.broadcast_arrays(h, nhalf, na + nb)
+    # index arrays, not masks: a boolean index rescans the whole mask per gather
+    low = h <= 2.0
+    lo, hi = np.nonzero(low), np.nonzero(~low)
+    tail = np.empty(rhs.shape)
+    tail[lo] = _correction_term(h[lo], nhalf[lo], total[lo])
+    tail[hi] = _power_mean_term(h[hi], nhalf[hi])
+    return nmid**h / h + tail, rhs
 
 
 def two_point_inequality_check(h: float, a, b) -> bool:
@@ -293,8 +308,7 @@ def _sweep(n_samples: int, seed: int, exponent_max: float, amplitude: float, tal
 # an overflowed row (NaN compares false) fails, silently: overflow is a verdict.
 def _two_point_tally(h, a, b):
     with np.errstate(all="ignore"):
-        lhs_i, lhs_ii, rhs = _two_point_gaps(h, a, b)
-        lhs = np.where(h <= 2.0, lhs_i, lhs_ii)
+        lhs, rhs = _two_point_sides(h, a, b)
         holds = np.isfinite(lhs) & np.isfinite(rhs) & (lhs <= rhs + REL_SLACK * (1.0 + rhs))
         return ~holds, (lhs - rhs) / (1.0 + rhs)
 

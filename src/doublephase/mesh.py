@@ -8,7 +8,8 @@ evaluated at the center of that cell.  ``gradient_values`` and
 batch axes pass through, and each row comes out bit-identical to the operator
 applied to that row alone.  A per-cell weight matrix B turns into
 the nodal form vol * G^T B G (``gradient_form``), stored as nearest-neighbour
-stencil coefficients and solved on the interior nodes by ``form_solve``.
+stencil coefficients and solved on the interior nodes by ``form_solve``: one
+scalar tridiagonal sweep in 1D, block-tridiagonal elimination in 2D.
 """
 
 from __future__ import annotations
@@ -285,29 +286,55 @@ def gradient_form(grid: Grid, cell_matrices: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-# bytes of dense block factors one ``form_solve`` may keep; 2^30 admits 512^2
+def _tridiagonal_sweep(coeffs: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a 1D form on the interior nodes by the scalar LU sweep, in O(n).
+
+    Forward elimination keeps P_r = U_r / S_r and z_r, each division taken as
+    a product with 1 / S_r, as LAPACK's triangular solve takes it; back
+    substitution is x_r = z_r - P_r x_(r+1) (Golub & Van Loan, Matrix
+    Computations, 4.3).  A zero pivot raises ``np.linalg.LinAlgError``.
+    """
+    # diagonal and coupling to the next node (M[i, i + 1] = M[i + 1, i] by
+    # symmetry) of every interior node, as Python floats
+    diag, upper, rhs = (a[1:-1].tolist() for a in (coeffs[1], coeffs[2], b))
+    factors = []
+    p = z = u_prev = 0.0
+    for d, u, r in zip(diag, upper, rhs):
+        s = d - u_prev * p
+        if s == 0.0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        inv = 1.0 / s
+        p, z, u_prev = u * inv, (r - u_prev * z) * inv, u
+        factors.append((p, z))
+    # x runs from the last node back to the first, between the two boundary zeros
+    x = [0.0, factors.pop()[1]]
+    for p, z in reversed(factors):
+        x.append(z - p * x[-1])
+    x.append(0.0)
+    return np.array(x[::-1])
+
+
+# bytes of dense block factors one 2D ``form_solve`` may keep; 2^30 admits 512^2
 FORM_SOLVE_MAX_BYTES = 2**30
 
 
 def form_solve(grid: Grid, coeffs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the form restricted to the interior nodes; zero on the boundary.
 
-    Block-tridiagonal elimination over the interior node rows of the longer
-    axis: each block couples the interior nodes of one row along the shorter
-    axis (1 x 1 in 1D), and only the Schur factors P_i = S_i^-1 U_i, one
-    dense block per row, are kept for the back substitution.  The form must
-    be symmetric positive definite on the interior nodes.  Raises
-    ``MemoryError`` before factoring when the factors would exceed
-    ``FORM_SOLVE_MAX_BYTES``.
+    In 1D the form is tridiagonal and is solved by one scalar sweep over the
+    interior nodes.  In 2D, block-tridiagonal elimination over the interior
+    node rows of the longer axis: each block couples the interior nodes of
+    one row along the shorter axis, and only the Schur factors
+    P_i = S_i^-1 U_i, one dense block per row, are kept for the back
+    substitution; it raises ``MemoryError`` before factoring when the factors
+    would exceed ``FORM_SOLVE_MAX_BYTES``.  The form must be symmetric
+    positive definite on the interior nodes.
     """
     c = coeffs
     b = rhs.reshape(grid.node_shape)
     if grid.dim == 1:
-        # one node per row, with no coupling along a second axis
-        c = np.zeros((3, 3) + grid.node_shape + (3,))
-        c[:, 1] = coeffs[..., None]
-        b = np.stack([np.zeros_like(b), b, np.zeros_like(b)], axis=-1)
-    flip = grid.dim == 2 and b.shape[1] > b.shape[0]
+        return _tridiagonal_sweep(c, b)
+    flip = b.shape[1] > b.shape[0]
     if flip:
         c, b = c.transpose(1, 0, 3, 2), b.T
     # couplings of each interior row within itself (d0 = 1) and to the next
@@ -351,7 +378,7 @@ def form_solve(grid: Grid, coeffs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         x[r] = factors[r][:, m] - factors[r][:, :m] @ x[r + 1]
     if flip:
         out = out.T
-    return (out[:, 1] if grid.dim == 1 else out).reshape(-1)
+    return out.reshape(-1)
 
 
 def integrate_cells(grid: Grid, cells: np.ndarray) -> float:

@@ -240,12 +240,15 @@ def poincare_ratio(u: ScalarField, phase: PhaseStructure) -> float:
     return luxemburg_norm(u, phase, "zero_order") / grad_norm
 
 
+def _pairing(fc: np.ndarray, u: ScalarField) -> float:
+    """L2 pairing of u with a field whose cell averages are ``fc``."""
+    uc = cell_average_values(u.grid, u.values)
+    return float(np.sum(fc * uc) * u.grid.cell_volume)
+
+
 def l2_pairing(f: ScalarField, u: ScalarField) -> float:
     """Midpoint-quadrature L2 pairing of two nodal fields."""
-    grid = f.grid
-    fc = cell_average_values(grid, f.values)
-    uc = cell_average_values(grid, u.values)
-    return float(np.sum(fc * uc) * grid.cell_volume)
+    return _pairing(cell_average_values(f.grid, f.values), u)
 
 
 def dual_pairing_bound_check(
@@ -278,17 +281,19 @@ def estimate_dual_bound(
     """
     grid = f.grid
     interior = ~boundary_mask(grid)
+    n_interior = int(interior.sum())
+    fc = cell_average_values(grid, f.values)
     rng = np.random.default_rng(seed)
     best = 0.0
     for i in range(n_probes + len(extra_fields)):
         vals = np.zeros(grid.n_nodes)
         if i < n_probes:
-            vals[interior] = rng.normal(size=int(interior.sum()))
+            vals[interior] = rng.normal(size=n_interior)
         else:
             vals[interior] = extra_fields[i - n_probes].values[interior]
         u = ScalarField(grid, vals)
         denom = luxemburg_norm(u, phase, "gradient")
         if denom == 0.0:
             continue
-        best = max(best, abs(l2_pairing(f, u)) / denom)
+        best = max(best, abs(_pairing(fc, u)) / denom)
     return 1.01 * best

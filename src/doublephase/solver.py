@@ -15,8 +15,9 @@ Descent directions are preconditioned by a per-cell curvature model of the
 integrand: the exact Hessian of every term with exponent >= 2 and the
 relaxed Kacanov (secant) weight of every term below 2 (Diening, Fornasier,
 Tomasi & Wank, Numer. Math. 2020).  The model is assembled from the mesh's
-corner stencil and solved by block-tridiagonal elimination, numpy only, so a
-solve takes tens of steps.
+corner stencil and solved exactly, numpy only: by a scalar tridiagonal sweep
+in 1D and block-tridiagonal elimination in 2D.  So a solve takes tens of
+steps.
 
 Line searches compare energy *differences* computed per cell with
 expm1/log1p, never as a subtraction of two totals; this keeps the Armijo

@@ -76,12 +76,15 @@ def test_two_point_equality_cases():
     a = rng.normal(size=2)
     b = rng.normal(size=2)
     assert two_point_inequality_check(2.0, a, b)
-    # parallelogram identity: both sides equal at h = 2
-    from doublephase.convexity import _two_point_gaps
+    # parallelogram identity: both left-hand forms equal the right at h = 2
+    from doublephase.convexity import _correction_term, _power_mean_term, _two_point_sides
 
-    lhs_i, lhs_ii, rhs = _two_point_gaps(2.0, a, b)
-    assert lhs_i[0] == pytest.approx(rhs[0], rel=1e-12)
-    assert lhs_ii[0] == pytest.approx(rhs[0], rel=1e-12)
+    _, rhs = _two_point_sides(2.0, a, b)
+    head = np.linalg.norm((a + b) / 2.0) ** 2 / 2.0
+    nhalf = np.linalg.norm((a - b) / 2.0)
+    total = np.linalg.norm(a) + np.linalg.norm(b)
+    assert head + _correction_term(2.0, nhalf, total) == pytest.approx(rhs[0], rel=1e-12)
+    assert head + _power_mean_term(2.0, nhalf) == pytest.approx(rhs[0], rel=1e-12)
     assert two_point_inequality_check(3.7, a, a)  # equality at a == b
     with pytest.raises(ValueError, match="requires"):
         two_point_inequality_check(1.5, [0.0, 0.0], [0.0, 0.0])
@@ -415,6 +418,40 @@ def test_two_point_check_applies_the_sweep_rule():
                 seen.add(ok)
             assert two_point_inequality_check(h, a, b) == (not violated.any())
     assert seen == {True, False}  # overflowed rows fail
+
+
+def _two_point_tally_both_forms(h, a, b):
+    # the former rule: both left-hand forms on every row, one kept per row
+    with np.errstate(all="ignore"):
+        na = np.sqrt(np.sum(a**2, axis=-1))
+        nb = np.sqrt(np.sum(b**2, axis=-1))
+        nmid = np.sqrt(np.sum(((a + b) / 2.0) ** 2, axis=-1))
+        nhalf = np.sqrt(np.sum(((a - b) / 2.0) ** 2, axis=-1))
+        ndiff = 2.0 * nhalf
+        rhs = (na**h + nb**h) / (2.0 * h)
+        total = na + nb
+        safe = np.where(total > 0, total, 1.0)
+        lhs_i = nmid**h / h + (h - 1.0) / 2.0 ** (h + 1.0) * ndiff**2 / safe ** (2.0 - h)
+        lhs_ii = nmid**h / h + nhalf**h / h
+        lhs = np.where(h <= 2.0, lhs_i, lhs_ii)
+        holds = np.isfinite(lhs) & np.isfinite(rhs) & (lhs <= rhs + convexity.REL_SLACK * (1.0 + rhs))
+        return ~holds, (lhs - rhs) / (1.0 + rhs)
+
+
+@pytest.mark.parametrize("exponent_max", [8.0, 1e3])
+def test_two_point_tally_matches_both_forms_rule(exponent_max):
+    # one 200k-row sweep chunk, drawn as ``_sweep`` draws it
+    rng = np.random.default_rng(21)
+    h = np.nextafter(rng.uniform(1.0, exponent_max, 200_000), np.inf)
+    a = rng.uniform(-10.0, 10.0, (200_000, 2))
+    b = rng.uniform(-10.0, 10.0, (200_000, 2))
+    # rows with one or both vectors zero
+    a[:100] = 0.0
+    b[:50] = 0.0
+    violated, excess = convexity._two_point_tally(h, a, b)
+    ref_violated, ref_excess = _two_point_tally_both_forms(h, a, b)
+    np.testing.assert_array_equal(violated, ref_violated)
+    assert excess.tobytes() == ref_excess.tobytes()
 
 
 @pytest.mark.parametrize("tally", ["_two_point_tally", "_monotonicity_tally"])

@@ -306,6 +306,69 @@ def test_form_solve_blocks_span_the_shorter_axis(resolution, monkeypatch):
         form_solve(g, coeffs, rhs)
 
 
+def _curvature_weights(g, rng):
+    # the solver's curvature model at 8th powers, where cells with a small
+    # gradient sit on the CURVATURE_CONTRAST floor
+    from doublephase.solver import CURVATURE_CONTRAST, _curvature
+    from test_phase import make_phase
+
+    w_grad = (rng.choice([-1.0, 1.0], g.n_cells) * 10.0 ** rng.uniform(-6, 0, g.n_cells))[:, None]
+    cells, _ = _curvature(make_phase(g, 8.0, [(8.0, 1.0)]), w_grad)
+    assert np.min(cells) <= CURVATURE_CONTRAST * np.max(cells)
+    return cells
+
+
+@pytest.mark.parametrize("weights", ["curvature", "random"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_form_solve_1d_backward_error_at_solver_scale(weights, seed):
+    g = build_grid(1, [(0.0, 1.0)], [256])
+    rng = np.random.default_rng(seed)
+    if weights == "curvature":
+        cells = _curvature_weights(g, rng)
+    else:
+        cells = (10.0 ** rng.uniform(-3, 3, g.n_cells))[:, None, None]
+    coeffs = gradient_form(g, cells)
+    interior = np.flatnonzero(~boundary_mask(g))
+    dense = np.stack(
+        [form_apply(g, coeffs, np.eye(g.n_nodes)[i])[interior] for i in interior], axis=1
+    )
+    rhs = np.zeros(g.n_nodes)
+    rhs[interior] = rng.normal(size=interior.size)
+    x = form_solve(g, coeffs, rhs)
+    assert np.all(x[boundary_mask(g)] == 0.0)
+    residual = np.max(np.abs(dense @ x[interior] - rhs[interior]))
+    scale = np.max(np.sum(np.abs(dense), axis=1)) * np.max(np.abs(x))
+    assert residual <= 4.0 * np.finfo(float).eps * scale
+
+
+def test_form_solve_1d_calls_no_dense_solve(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("np.linalg.solve called")
+
+    g = build_grid(1, [(0.0, 1.0)], [256])
+    rng = np.random.default_rng(4)
+    coeffs = gradient_form(g, _random_cell_matrices(g, rng, spread=3))
+    rhs = np.where(boundary_mask(g), 0.0, rng.normal(size=g.n_nodes))
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    x = form_solve(g, coeffs, rhs)
+    interior = ~boundary_mask(g)
+    residual = np.max(np.abs(form_apply(g, coeffs, x)[interior] - rhs[interior]))
+    assert residual <= 1e-12 * np.max(np.abs(coeffs)) * np.max(np.abs(x))
+
+
+@pytest.mark.parametrize("row", [0, 1])
+def test_form_solve_1d_zero_pivot_raises(row):
+    # a zero first pivot, and a pivot that eliminates to zero: the interior
+    # form [[1, 1], [1, 1]] is singular
+    g = build_grid(1, [(0.0, 1.0)], [3])
+    coeffs = np.zeros((3, g.n_nodes))
+    if row == 1:
+        coeffs[1, 1:-1] = 1.0
+        coeffs[2, 1] = coeffs[0, 2] = 1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        form_solve(g, coeffs, np.array([0.0, 1.0, 2.0, 0.0]))
+
+
 def test_scalar_field_validation():
     g = build_grid(1, [(0, 1)], [4])
     with pytest.raises(ValueError, match="node count"):

@@ -320,6 +320,25 @@ def test_dual_pairing_sweep_with_estimated_bound():
         assert dual_pairing_bound_check(f, probe, a, ph)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_dual_bound_matches_probe_by_probe_pairing(dim):
+    # the former loop: every probe pairs with f through ``l2_pairing``
+    grid = build_grid(dim, [(0, 1)] * dim, [32] if dim == 1 else [6, 9])
+    rng = np.random.default_rng(11)
+    ph = make_phase(grid, 1.5, [(3.0, 1.0)])
+    f = random_field(rng, grid)
+    extra = random_field(rng, grid, zero_trace=True)
+    interior = ~boundary_mask(grid)
+    probe_rng = np.random.default_rng(5)
+    best = 0.0
+    for i in range(41):
+        vals = np.zeros(grid.n_nodes)
+        vals[interior] = probe_rng.normal(size=int(interior.sum())) if i < 40 else extra.values[interior]
+        u = ScalarField(grid, vals)
+        best = max(best, abs(l2_pairing(f, u)) / luxemburg_norm(u, ph, "gradient"))
+    assert estimate_dual_bound(f, ph, n_probes=40, seed=5, extra_fields=(extra,)) == 1.01 * best
+
+
 def test_restricted_modular_mass():
     rng = np.random.default_rng(10)
     ph = random_phase(rng, GRID)

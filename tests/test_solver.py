@@ -558,6 +558,21 @@ def test_minimize_reports_unfactorable_model(monkeypatch):
         minimize(prob)
 
 
+def test_minimize_reports_singular_1d_model(monkeypatch):
+    import doublephase.solver as solver
+
+    def zero_model(phase, w_grad):
+        return np.zeros((w_grad.shape[0], 1, 1)), 0.0
+
+    # a zero curvature model gives a zero pivot in the first row of the sweep
+    monkeypatch.setattr(solver, "_curvature", zero_model)
+    grid = build_grid(1, [(0, 1)], [16])
+    prob = make_problem(grid, 2.0, [(3.0, 1.0)], f_values=np.ones(grid.n_nodes))
+    with pytest.raises(SolverError, match="curvature solve failed at iteration 1: ") as info:
+        minimize(prob)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
 def test_two_start_solve_assembles_the_load_once(monkeypatch):
     import doublephase.solver as solver
 
