@@ -15,6 +15,10 @@ verdicts are exact set arithmetic plus float rounding slack.  Pairs carry a
 leading batch axis: ``uc_verdicts`` applies the rule to arrays of modulars,
 ``verify_uc_pair`` is its batch of one, and ``sweep_uc_pairs`` evaluates
 its pairs chunk by chunk through ``stacked_rho``.
+
+The pointwise sides of the two-point and flux-monotonicity inequalities run
+on vector components through ``mesh.squared_norm``; where the exponent is an
+array, each branch of a side is evaluated only on its own rows.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import ScalarField, gradient_values
+from .mesh import ScalarField, gradient_values, squared_norm
 from .phase import PhaseStructure, power_flux_coefficient
 from .modular import stacked_rho
 
@@ -85,9 +89,9 @@ def pair_split(
         raise ValueError(f"alpha must be positive, got {alpha}")
     gu = gradient_values(u.grid, u.values)
     gv = gradient_values(v.grid, v.values)
-    nu = np.sqrt(np.sum(gu**2, axis=1))
-    nv = np.sqrt(np.sum(gv**2, axis=1))
-    ndiff = np.sqrt(np.sum((gu - gv) ** 2, axis=1))
+    nu = np.sqrt(squared_norm(gu))
+    nv = np.sqrt(squared_norm(gv))
+    ndiff = np.sqrt(squared_norm(gu - gv))
     e_mask = ndiff > (alpha / 4.0) * (nu + nv)
     return PairSplit(
         g_mask=~e_mask,
@@ -121,10 +125,10 @@ def _two_point_sides(h, a, b):
     h = np.asarray(h, dtype=float)
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    na = np.sqrt(np.sum(a**2, axis=-1))
-    nb = np.sqrt(np.sum(b**2, axis=-1))
-    nmid = np.sqrt(np.sum(((a + b) / 2.0) ** 2, axis=-1))
-    nhalf = np.sqrt(np.sum(((a - b) / 2.0) ** 2, axis=-1))
+    na = np.sqrt(squared_norm(a))
+    nb = np.sqrt(squared_norm(b))
+    nmid = np.sqrt(squared_norm((a + b) / 2.0))
+    nhalf = np.sqrt(squared_norm((a - b) / 2.0))
     rhs = (na**h + nb**h) / (2.0 * h)
     h, nhalf, total = np.broadcast_arrays(h, nhalf, na + nb)
     # index arrays, not masks: a boolean index rescans the whole mask per gather
@@ -220,28 +224,45 @@ def verify_uc_pair(
     )
 
 
-def _flux_terms(r, A):
-    """|A|^(r-2) A with the continuous zero extension at A = 0."""
-    return power_flux_coefficient(np.sqrt(np.sum(A**2, axis=-1)), r)[..., None] * A
+def _power_bound(r, ndiff):
+    """2^(2-r) ndiff^r, the monotonicity lower bound for r >= 2."""
+    return 2.0 ** (2.0 - r) * ndiff**r
+
+
+def _quadratic_bound(r, ndiff, base):
+    """(r - 1) ndiff^2 base^((r-2)/2), the monotonicity lower bound for r < 2."""
+    return (r - 1.0) * ndiff**2 * base ** ((r - 2.0) / 2.0)
 
 
 def monotonicity_sides(r, A, B):
     """Per-row r-power flux pairing <F(A) - F(B), A - B> and its lower bound.
 
-    F(A) = |A|^(r-2) A; broadcasts over rows.  With ndiff = |A - B| and
-    base = 1 + |A|^2 + |B|^2 the bound is 2^(2-r) ndiff^r for r >= 2 and
-    (r - 1) ndiff^2 base^((r-2)/2) below 2.  Returns (lhs, rhs).
+    F(A) = |A|^(r-2) A; broadcasts over rows, one vector component at a
+    time.  With ndiff = |A - B| and base = 1 + |A|^2 + |B|^2 the bound is
+    2^(2-r) ndiff^r for r >= 2 and (r - 1) ndiff^2 base^((r-2)/2) below 2;
+    for an array ``r`` each bound is evaluated on its own rows only.
+    Returns (lhs, rhs).
     """
     r = np.asarray(r, dtype=float)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    diff = A - B
-    lhs = np.sum((_flux_terms(r, A) - _flux_terms(r, B)) * diff, axis=-1)
-    ndiff = np.sqrt(np.sum(diff**2, axis=-1))
-    base = 1.0 + np.sum(A**2, axis=-1) + np.sum(B**2, axis=-1)
-    high = 2.0 ** (2.0 - r) * ndiff**r
-    low = (r - 1.0) * ndiff**2 * base ** ((r - 2.0) / 2.0)
-    return lhs, np.where(r >= 2.0, high, low)
+    a2, b2 = squared_norm(A), squared_norm(B)
+    ca, cb = power_flux_coefficient(np.sqrt(a2), r), power_flux_coefficient(np.sqrt(b2), r)
+    lhs = 0.0  # summed from 0.0, as np.sum adds: a -0.0 pairing comes out 0.0
+    for k in range(A.shape[-1]):
+        lhs += (ca * A[..., k] - cb * B[..., k]) * (A[..., k] - B[..., k])
+    base = 1.0 + a2 + b2
+    del ca, cb, a2, b2  # held through the bounds, they raise a chunk's peak memory
+    ndiff = np.sqrt(squared_norm(A - B))
+    if r.ndim == 0:  # unbroadcast: numpy squares for ndiff ** 2.0, an elementwise power does not
+        return lhs, _power_bound(r, ndiff) if r >= 2.0 else _quadratic_bound(r, ndiff, base)
+    r, ndiff, base = np.broadcast_arrays(r, ndiff, base)
+    high = r >= 2.0
+    hi, lo = np.nonzero(high), np.nonzero(~high)
+    rhs = np.empty(r.shape)
+    rhs[hi] = _power_bound(r[hi], ndiff[hi])
+    rhs[lo] = _quadratic_bound(r[lo], ndiff[lo], base[lo])
+    return lhs, rhs
 
 
 def monotonicity_lower_bound_check(r: float, A, B) -> bool:
@@ -317,7 +338,7 @@ def _monotonicity_tally(r, A, B):
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     with np.errstate(all="ignore"):
         lhs, rhs = monotonicity_sides(r, A, B)
-        slack = REL_SLACK * (1.0 + np.sum(A**2, axis=-1) + np.sum(B**2, axis=-1))
+        slack = REL_SLACK * (1.0 + squared_norm(A) + squared_norm(B))
         holds = np.isfinite(lhs) & np.isfinite(rhs) & (lhs >= rhs - slack)
         return ~holds, (rhs - lhs) / (1.0 + np.abs(rhs))
 

@@ -6,7 +6,8 @@ centers: each entry is the gradient of the multilinear nodal interpolant
 evaluated at the center of that cell.  ``gradient_values`` and
 ``cell_average_values`` also take a stack ``values[..., n_nodes]``: leading
 batch axes pass through, and each row comes out bit-identical to the operator
-applied to that row alone.  A per-cell weight matrix B turns into
+applied to that row alone.  Every per-row vector norm in the package is
+the square root of ``squared_norm``.  A per-cell weight matrix B turns into
 the nodal form vol * G^T B G (``gradient_form``), stored as nearest-neighbour
 stencil coefficients and solved on the interior nodes by ``form_solve``: one
 scalar tridiagonal sweep in 1D, block-tridiagonal elimination in 2D.
@@ -186,6 +187,18 @@ def boundary_mask(grid: Grid) -> np.ndarray:
     m = np.ones(grid.node_shape, dtype=bool)
     m[(slice(1, -1),) * grid.dim] = False
     return m.reshape(-1)
+
+
+def squared_norm(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm over the trailing axis, one component at a time.
+
+    Bit-identical to numpy's sum of the squares over that axis for trailing
+    lengths 1 and 2, and several times faster on so short an axis.
+    """
+    out = x[..., 0] ** 2
+    for k in range(1, x.shape[-1]):
+        out += x[..., k] ** 2
+    return out
 
 
 # The operators below are loops over ``grid.stencil``.  Forward operators

@@ -30,6 +30,7 @@ from .mesh import (
     boundary_mask,
     cell_average_values,
     gradient_values,
+    squared_norm,
 )
 from .phase import PhaseStructure
 
@@ -68,7 +69,7 @@ def _magnitude(u_values: np.ndarray, grid: Grid, part: str) -> np.ndarray:
     """Per-cell integrand argument of one part, for ``u_values[..., n_nodes]``."""
     if part == "zero_order":
         return np.abs(cell_average_values(grid, u_values))
-    return np.sqrt(np.sum(gradient_values(grid, u_values) ** 2, axis=-1))
+    return np.sqrt(squared_norm(gradient_values(grid, u_values)))
 
 
 def _part_values(

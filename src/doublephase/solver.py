@@ -52,6 +52,7 @@ from .mesh import (
     gradient_adjoint,
     gradient_form,
     gradient_values,
+    squared_norm,
 )
 from .modular import estimate_dual_bound, l2_pairing, luxemburg_norm, modular_value
 from .phase import PhaseStructure
@@ -177,7 +178,7 @@ def energy(u: ScalarField, prob: Problem) -> float:
 
 
 def _flux(phase: PhaseStructure, w_grad: np.ndarray) -> np.ndarray:
-    t = np.sqrt(np.sum(w_grad**2, axis=1))
+    t = np.sqrt(squared_norm(w_grad))
     return phase.flux_coefficient(t)[:, None] * w_grad
 
 
@@ -204,10 +205,10 @@ def _modular_step_delta(
     identity t1^2 - t0^2 = s^2 |b|^2 - 2 s a.b, and each power difference
     through expm1/log1p when the arguments are close.
     """
-    t0 = np.sqrt(np.sum(a**2, axis=1))
-    shifted = a - s * b
-    t1 = np.sqrt(np.sum(shifted**2, axis=1))
-    num = s * (s * np.sum(b**2, axis=1) - 2.0 * np.sum(a * b, axis=1))
+    t0 = np.sqrt(squared_norm(a))
+    t1 = np.sqrt(squared_norm(a - s * b))
+    ab = sum(a[:, k] * b[:, k] for k in range(a.shape[1]))  # from 0, as np.sum adds
+    num = s * (s * squared_norm(b) - 2.0 * ab)
     denom = t1 + t0
     safe_denom = np.where(denom > 0, denom, 1.0)
     diff = np.where(denom > 0, num / safe_denom, 0.0)
@@ -237,7 +238,7 @@ def _curvature(phase: PhaseStructure, w_grad: np.ndarray) -> tuple[np.ndarray, f
     cell is kept at least CURVATURE_CONTRAST times the largest, so the
     assembled form stays positive definite.
     """
-    te = np.maximum(np.sqrt(np.sum(w_grad**2, axis=1)), CURVATURE_FLOOR)
+    te = np.maximum(np.sqrt(squared_norm(w_grad)), CURVATURE_FLOOR)
     log_te = np.log(te)
     terms = phase.terms(bar=True)
     with np.errstate(divide="ignore"):
@@ -431,8 +432,8 @@ def uniqueness_certificate(
     pairing = grid.cell_volume * float(np.sum(pairing_cells))
     if pairing < certificate - 1e-12 * (1.0 + abs(pairing) + certificate):
         raise SolverError("flux pairing fell below its monotonicity certificate")
-    grad_scale = 1.0 + float(np.max(np.sqrt(np.sum(gv**2, axis=1))) + np.max(np.sqrt(np.sum(gw**2, axis=1))))
-    ndiff = np.sqrt(np.sum((gv - gw) ** 2, axis=1))
+    grad_scale = 1.0 + float(np.max(np.sqrt(squared_norm(gv))) + np.max(np.sqrt(squared_norm(gw))))
+    ndiff = np.sqrt(squared_norm(gv - gw))
     gradients_equal = bool(np.max(ndiff) <= 1e-10 * grad_scale)
     return certificate, gradients_equal
 

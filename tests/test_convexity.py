@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,7 @@ from doublephase.convexity import (
 )
 from doublephase.mesh import ScalarField, build_grid
 from doublephase.modular import KINDS, rho
+from doublephase.phase import power_flux_coefficient
 from test_phase import make_phase
 
 GRID = build_grid(1, [(0, 1)], [12])
@@ -452,6 +454,91 @@ def test_two_point_tally_matches_both_forms_rule(exponent_max):
     ref_violated, ref_excess = _two_point_tally_both_forms(h, a, b)
     np.testing.assert_array_equal(violated, ref_violated)
     assert excess.tobytes() == ref_excess.tobytes()
+
+
+def _flux_terms(r, A):
+    # the former flux: |A|^(r-2) A through an axis sum
+    return power_flux_coefficient(np.sqrt(np.sum(A**2, axis=-1)), r)[..., None] * A
+
+
+def _monotonicity_sides_both_bounds(r, A, B):
+    # the former sides: axis sums, both bounds on every row, one kept per row
+    r = np.asarray(r, dtype=float)
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    diff = A - B
+    lhs = np.sum((_flux_terms(r, A) - _flux_terms(r, B)) * diff, axis=-1)
+    ndiff = np.sqrt(np.sum(diff**2, axis=-1))
+    base = 1.0 + np.sum(A**2, axis=-1) + np.sum(B**2, axis=-1)
+    high = 2.0 ** (2.0 - r) * ndiff**r
+    low = (r - 1.0) * ndiff**2 * base ** ((r - 2.0) / 2.0)
+    return lhs, np.where(r >= 2.0, high, low)
+
+
+def _monotonicity_tally_both_bounds(r, A, B):
+    with np.errstate(all="ignore"):
+        lhs, rhs = _monotonicity_sides_both_bounds(r, A, B)
+        slack = convexity.REL_SLACK * (1.0 + np.sum(A**2, axis=-1) + np.sum(B**2, axis=-1))
+        holds = np.isfinite(lhs) & np.isfinite(rhs) & (lhs >= rhs - slack)
+        return ~holds, (rhs - lhs) / (1.0 + np.abs(rhs))
+
+
+def _sweep_chunk(seed, exponent_max, size=200_000):
+    # one sweep chunk, drawn as ``_sweep`` draws it
+    rng = np.random.default_rng(seed)
+    h = np.nextafter(rng.uniform(1.0, exponent_max, size), np.inf)
+    a = rng.uniform(-10.0, 10.0, (size, 2))
+    b = rng.uniform(-10.0, 10.0, (size, 2))
+    return h, a, b
+
+
+@pytest.mark.parametrize("exponent_max", [8.0, 1e3])
+def test_monotonicity_tally_matches_both_bounds_rule(exponent_max):
+    r, A, B = _sweep_chunk(22, exponent_max)
+    A[:100] = 0.0  # rows with one or both vectors zero
+    B[:50] = 0.0
+    B[100:200] = A[100:200]  # A == B
+    r[200:300] = 2.0  # both bounds meet; an elementwise power, not a square
+    violated, excess = convexity._monotonicity_tally(r, A, B)
+    ref_violated, ref_excess = _monotonicity_tally_both_bounds(r, A, B)
+    assert violated.tobytes() == ref_violated.tobytes()
+    assert excess.tobytes() == ref_excess.tobytes()
+
+
+@pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_monotonicity_sides_match_both_bounds_at_a_scalar_exponent(r, dim):
+    # a scalar r stays 0-d: numpy squares for ndiff ** 2.0, which a
+    # broadcast exponent's elementwise power does not reproduce
+    _, A, B = _sweep_chunk(23, 8.0, 20_000)
+    A, B = A[:, :dim], B[:, :dim]
+    A[:10] = 0.0
+    B[10:20] = A[10:20]
+    got = convexity.monotonicity_sides(r, A, B)
+    ref = _monotonicity_sides_both_bounds(r, A, B)
+    for x, y in zip(got, ref):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+# tracemalloc peaks of one 200k-row chunk under the former axis-sum forms,
+# measured by this test (numpy 2.4): the component-wise forms must not hold
+# more temporaries.  The allowance covers Python-object bookkeeping, which
+# moves by a few bytes with the caller; one row of temporaries is 1.6 MB.
+FORMER_TALLY_PEAK_BYTES = {"_monotonicity_tally": 14_401_192, "_two_point_tally": 17_116_752}
+BOOKKEEPING_BYTES = 2**16
+
+
+@pytest.mark.parametrize("tally", sorted(FORMER_TALLY_PEAK_BYTES))
+def test_tally_peak_memory_of_one_chunk(tally):
+    h, a, b = _sweep_chunk(21, 8.0)
+    getattr(convexity, tally)(h, a, b)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        getattr(convexity, tally)(h, a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= FORMER_TALLY_PEAK_BYTES[tally] + BOOKKEEPING_BYTES
 
 
 @pytest.mark.parametrize("tally", ["_two_point_tally", "_monotonicity_tally"])

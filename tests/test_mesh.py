@@ -1,3 +1,7 @@
+import itertools
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +18,7 @@ from doublephase.mesh import (
     gradient_form,
     gradient_values,
     integrate_cells,
+    squared_norm,
 )
 
 
@@ -409,3 +414,56 @@ def test_corner_weights_equal_the_pair_scan(dim, extents, res):
     assert [o for o, _ in got] == [o for o, _ in expected]
     for (_, w), (_, w_ref) in zip(got, expected):
         assert w.dtype == w_ref.dtype and np.array_equal(w, w_ref)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_squared_norm_equals_the_axis_sum(dim):
+    # bit for bit, on every batch shape, through underflow, overflow and NaN
+    special = [0.0, -0.0, 1e-200, -1e-200, 1e200, np.nan, -3.0]
+    rows = np.array(list(itertools.product(special, repeat=dim)))
+    rng = np.random.default_rng(31)
+    x = np.concatenate([rows, rng.normal(size=(40, dim))])
+    x = np.stack([x, 1e3 * x[::-1], rng.uniform(-1.0, 1.0, x.shape)])
+    with np.errstate(all="ignore"):
+        for batch in (x[0, 3], x[0, -1], x[1], x):  # (), (), (n,), (k, n)
+            got, ref = squared_norm(batch), np.sum(batch**2, axis=-1)
+            assert np.shape(got) == np.shape(ref)
+            assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("dim,res", [(1, [256]), (2, [64, 64])])
+def test_gradient_magnitude_and_flux_keep_the_axis_sum_bytes(dim, res):
+    from doublephase.modular import _magnitude
+    from doublephase.solver import _flux
+    from test_phase import make_phase
+
+    grid = build_grid(dim, [(0, 1)] * dim, res)
+    n = grid.n_cells
+    rng = np.random.default_rng(32)
+    u = rng.normal(size=grid.n_nodes)
+    u[: grid.n_nodes // 4] = 0.0  # cells with a zero gradient
+    g = gradient_values(grid, u)
+    t = np.sqrt(np.sum(g**2, axis=-1))
+    assert _magnitude(u, grid, "gradient").tobytes() == t.tobytes()
+    phase = make_phase(
+        grid, rng.uniform(1.2, 3.5, n), [(rng.uniform(1.2, 3.5, n), rng.uniform(0.0, 4.0, n))]
+    )
+    assert _flux(phase, g).tobytes() == (phase.flux_coefficient(t)[:, None] * g).tobytes()
+
+
+AXIS_SUM_OF_SQUARES = re.compile(
+    r"np\.sum\([^\n]*\*\*\s*2\s*,\s*axis\s*=|np\.sqrt\(np\.sum\([^\n]*\*\*\s*2"
+)
+
+
+def test_package_vector_norms_go_through_squared_norm():
+    # squared_norm is the one implementation of |x|^2 over a vector axis
+    import doublephase
+
+    hits = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(Path(doublephase.__file__).parent.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if AXIS_SUM_OF_SQUARES.search(line)
+    ]
+    assert hits == []
