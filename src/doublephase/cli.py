@@ -28,10 +28,10 @@ import numpy as np
 from . import __version__
 from .convexity import delta_of_epsilon, sweep_monotonicity, sweep_two_point, sweep_uc_pairs
 from .exprparse import EvalError, Expr, ParseError, parse, sample
-from .mesh import Grid, ScalarField, _is_number, build_grid
+from .mesh import Grid, ScalarField, _is_finite, _is_number, build_grid
 from .modular import KINDS, norm_report, sweep_sandwich
 from .phase import PhasePair, PhaseStructure
-from .solver import Problem, SolverError, SolverOptions, _is_finite, solve_weak
+from .solver import Problem, SolverError, SolverOptions, solve_weak
 
 
 class ConfigError(Exception):
@@ -270,7 +270,8 @@ def cmd_solve(config: Config, out_dir: Path) -> int:
         "residual": sol.weak_residual,
         "gradient_norm": sol.gradient_norm,
         "dual_bound": sol.dual_bound,
-        "lower_bound": sol.lower_bound_used,
+        # a floor that overflowed to -inf bounds nothing and is not JSON
+        "lower_bound": sol.lower_bound_used if math.isfinite(sol.lower_bound_used) else None,
         "lower_bound_satisfied": sol.lower_bound_satisfied,
     }
     if sol.uc_certificate is not None:
@@ -404,7 +405,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as stop:
+        # argparse exits 0 after --help and 2 after printing a usage error
+        return 1 if stop.code else 0
     try:
         config = parse_config(args.config)
         if args.seed is not None:

@@ -15,6 +15,7 @@ scalar tridiagonal sweep in 1D, block-tridiagonal elimination in 2D.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,7 +68,8 @@ class Grid:
                 f"got {len(self.extents)} and {len(self.resolution)}"
             )
         for lo, hi in self.extents:
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            # a finite width hi - lo also rules out an infinite or NaN end
+            if not (lo < hi and np.isfinite(hi - lo)):
                 raise ValueError(f"degenerate extent ({lo}, {hi})")
         for n in self.resolution:
             if n < 2:
@@ -116,30 +118,32 @@ class Grid:
         corners = tuple(corner for pair in pairs[0] for corner in pair)
         return Stencil(pairs, scales, corners)
 
-    def axis_nodes(self, axis: int) -> np.ndarray:
-        lo, hi = self.extents[axis]
-        return np.linspace(lo, hi, self.resolution[axis] + 1)
-
-    def axis_centers(self, axis: int) -> np.ndarray:
-        h = self.cell_size[axis]
-        lo = self.extents[axis][0]
-        return lo + h * (np.arange(self.resolution[axis]) + 0.5)
-
     def node_coords(self) -> np.ndarray:
         """Coordinates of every node, shape (n_nodes, dim), row-major order."""
-        axes = [self.axis_nodes(i) for i in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        return _lattice(
+            np.linspace(lo, hi, n + 1) for (lo, hi), n in zip(self.extents, self.resolution)
+        )
 
     def cell_centers(self) -> np.ndarray:
         """Coordinates of every cell center, shape (n_cells, dim)."""
-        axes = [self.axis_centers(i) for i in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        return _lattice(
+            lo + h * (np.arange(n) + 0.5)
+            for (lo, _), h, n in zip(self.extents, self.cell_size, self.resolution)
+        )
+
+
+def _lattice(axes) -> np.ndarray:
+    """Every point of the tensor product of 1D axes, shape (points, dim), row-major."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
 def _is_number(value, kinds=(int, float)) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return _is_number(value) and math.isfinite(value)
 
 
 def build_grid(dim, extents, resolution) -> Grid:
@@ -187,6 +191,11 @@ def boundary_mask(grid: Grid) -> np.ndarray:
     m = np.ones(grid.node_shape, dtype=bool)
     m[(slice(1, -1),) * grid.dim] = False
     return m.reshape(-1)
+
+
+def _require_zero_trace(grid: Grid, values: np.ndarray, what: str):
+    if np.any(values[boundary_mask(grid)] != 0.0):
+        raise ValueError(f"{what} must vanish on boundary nodes (a zero boundary trace)")
 
 
 def squared_norm(x: np.ndarray) -> np.ndarray:

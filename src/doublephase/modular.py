@@ -15,11 +15,13 @@ All integrals use the one-point cell-center quadrature of the mesh module,
 so every modular is a finite weighted sum and is convex, symmetric, and
 strictly decreasing in the Luxemburg scaling parameter wherever positive.
 The Luxemburg norm solves log rho(u / lambda) = 0 by Newton's method in
-log lambda, over per-cell magnitudes divided by their maximum.
+log lambda, over per-cell magnitudes divided by their maximum; a step whose
+modular overflows is halved.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +29,7 @@ import numpy as np
 from .mesh import (
     Grid,
     ScalarField,
+    _require_zero_trace,
     boundary_mask,
     cell_average_values,
     gradient_values,
@@ -151,15 +154,22 @@ def _luxemburg(
     keep = w > 0.0
     w, r = w[keep], r[keep]
     # F(s) = log rho is convex, with slope -(w-weighted mean of r) in [-M, -m]:
-    # after its first step Newton climbs monotonically to the root
-    s = 0.0
-    for _ in range(MAX_NEWTON_STEPS):
-        e = w * np.exp(-r * s)
-        total = np.sum(e)
-        step = np.log(total) * total / np.sum(r * e)
-        s += step
-        if abs(step) <= NEWTON_STEP_TOLERANCE:
-            break
+    # Newton climbs monotonically to the root from any iterate left of it
+    s = step = 0.0
+    with np.errstate(over="ignore"):
+        for _ in range(MAX_NEWTON_STEPS):
+            e = w * np.exp(-r * s)
+            total, slope = np.sum(e), np.sum(r * e)
+            if not math.isfinite(slope):
+                # a step far past the root (tiny rho(u / top), large r) overflowed
+                # the sums (slope >= total, as every r > 1): take back half of it
+                step *= 0.5
+                s -= step
+                continue
+            step = np.log(total) * total / slope
+            s += step
+            if abs(step) <= NEWTON_STEP_TOLERANCE:
+                break
     lam = float(top * np.exp(s))
     residual = modular_value(u_values / lam, grid, phase, kind, bar=bar) - 1.0
     if not abs(residual) <= UNIT_MODULAR_TOLERANCE:
@@ -232,9 +242,7 @@ def sweep_sandwich(grid: Grid, phase: PhaseStructure, n_samples: int, seed: int)
 
 def poincare_ratio(u: ScalarField, phase: PhaseStructure) -> float:
     """Zero-order norm over gradient norm for a zero-trace field."""
-    mask = boundary_mask(u.grid)
-    if np.any(u.values[mask] != 0.0):
-        raise ValueError("poincare_ratio requires a zero boundary trace")
+    _require_zero_trace(u.grid, u.values, "u")
     grad_norm = luxemburg_norm(u, phase, "gradient")
     if grad_norm == 0.0:
         raise ValueError("gradient vanishes identically")

@@ -27,7 +27,6 @@ and lets the solver reach residuals near 1e-9 on desk-scale problems.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -43,8 +42,10 @@ from .convexity import (
 from .mesh import (
     Grid,
     ScalarField,
+    _is_finite,
     _is_number,
     _readonly,
+    _require_zero_trace,
     boundary_mask,
     cell_average_adjoint,
     cell_average_values,
@@ -54,7 +55,7 @@ from .mesh import (
     gradient_values,
     squared_norm,
 )
-from .modular import estimate_dual_bound, l2_pairing, luxemburg_norm, modular_value
+from .modular import estimate_dual_bound, luxemburg_norm, modular_value
 from .phase import PhaseStructure
 
 
@@ -69,10 +70,6 @@ MAX_DIRECTION_RATIO = 2.0**64
 
 class SolverError(RuntimeError):
     pass
-
-
-def _is_finite(value) -> bool:
-    return _is_number(value) and math.isfinite(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,18 +160,12 @@ class Solution:
     gradients_equal: bool | None = None
 
 
-def _require_zero_trace(grid: Grid, values: np.ndarray, what: str):
-    mask = boundary_mask(grid)
-    if np.any(values[mask] != 0.0):
-        raise ValueError(f"{what} must vanish on boundary nodes")
-
-
 def energy(u: ScalarField, prob: Problem) -> float:
-    """I(u) = rho(grad(phi - u)) + <f, u> for a zero-trace u."""
+    """I(u) = rho(grad(phi - u)) + <f, u> for a zero-trace u, <f, u> = load . u."""
     _require_zero_trace(prob.grid, u.values, "u")
     w_vals = prob.phi.values - u.values
     value = modular_value(w_vals, prob.grid, prob.phase, "gradient")
-    return value + l2_pairing(prob.f, u)
+    return value + float(np.dot(prob.load, u.values))
 
 
 def _flux(phase: PhaseStructure, w_grad: np.ndarray) -> np.ndarray:
@@ -284,9 +275,7 @@ def minimize(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
     if opts.initial_guess is None:
         u = np.zeros(grid.n_nodes)
     else:
-        u = np.asarray(opts.initial_guess, dtype=float).reshape(-1).copy()
-        if u.size != grid.n_nodes:
-            raise ValueError("initial guess does not match the grid")
+        u = ScalarField(grid, opts.initial_guess).values.copy()
         _require_zero_trace(grid, u, "initial guess")
 
     E = energy(ScalarField(grid, u), prob)

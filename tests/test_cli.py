@@ -240,6 +240,7 @@ def _with(section, key, value):
         ("solve", _with("domain", "extents", [["0", "1"]])),
         ("solve", _with("domain", "extents", [[False, 1]])),
         ("solve", _with("domain", "resolution", ["8"])),
+        ("solve", _with("domain", "extents", [[-1e308, 1e308]])),
     ],
     ids=["samples-text", "samples-negative", "amplitude-text", "dual-bound-negative",
          "two-start-text", "resolution-fractional", "source-eval-error",
@@ -252,13 +253,45 @@ def _with(section, key, value):
          "amplitude-negative", "amplitude-nan", "amplitude-double-overflows",
          "output-dir-int", "seed-negative", "seed-negative-check-monotone",
          "seed-flag-negative-verify-uc", "dim-fractional", "dim-bool", "dim-text",
-         "extents-text", "extents-bool", "resolution-text"],
+         "extents-text", "extents-bool", "resolution-text", "extents-width-overflows"],
 )
 def test_config_holes_exit_1(tmp_path, capsys, command, cfg):
     command, *flags = command.split()
     cfg_path = write_config(tmp_path, cfg)
     assert run_cli([command, cfg_path, *flags, "--out-dir", tmp_path / "out"]) == 1
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize(
+    "args,code",
+    [
+        (["solve"], 1),
+        (["norm", "{cfg}", "--field", "x", "--kind", "bogus"], 1),
+        (["solve", "{cfg}", "--seed", "abc"], 1),
+        (["--help"], 0),
+        (["solve", "--help"], 0),
+    ],
+    ids=["missing-config", "kind-bogus", "seed-text", "help", "solve-help"],
+)
+def test_usage_errors_exit_1_and_help_0(tmp_path, capsys, args, code):
+    cfg_path = write_config(tmp_path, laplace_config(n=8))
+    assert main([a.format(cfg=cfg_path) for a in args]) == code
+    captured = capsys.readouterr()
+    assert "usage: doublephase" in captured.out + captured.err
+
+
+@pytest.mark.parametrize(
+    "p,dual_bound", [("2", 1e308), ("1.01", 1e4)], ids=["huge-bound", "p-near-1"]
+)
+def test_overflowed_energy_floor_is_written_as_null(tmp_path, p, dual_bound):
+    cfg = laplace_config(n=8)
+    cfg["phase"]["p"] = p
+    cfg["solver"].update(dual_bound=dual_bound, max_iterations=50)
+    out = tmp_path / "out"
+    assert run_cli(["solve", write_config(tmp_path, cfg), "--out-dir", out]) in (0, 2)
+    results = read_json((out / "report.json").read_text())["results"]
+    assert results["lower_bound"] is None
+    assert results["dual_bound"] == dual_bound
 
 
 def test_norm_command(tmp_path, capsys):
@@ -327,6 +360,19 @@ def test_norm_extreme_field_scales(tmp_path, capsys, field):
             assert entry["sandwich_holds"] is True
     overflowed = [entry["modular"] is None for entry in payload["kinds"].values()]
     assert overflowed == [field == "1e50*x"] * 3
+
+
+def test_norm_on_a_small_domain_with_a_large_exponent(tmp_path, capsys):
+    # the first Newton step of the Luxemburg root overshoots until w e^(-r s)
+    # overflows; the iterates must stay finite
+    cfg = laplace_config()
+    cfg["domain"] = {"dim": 2, "extents": [[0, 1e-4], [0, 1e-4]], "resolution": [16, 16]}
+    cfg["phase"] = {"p": "1.5", "phases": [{"q": "60", "mu": "1"}]}
+    args = ["--field", "x*y", "--kind", "gradient"]
+    assert run_cli(["norm", write_config(tmp_path, cfg), *args]) == 0
+    entry = read_json(capsys.readouterr().out)["kinds"]["gradient"]
+    assert np.isfinite(entry["luxemburg_norm"]) and entry["luxemburg_norm"] > 0
+    assert entry["sandwich_holds"] is True
 
 
 def test_verify_uc_command(tmp_path, capsys):
@@ -435,3 +481,8 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     payload = read_json(proc.stdout)
     assert payload["kinds"]["gradient"]["luxemburg_norm"] > 0
+    usage = subprocess.run(
+        [sys.executable, "-m", "doublephase", "solve"], capture_output=True, text=True
+    )
+    assert usage.returncode == 1
+    assert "the following arguments are required: config" in usage.stderr

@@ -40,10 +40,39 @@ def test_build_grid_2d():
 def test_degenerate_extent():
     with pytest.raises(ValueError, match="degenerate extent"):
         build_grid(1, [(0, 0)], [4])
+    # hi - lo overflows: every cell size would be infinite
+    with pytest.raises(ValueError, match="degenerate extent"):
+        build_grid(1, [(-1e308, 1e308)], [4])
     with pytest.raises(ValueError, match="resolution"):
         build_grid(1, [(0, 1)], [1])
     with pytest.raises(ValueError, match="integral"):
         build_grid(1, [(0, 1)], [8.7])
+
+
+def _former_axes(grid, centers):
+    """The per-axis construction node_coords and cell_centers used to call."""
+    axes = []
+    for axis in range(grid.dim):
+        lo, hi = grid.extents[axis]
+        if centers:
+            axes.append(lo + grid.cell_size[axis] * (np.arange(grid.resolution[axis]) + 0.5))
+        else:
+            axes.append(np.linspace(lo, hi, grid.resolution[axis] + 1))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+
+
+@pytest.mark.parametrize(
+    "dim,extents,resolution",
+    [(1, [(-0.3, 1.7)], [37]), (2, [(0.1, 1.0), (-2.5, 3.3)], [7, 12])],
+    ids=["1D", "2D"],
+)
+def test_lattices_keep_the_per_axis_bytes(dim, extents, resolution):
+    g = build_grid(dim, extents, resolution)
+    nodes, centers = g.node_coords(), g.cell_centers()
+    assert nodes.shape == (g.n_nodes, dim) and centers.shape == (g.n_cells, dim)
+    assert nodes.tobytes() == _former_axes(g, centers=False).tobytes()
+    assert centers.tobytes() == _former_axes(g, centers=True).tobytes()
 
 
 def test_gradient_linear_1d():

@@ -130,6 +130,58 @@ def test_luxemburg_unit_modular_and_homogeneity_across_scales(
     assert norm == pytest.approx(c * base, rel=1e-12)
 
 
+# a small domain and a large exponent: rho(u / max|part|) is tiny, and the
+# first Newton step lands so far past the root that w e^(-r s) overflows
+@pytest.mark.parametrize(
+    "dim,side,q",
+    [(2, 1e-4, 60.0), (2, 1e-8, 30.0), (1, 1e-8, 200.0), (1, 1e-300, 60.0)],
+    ids=["2D-1e-4-q60", "2D-1e-8-q30", "1D-1e-8-q200", "1D-1e-300-q60"],
+)
+def test_luxemburg_survives_a_first_step_that_overflows(dim, side, q):
+    grid = build_grid(dim, [(0, side)] * dim, [16] * dim)
+    ph = make_phase(grid, 1.5, [(q, 1.0)])
+    u = ScalarField(grid, np.prod(grid.node_coords(), axis=1))  # x, or x*y
+    for kind in ("gradient", "sobolev"):
+        norm = luxemburg_norm(u, ph, kind)
+        assert np.isfinite(norm) and norm > 0
+        assert abs(rho(ScalarField(grid, u.values / norm), ph, kind).value - 1.0) <= 1e-10
+
+
+def _former_luxemburg(u_values, grid, phase, kind):
+    """The undamped Newton iteration of ``_luxemburg`` before overflow handling."""
+    mags = [modular._magnitude(u_values, grid, p) for p in modular._PARTS[kind]]
+    top = max(float(np.max(t)) for t in mags)
+    if top == 0.0:
+        return 0.0
+    terms = phase.terms()
+    w = np.concatenate([grid.cell_volume * c * (t / top) ** r for t in mags for r, c in terms])
+    r = np.concatenate([r for r, _ in terms] * len(mags))
+    keep = w > 0.0
+    w, r = w[keep], r[keep]
+    s = 0.0
+    for _ in range(modular.MAX_NEWTON_STEPS):
+        e = w * np.exp(-r * s)
+        total = np.sum(e)
+        step = np.log(total) * total / np.sum(r * e)
+        s += step
+        if abs(step) <= modular.NEWTON_STEP_TOLERANCE:
+            break
+    return float(top * np.exp(s))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_luxemburg_keeps_the_undamped_newton_bits(dim):
+    # wherever the undamped iteration stays finite, the norm is unchanged
+    rng = np.random.default_rng(17 + dim)
+    grid = build_grid(dim, [(0, 1)] * dim, [12] * dim)
+    for _ in range(20):
+        ph = random_phase(rng, grid, k=int(rng.integers(1, 3)))
+        u = random_field(rng, grid, scale=10.0 ** rng.uniform(-6, 6))
+        for kind in KINDS:
+            expected = _former_luxemburg(u.values, grid, ph, kind)
+            assert luxemburg_norm(u, ph, kind) == expected
+
+
 def test_sandwich_unit_modular_fixed_point():
     # scale a field so that rho(u) = 1; then lower = upper = norm = 1
     rng = np.random.default_rng(3)

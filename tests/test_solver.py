@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doublephase.mesh import ScalarField, boundary_mask, build_grid
-from doublephase.modular import rho
+from doublephase.modular import poincare_ratio, rho
 from doublephase.solver import (
     Problem,
     SolverError,
@@ -67,10 +67,67 @@ def test_energy_trivial_cases():
     # with f = 0 the energy at u = 0 is the gradient modular of phi
     x = grid.node_coords()[:, 0]
     prob_phi = make_problem(grid, 2.0, [(3.0, 1.0)], phi_values=x**2)
-    from doublephase.modular import rho
+    from doublephase.modular import poincare_ratio, rho
 
     expected = rho(ScalarField(grid, x**2), prob_phi.phase, "gradient").value
     assert energy(ScalarField.zeros(grid), prob_phi) == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_energy_pairs_u_with_the_problem_load(dim):
+    # one pairing: energy adds dot(load, u) to the modular, bit for bit
+    from doublephase.modular import l2_pairing, modular_value
+
+    grid = build_grid(dim, [(0, 1)] * dim, [9] * dim)
+    rng = np.random.default_rng(40 + dim)
+    # small fields and exponents 4: the modular is far below the pairing, so
+    # the pairing's last bits show in the sum
+    prob = make_problem(
+        grid, 4.0, [(4.0, 0.5)], f_values=rng.normal(size=grid.n_nodes),
+        phi_values=1e-2 * rng.normal(size=grid.n_nodes),
+    )
+    for _ in range(10):
+        u = ScalarField(grid, zero_trace_random(grid, rng, scale=1e-2))
+        value = modular_value(prob.phi.values - u.values, grid, prob.phase, "gradient")
+        assert energy(u, prob) == value + float(np.dot(prob.load, u.values))
+    # at the zero start both pairings are exactly 0.0: the former form, the
+    # cell-average pairing l2_pairing(f, u), gives the same bits there
+    zero = ScalarField.zeros(grid)
+    value = modular_value(prob.phi.values, grid, prob.phase, "gradient")
+    assert energy(zero, prob) == value + l2_pairing(prob.f, zero) == value
+
+
+ZERO_TRACE_ERROR = r"must vanish on boundary nodes \(a zero boundary trace\)"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda prob, u: energy(ScalarField(prob.grid, u), prob),
+        lambda prob, u: energy_gradient(ScalarField(prob.grid, u), prob),
+        lambda prob, u: minimize(prob, SolverOptions(initial_guess=u)),
+        lambda prob, u: poincare_ratio(ScalarField(prob.grid, u), prob.phase),
+    ],
+    ids=["energy", "energy_gradient", "initial_guess", "poincare_ratio"],
+)
+def test_zero_trace_arguments_share_one_check(call):
+    grid = build_grid(2, [(0, 1)] * 2, [4, 4])
+    prob = make_problem(grid, 2.0, [(3.0, 1.0)])
+    u = np.zeros(grid.n_nodes)
+    u[boundary_mask(grid).nonzero()[0][3]] = 1e-300
+    with pytest.raises(ValueError, match=ZERO_TRACE_ERROR):
+        call(prob, u)
+
+
+def test_initial_guess_is_validated_as_a_field():
+    grid = build_grid(1, [(0, 1)], [8])
+    prob = make_problem(grid, 2.0, [(3.0, 1.0)], f_values=np.ones(grid.n_nodes))
+    with pytest.raises(ValueError, match="does not match node count"):
+        minimize(prob, SolverOptions(initial_guess=np.zeros(grid.n_nodes + 1)))
+    nan = np.zeros(grid.n_nodes)
+    nan[4] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        minimize(prob, SolverOptions(initial_guess=nan))
 
 
 def test_energy_classical_reduction():
