@@ -39,10 +39,10 @@ class ConfigError(Exception):
 
 
 # Every SolverOptions field except the initial guess and the seed (set at the
-# config's top level), plus the Problem's dual bound.
+# config's top level).
 _SOLVER_DEFAULTS = {
     f.name: f.default for f in fields(SolverOptions) if f.name not in ("initial_guess", "seed")
-} | {"dual_bound": None}
+}
 
 _VERIFY_DEFAULTS = {
     "samples": 500,
@@ -203,16 +203,12 @@ def build_problem(config: Config) -> Problem:
     phase = build_phase(config)
     phi = ScalarField(grid, sample(config.boundary_expr, grid, "nodes"))
     f = ScalarField(grid, sample(config.source_expr, grid, "nodes"))
-    try:
-        return Problem(grid, phase, phi, f, dual_bound=config.solver["dual_bound"])
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"solver: {err}") from err
+    return Problem(grid, phase, phi, f)
 
 
 def solver_options(config: Config) -> SolverOptions:
-    options = {k: v for k, v in config.solver.items() if k != "dual_bound"}
     try:
-        return SolverOptions(**options, seed=config.seed)
+        return SolverOptions(**config.solver, seed=config.seed)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"solver: {err}") from err
 
@@ -225,11 +221,22 @@ def _versions() -> dict:
     }
 
 
+def _json_numbers(value):
+    """``value`` with every non-finite float, which JSON cannot hold, set to None (null)."""
+    if isinstance(value, dict):
+        return {k: _json_numbers(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_json_numbers(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _report(command: str, config: Config, results: dict, started: float) -> dict:
     return {
         "command": command,
         "config": config.raw,
-        "results": results,
+        "results": _json_numbers(results),
         "seed": config.seed,
         "timing_seconds": time.perf_counter() - started,
         "versions": _versions(),
@@ -270,8 +277,7 @@ def cmd_solve(config: Config, out_dir: Path) -> int:
         "residual": sol.weak_residual,
         "gradient_norm": sol.gradient_norm,
         "dual_bound": sol.dual_bound,
-        # a floor that overflowed to -inf bounds nothing and is not JSON
-        "lower_bound": sol.lower_bound_used if math.isfinite(sol.lower_bound_used) else None,
+        "lower_bound": sol.lower_bound_used,
         "lower_bound_satisfied": sol.lower_bound_satisfied,
     }
     if sol.uc_certificate is not None:
@@ -302,14 +308,13 @@ def cmd_norm(config: Config, field_expr: str, kind: str | None, out_dir: Path | 
         reports = [norm_report(u, phase, k) for k in kinds]
     results: dict = {"field": field_expr, "kinds": {}}
     for r in reports:
-        # an overflowed modular and the sandwich built on it are out of range
-        in_range = bool(np.isfinite(r.modular))
         results["kinds"][r.kind] = {
-            "modular": r.modular if in_range else None,
+            "modular": r.modular,
             "luxemburg_norm": r.norm,
-            "sandwich_lower": r.sandwich_lower if in_range else None,
-            "sandwich_upper": r.sandwich_upper if in_range else None,
-            "sandwich_holds": r.sandwich_holds if in_range else None,
+            "sandwich_lower": r.sandwich_lower,
+            "sandwich_upper": r.sandwich_upper,
+            # a sandwich built on an overflowed modular checks nothing
+            "sandwich_holds": r.sandwich_holds if np.isfinite(r.modular) else None,
         }
     if phase.k == 1:
         results["overline_equivalent"] = all(r.overline_holds for r in reports)
@@ -426,7 +431,7 @@ def main(argv=None) -> int:
     except (ConfigError, EvalError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
-    except SolverError as err:
+    except (SolverError, FloatingPointError) as err:
         print(f"solver error: {err}", file=sys.stderr)
         return 2
     except OSError as err:

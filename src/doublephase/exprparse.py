@@ -37,6 +37,11 @@ _OPERATORS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _VARIABLES = ("x", "y")
 
+# binding strength of each binary operator and of unary minus, for the parser
+# and the printer alike
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_NEG_PRECEDENCE = 3
+
 _NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
@@ -108,20 +113,16 @@ class _Parser:
             raise ParseError(f"expected '{ch}'", self.pos)
         self.pos += 1
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while self.peek() in {"+", "-"}:
-            op = self.src[self.pos]
-            self.pos += 1
-            node = BinOp(op, node, self.parse_term())
-        return node
+    def parse_expr(self, min_prec: int = 1) -> Expr:
+        """Left-associative chain of factors over the operators binding at least ``min_prec``.
 
-    def parse_term(self) -> Expr:
+        Only the operators below unary minus chain here; ``^`` is ``parse_power``'s.
+        """
         node = self.parse_factor()
-        while self.peek() in {"*", "/"}:
+        while min_prec <= (prec := _PRECEDENCE.get(self.peek(), 0)) < _NEG_PRECEDENCE:
             op = self.src[self.pos]
             self.pos += 1
-            node = BinOp(op, node, self.parse_factor())
+            node = BinOp(op, node, self.parse_expr(prec + 1))
         return node
 
     def parse_factor(self) -> Expr:
@@ -259,10 +260,6 @@ def sample(e: Expr, grid, where: str = "nodes") -> np.ndarray:
     else:
         raise ValueError(f"where must be 'nodes' or 'cells', got {where!r}")
     return _evaluate(e, coords)
-
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-_NEG_PRECEDENCE = 3
 
 
 def _prec(e: Expr) -> int:

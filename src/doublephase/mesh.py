@@ -74,6 +74,9 @@ class Grid:
         for n in self.resolution:
             if n < 2:
                 raise ValueError(f"resolution must be >= 2 per axis, got {n}")
+        # every quadrature weighs by the cell volume, so none may underflow to 0
+        if self.cell_volume == 0.0:
+            raise ValueError(f"cell volume of {self.cell_size} underflows to 0")
 
     @cached_property
     def cell_size(self) -> tuple[float, ...]:
@@ -146,6 +149,16 @@ def _is_finite(value) -> bool:
     return _is_number(value) and math.isfinite(value)
 
 
+def _finite_samples(values, n: int, point: str, what: str) -> np.ndarray:
+    """A fresh, flat, read-only float copy of ``values``: one finite value per point."""
+    v = np.asarray(values, dtype=float).reshape(-1).copy()
+    if v.size != n:
+        raise ValueError(f"{what}: value count {v.size} does not match {point} count {n}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{what} contains non-finite values")
+    return _readonly(v)
+
+
 def build_grid(dim, extents, resolution) -> Grid:
     """Validate and build a Grid from plain sequences.
 
@@ -172,14 +185,8 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).reshape(-1).copy()
-        if v.size != self.grid.n_nodes:
-            raise ValueError(
-                f"value count {v.size} does not match node count {self.grid.n_nodes}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("scalar field contains non-finite values")
-        object.__setattr__(self, "values", _readonly(v))
+        values = _finite_samples(self.values, self.grid.n_nodes, "node", "scalar field")
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def zeros(cls, grid: Grid) -> "ScalarField":

@@ -16,7 +16,9 @@ so every modular is a finite weighted sum and is convex, symmetric, and
 strictly decreasing in the Luxemburg scaling parameter wherever positive.
 The Luxemburg norm solves log rho(u / lambda) = 0 by Newton's method in
 log lambda, over per-cell magnitudes divided by their maximum; a step whose
-modular overflows is halved.
+modular overflows is halved.  A norm whose unit-modular check leaves the float
+range (squared gradients that overflow, a subnormal cell volume) raises
+``FloatingPointError``.
 """
 
 from __future__ import annotations
@@ -172,6 +174,9 @@ def _luxemburg(
                 break
     lam = float(top * np.exp(s))
     residual = modular_value(u_values / lam, grid, phase, kind, bar=bar) - 1.0
+    if not math.isfinite(residual):
+        # a magnitude, a cell weight or the root itself left the float range
+        raise FloatingPointError(f"luxemburg norm out of float range: residual {residual}")
     if not abs(residual) <= UNIT_MODULAR_TOLERANCE:
         raise RuntimeError(f"luxemburg Newton did not reach unit modular: residual {residual}")
     return lam

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh import Grid, _readonly
+from .mesh import Grid, _finite_samples
 
 # Guard against float dust: the convexity modulus degenerates as the smallest
 # exponent approaches 1, so sampled exponents must clear 1 by this margin.
@@ -51,27 +51,19 @@ class PhaseStructure:
 
     def __post_init__(self):
         n = self.grid.n_cells
-        p = np.asarray(self.p_cells, dtype=float).reshape(-1).copy()
-        if p.size != n:
-            raise ValueError(f"p has {p.size} samples, expected {n} cells")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("p contains non-finite samples")
-        object.__setattr__(self, "p_cells", _readonly(p))
+        p = _finite_samples(self.p_cells, n, "cell", "p")
+        object.__setattr__(self, "p_cells", p)
         if len(self.phases) < 1:
             raise ValueError("at least one (q, mu) phase is required")
         pairs = []
         for j, pair in enumerate(self.phases):
-            q = np.asarray(pair.q_cells, dtype=float).reshape(-1).copy()
-            mu = np.asarray(pair.mu_cells, dtype=float).reshape(-1).copy()
-            if q.size != n or mu.size != n:
-                raise ValueError(f"phase {j} field size does not match {n} cells")
-            if not (np.all(np.isfinite(q)) and np.all(np.isfinite(mu))):
-                raise ValueError(f"phase {j} contains non-finite samples")
+            q = _finite_samples(pair.q_cells, n, "cell", f"q_{j}")
+            mu = _finite_samples(pair.mu_cells, n, "cell", f"mu_{j}")
             if np.any(mu < 0):
                 raise ValueError(
                     f"weight mu_{j} must be nonnegative, sampled minimum {mu.min()}"
                 )
-            pairs.append(PhasePair(_readonly(q), _readonly(mu)))
+            pairs.append(PhasePair(q, mu))
         object.__setattr__(self, "phases", tuple(pairs))
         m = min(float(p.min()), *(float(pr.q_cells.min()) for pr in pairs))
         if m < 1.0 + MIN_EXPONENT_MARGIN:

@@ -78,7 +78,6 @@ class Problem:
     phase: PhaseStructure
     phi: ScalarField
     f: ScalarField
-    dual_bound: float | None = None
 
     def __post_init__(self):
         if self.phase.grid is not self.grid and self.phase.grid.cell_shape != self.grid.cell_shape:
@@ -86,9 +85,6 @@ class Problem:
         for name, fld in (("phi", self.phi), ("f", self.f)):
             if fld.values.size != self.grid.n_nodes:
                 raise ValueError(f"{name} does not match the grid node count")
-        a = self.dual_bound
-        if a is not None and not (_is_finite(a) and a >= 0):
-            raise ValueError("dual_bound must be null or a finite nonnegative number")
 
     @cached_property
     def load(self) -> np.ndarray:
@@ -112,6 +108,7 @@ class SolverOptions:
     seed: int = 0
     method: str = "cg"  # "cg" or "gd"; both take the curvature step -B^-1 g
     two_start_check: bool = False
+    dual_bound: float | None = None  # None: estimate from dual_probes random probes
     dual_probes: int = 256
     uc_epsilon: float = 0.5
 
@@ -135,6 +132,9 @@ class SolverOptions:
             raise ValueError("method must be 'cg' or 'gd'")
         if not isinstance(self.two_start_check, bool):
             raise ValueError("two_start_check must be true or false")
+        a = self.dual_bound
+        if a is not None and not (_is_finite(a) and a >= 0):
+            raise ValueError("dual_bound must be null or a finite nonnegative number")
         if not (_is_number(self.dual_probes, int) and self.dual_probes >= 0):
             raise ValueError("dual_probes must be a nonnegative integer")
         if not (_is_finite(self.uc_epsilon) and self.uc_epsilon > 0):
@@ -438,8 +438,8 @@ def solve_weak(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution
     sol = minimize(prob, opts)
     sol.weak_residual = weak_residual(sol.w_star, prob)
 
-    if prob.dual_bound is not None:
-        a = prob.dual_bound
+    if opts.dual_bound is not None:
+        a = opts.dual_bound
     else:
         a = estimate_dual_bound(
             prob.f,
@@ -453,9 +453,11 @@ def solve_weak(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution
     lb = lower_bound(a, m, grad_phi_norm)
     sol.dual_bound = a
     sol.lower_bound_used = lb
-    sol.lower_bound_satisfied = bool(
-        np.all(sol.energy_history >= lb - 1e-9 * (1.0 + abs(lb)))
-    )
+    # a floor that overflowed to -inf bounds nothing: lower_bound_satisfied stays None
+    if np.isfinite(lb):
+        sol.lower_bound_satisfied = bool(
+            np.all(sol.energy_history >= lb - 1e-9 * (1.0 + abs(lb)))
+        )
 
     if opts.two_start_check:
         rng = np.random.default_rng([opts.seed, 1])

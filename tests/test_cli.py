@@ -1,11 +1,14 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from doublephase import cli
 from doublephase.cli import ConfigError, build_problem, main, parse_config
+from doublephase.solver import SolverOptions
 
 
 def laplace_config(n=32, **overrides):
@@ -189,6 +192,8 @@ def test_bad_config_exit_code(tmp_path):
 
 
 INF, NAN = float("inf"), float("nan")
+# each side is positive, but the cell volume 2.5e-301 ** 2 underflows to 0
+TINY_2D = {"dim": 2, "extents": [[0, 1e-300]] * 2, "resolution": [4, 4]}
 
 
 def _with(section, key, value):
@@ -241,6 +246,8 @@ def _with(section, key, value):
         ("solve", _with("domain", "extents", [[False, 1]])),
         ("solve", _with("domain", "resolution", ["8"])),
         ("solve", _with("domain", "extents", [[-1e308, 1e308]])),
+        ("solve", laplace_config(domain=TINY_2D)),
+        ("norm --field x", laplace_config(domain=TINY_2D)),
     ],
     ids=["samples-text", "samples-negative", "amplitude-text", "dual-bound-negative",
          "two-start-text", "resolution-fractional", "source-eval-error",
@@ -253,7 +260,8 @@ def _with(section, key, value):
          "amplitude-negative", "amplitude-nan", "amplitude-double-overflows",
          "output-dir-int", "seed-negative", "seed-negative-check-monotone",
          "seed-flag-negative-verify-uc", "dim-fractional", "dim-bool", "dim-text",
-         "extents-text", "extents-bool", "resolution-text", "extents-width-overflows"],
+         "extents-text", "extents-bool", "resolution-text", "extents-width-overflows",
+         "cell-volume-underflows", "cell-volume-underflows-norm"],
 )
 def test_config_holes_exit_1(tmp_path, capsys, command, cfg):
     command, *flags = command.split()
@@ -291,7 +299,55 @@ def test_overflowed_energy_floor_is_written_as_null(tmp_path, p, dual_bound):
     assert run_cli(["solve", write_config(tmp_path, cfg), "--out-dir", out]) in (0, 2)
     results = read_json((out / "report.json").read_text())["results"]
     assert results["lower_bound"] is None
+    # a floor of -inf bounds nothing, so nothing is satisfied
+    assert results["lower_bound_satisfied"] is None
     assert results["dual_bound"] == dual_bound
+
+
+# the seeded second start has gradients ~1e5 on cells 6.25e-6 wide, whose 60th
+# powers overflow in the certificate, the flux and the modular
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_results_are_written_as_null(tmp_path):
+    cfg = laplace_config(
+        domain={"dim": 2, "extents": [[0, 1e-4]] * 2, "resolution": [16, 16]},
+        phase={"p": "1.5", "phases": [{"q": "60", "mu": "1"}]},
+        source="1",
+        solver={"two_start_check": True, "dual_probes": 20},
+    )
+    out = tmp_path / "out"
+    assert run_cli(["solve", write_config(tmp_path, cfg), "--out-dir", out]) == 0
+    results = read_json((out / "report.json").read_text())["results"]
+    assert results["uniqueness"]["certificate"] is None
+
+
+# a dual-bound probe's squared gradients overflow (1D cells 6.25e-157 wide,
+# 2D 2.5e-155), the cell volume 6.25e-312 is subnormal, or a sweep field's
+# squared gradients overflow: the Luxemburg root leaves the float range
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "command,domain",
+    [
+        ("solve", {"dim": 1, "extents": [[0, 1e-155]], "resolution": [16]}),
+        ("solve", {"dim": 2, "extents": [[0, 1e-154]] * 2, "resolution": [4, 4]}),
+        ("norm --field x", {"dim": 2, "extents": [[0, 1e-155]] * 2, "resolution": [4, 4]}),
+        ("check-sandwich", {"dim": 1, "extents": [[0, 1e-150]], "resolution": [16]}),
+    ],
+    ids=["solve-1d-probe-overflow", "solve-2d-probe-overflow", "norm-subnormal-volume",
+         "sandwich-field-overflow"],
+)
+def test_out_of_range_norms_exit_2(tmp_path, capsys, command, domain):
+    command, *flags = command.split()
+    cfg = laplace_config(domain=domain, verify={"samples": 20})
+    cfg_path = write_config(tmp_path, cfg)
+    assert run_cli([command, cfg_path, *flags, "--out-dir", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err.startswith("solver error: luxemburg norm out of float range")
+
+
+def test_solver_keys_are_the_solver_options():
+    # every solver setting has one home: a SolverOptions field
+    names = {f.name for f in fields(SolverOptions)} - {"initial_guess", "seed"}
+    assert set(cli._SOLVER_DEFAULTS) == names
+    assert len(cli._SOLVER_DEFAULTS) == 12
 
 
 def test_norm_command(tmp_path, capsys):

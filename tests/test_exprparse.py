@@ -14,6 +14,7 @@ from doublephase.exprparse import (
     Num,
     ParseError,
     Var,
+    _Parser,
     eval_at,
     parse,
     pretty,
@@ -123,6 +124,52 @@ CORPUS = [
 def test_pretty_roundtrip_corpus(src):
     ast = parse(src)
     assert parse(pretty(ast)) == ast
+
+
+class _TwoMethodParser(_Parser):
+    """The former parser, whose method structure fixed the binding of + - and * /."""
+
+    def parse_expr(self):
+        node = self.parse_term()
+        while self.peek() in {"+", "-"}:
+            op = self.src[self.pos]
+            self.pos += 1
+            node = BinOp(op, node, self.parse_term())
+        return node
+
+    def parse_term(self):
+        node = self.parse_factor()
+        while self.peek() in {"*", "/"}:
+            op = self.src[self.pos]
+            self.pos += 1
+            node = BinOp(op, node, self.parse_factor())
+        return node
+
+
+def _two_method_parse(src):
+    p = _TwoMethodParser(src)
+    node = p.parse_expr()
+    p.skip_ws()
+    if p.pos != len(src):
+        raise ParseError("trailing input", p.pos)
+    return node
+
+
+def _outcome(parser, src):
+    """The AST, or the message and offset of the ParseError."""
+    try:
+        return parser(src)
+    except ParseError as err:
+        return err.message, err.offset
+
+
+MALFORMED = ["1 + 2 )", "1 +", "* 2", "2 ^", "x - - ", "(1 + 2", "1 + foo(x)",
+             "max(1, 2", "sin(x, y)", "1 2", "2 / * 3", "q0 - 1", "-", ""]
+
+
+@pytest.mark.parametrize("src", CORPUS + MALFORMED)
+def test_precedence_table_parses_like_the_two_method_parser(src):
+    assert _outcome(parse, src) == _outcome(_two_method_parse, src)
 
 
 def asts(numbers):

@@ -47,6 +47,9 @@ def test_degenerate_extent():
         build_grid(1, [(0, 1)], [1])
     with pytest.raises(ValueError, match="integral"):
         build_grid(1, [(0, 1)], [8.7])
+    # each side 2.5e-301 is positive, but their product underflows
+    with pytest.raises(ValueError, match="cell volume .* underflows to 0"):
+        build_grid(2, [(0, 1e-300)] * 2, [4, 4])
 
 
 def _former_axes(grid, centers):
@@ -409,6 +412,17 @@ def test_scalar_field_validation():
         ScalarField(g, np.zeros(4))
     with pytest.raises(ValueError, match="non-finite"):
         ScalarField(g, [0, 1, np.nan, 2, 3])
+    with pytest.raises(ValueError, match="non-finite"):
+        ScalarField(g, [0, 1, np.inf, 2, 3])
+
+
+def test_scalar_field_keeps_a_read_only_copy():
+    g = build_grid(2, [(0, 1)] * 2, [2, 2])
+    source = np.arange(9.0).reshape(3, 3)
+    u = ScalarField(g, source)
+    source[0, 0] = -1.0
+    assert u.values.shape == (9,) and u.values[0] == 0.0
+    assert not u.values.flags.writeable
 
 
 def _corner_weights_by_pair_scan(grid):

@@ -122,6 +122,33 @@ def test_validation_rejects_bad_exponents():
         make_phase(GRID, 2.0, [(3.0, -0.5)])
 
 
+@pytest.mark.parametrize("which", ["p", "q", "mu"])
+@pytest.mark.parametrize(
+    "bad,match",
+    [(None, "does not match cell count 8"), (np.nan, "non-finite"), (np.inf, "non-finite")],
+    ids=["short", "nan", "inf"],
+)
+def test_validation_rejects_bad_samples(which, bad, match):
+    # ``which`` is one cell short (bad None) or holds ``bad`` at cell 3
+    a = {"p": np.full(8, 2.0), "q": np.full(8, 3.0), "mu": np.full(8, 0.5)}
+    if bad is None:
+        a[which] = a[which][:-1]
+    else:
+        a[which][3] = bad
+    with pytest.raises(ValueError, match=match):
+        PhaseStructure(GRID, a["p"], (PhasePair(a["q"], a["mu"]),))
+
+
+def test_phase_keeps_read_only_copies():
+    p, q, mu = np.full(8, 2.0), np.full(8, 3.0), np.full(8, 0.5)
+    ph = PhaseStructure(GRID, p, (PhasePair(q, mu),))
+    for source in (p, q, mu):
+        source[:] = 7.0
+    stored = (ph.p_cells, ph.phases[0].q_cells, ph.phases[0].mu_cells)
+    assert [float(x[0]) for x in stored] == [2.0, 3.0, 0.5]
+    assert not any(x.flags.writeable for x in stored)
+
+
 def numeric_matuszewska(p, q, mu):
     """Brute-force index estimate from the definition, in log space."""
     log_t = np.log(2.0) * np.arange(1, 21)  # t = 2, 4, ..., 2^20

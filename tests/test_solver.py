@@ -58,6 +58,20 @@ def test_solver_options_reject_bad_seed(seed):
         SolverOptions(seed=seed, two_start_check=True)
 
 
+@pytest.mark.parametrize("bound", [-1, float("nan"), float("inf"), True, "1"])
+def test_solver_options_reject_bad_dual_bound(bound):
+    with pytest.raises(ValueError, match="dual_bound must be null or a finite nonnegative"):
+        SolverOptions(dual_bound=bound)
+
+
+def test_solve_weak_uses_the_dual_bound_option():
+    grid = build_grid(1, [(0, 1)], [8])
+    prob = make_problem(grid, 2.0, [(3.0, 1.0)], f_values=np.ones(grid.n_nodes))
+    sol = solve_weak(prob, SolverOptions(dual_bound=2.5))
+    assert sol.dual_bound == 2.5
+    assert sol.lower_bound_used == lower_bound(2.5, 2.0, 0.0)
+
+
 def test_energy_trivial_cases():
     grid = build_grid(1, [(0, 1)], [8])
     prob = make_problem(grid, 2.0, [(3.0, 1.0)])
