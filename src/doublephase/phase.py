@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh import Grid, _finite_samples
+from .mesh import Grid, _finite_samples, _readonly
 
 # Guard against float dust: the convexity modulus degenerates as the smallest
 # exponent approaches 1, so sampled exponents must clear 1 by this margin.
@@ -92,24 +92,32 @@ class PhaseStructure:
             M=max(p_plus, *q_plus),
         )
 
-    def terms(self, bar: bool = False) -> list[tuple[np.ndarray, np.ndarray]]:
+    def terms(self, bar: bool = False) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """The integrand as (exponent, coefficient) per-cell array pairs.
 
         With ``bar`` the coefficients are 1 and mu_j instead of 1/p and mu_j/q_j.
         """
-        if bar:
-            out = [(self.p_cells, np.ones_like(self.p_cells))]
-            out += [(pr.q_cells, pr.mu_cells) for pr in self.phases]
-        else:
-            out = [(self.p_cells, 1.0 / self.p_cells)]
-            out += [(pr.q_cells, pr.mu_cells / pr.q_cells) for pr in self.phases]
-        return out
+        return self._terms[bar]
+
+    @cached_property
+    def _terms(self) -> dict[bool, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+        # formed once per structure: read-only, like the samples they derive from
+        ones = _readonly(np.ones_like(self.p_cells))
+        inv_p = _readonly(1.0 / self.p_cells)
+        return {
+            True: ((self.p_cells, ones), *((pr.q_cells, pr.mu_cells) for pr in self.phases)),
+            False: (
+                (self.p_cells, inv_p),
+                *((pr.q_cells, _readonly(pr.mu_cells / pr.q_cells)) for pr in self.phases),
+            ),
+        }
 
     def h_of(self, t: np.ndarray, bar: bool = False) -> np.ndarray:
         """Integrand values per cell for nonnegative per-cell arguments t."""
         t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for r, c in self.terms(bar=bar):
+        (r, c), *rest = self.terms(bar=bar)
+        out = c * t**r
+        for r, c in rest:
             out += c * t**r
         return out
 

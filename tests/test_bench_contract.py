@@ -11,6 +11,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from doublephase import cli
@@ -50,3 +51,27 @@ def test_pinned_cli_solver_settings_parse():
 
 def test_pinned_library_options_build():
     assert isinstance(_load("workloads")._options(1e-6, True), SolverOptions)
+
+
+def test_traced_roots_make_one_stacked_check_each():
+    # bench/run.py reads modular.evals_per_norm as the modular_value calls made
+    # inside modular._luxemburg per _luxemburg call: a stack of dual-bound
+    # probes is rooted by one call and checked by one stacked modular_value
+    from doublephase import modular
+    from doublephase.mesh import ScalarField, build_grid
+    from doublephase.phase import PhasePair, PhaseStructure
+
+    grid = build_grid(1, [(0, 1)], [64])
+    n = grid.n_cells
+    phase = PhaseStructure(grid, np.full(n, 1.5), (PhasePair(np.full(n, 3.0), np.ones(n)),))
+    f = ScalarField(grid, np.ones(grid.n_nodes))
+    tr = _load("tracer").Tracer()
+    tr.install()
+    try:
+        modular.estimate_dual_bound(f, phase, n_probes=70, seed=0)
+    finally:
+        tr.uninstall()
+    assert tr.absent == []
+    roots = tr.calls("modular._luxemburg")
+    assert roots == -(-70 // (modular.STACK_CELLS // n))
+    assert tr.calls("modular.modular_value", parent="modular._luxemburg") == roots

@@ -493,6 +493,17 @@ def test_check_sandwich(tmp_path, capsys):
     assert read_json(capsys.readouterr().out)["fails"] == 0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_check_sandwich_passes_samples_whose_modular_overflows(tmp_path, capsys):
+    # as `norm` writes null for such a sandwich, the sweep counts no failure
+    cfg = laplace_config(domain={"dim": 1, "extents": [[0, 1e-100]], "resolution": [16]})
+    cfg["phase"] = {"p": "1.5", "phases": [{"q": "3", "mu": "1"}]}
+    cfg["verify"] = {"samples": 20}
+    del cfg["seed"]
+    assert run_cli(["check-sandwich", write_config(tmp_path, cfg)]) == 0
+    assert read_json(capsys.readouterr().out)["fails"] == 0
+
+
 def _strip_timing(text: str) -> str:
     payload = read_json(text)
     payload.pop("timing_seconds", None)

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,6 +185,73 @@ def test_luxemburg_keeps_the_undamped_newton_bits(dim):
             assert luxemburg_norm(u, ph, kind) == expected
 
 
+def _assert_rows_match_one_row_roots(stack, grid, ph, kind, bar=False):
+    norms = _luxemburg(stack, grid, ph, kind, bar=bar)
+    assert norms.shape == (len(stack),)
+    for row, norm in zip(stack, norms):
+        assert norm == _luxemburg(row, grid, ph, kind, bar=bar)
+
+
+@pytest.mark.parametrize("bar", [False, True])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stacked_root_equals_each_row_rooted_alone(dim, bar):
+    # rows from 1e-3 to 1e3 take different numbers of Newton steps: every row
+    # must stop on its own step and keep the bits of its one-row root
+    rng = np.random.default_rng(30 + dim)
+    grid = build_grid(dim, [(0, 1)], [40]) if dim == 1 else build_grid(2, [(0, 1)] * 2, [7, 9])
+    for _ in range(4):
+        ph = random_phase(rng, grid, k=int(rng.integers(1, 3)))
+        scales = 10.0 ** rng.uniform(-3, 3, size=(10, 1))
+        stack = scales * rng.normal(size=(10, grid.n_nodes))
+        for kind in KINDS:
+            _assert_rows_match_one_row_roots(stack, grid, ph, kind, bar)
+
+
+@pytest.mark.parametrize("kind", ["gradient", "sobolev"])
+def test_stacked_root_mixes_null_sparse_and_overflowing_rows(kind):
+    # on a 2D domain of side 1e-4 with q = 60 the first Newton step of x*y
+    # and of a random field overflows and is halved, that of x and x + y does
+    # not; a null row has norm 0, and a field flat on half the domain lacks
+    # gradient entries the others have, so it is rooted alone
+    grid = build_grid(2, [(0, 1e-4)] * 2, [16, 16])
+    ph = make_phase(grid, 1.5, [(60.0, 1.0)])
+    x, y = grid.node_coords().T
+    rng = np.random.default_rng(4)
+    rows = {
+        "x": x,
+        "null": np.zeros(grid.n_nodes),
+        "xy": x * y,
+        "half-flat": np.maximum(x - 5e-5, 0.0),
+        "x+y": x + y,
+        "random": rng.normal(size=grid.n_nodes),
+    }
+    stack = np.array(list(rows.values()))
+    with np.errstate(all="ignore"):
+        undamped = {name: _former_luxemburg(u, grid, ph, kind) for name, u in rows.items()}
+    assert all(not np.isfinite(undamped[name]) for name in ("xy", "random"))
+    for name in ("x", "x+y"):
+        assert undamped[name] == _luxemburg(rows[name], grid, ph, kind)
+    _assert_rows_match_one_row_roots(stack, grid, ph, kind)
+    assert _luxemburg(stack, grid, ph, kind)[1] == 0.0
+    # half-flat's lacking entries leave the other rows' sums unchanged
+    _assert_rows_match_one_row_roots(stack[[0, 2, 4, 5]], grid, ph, kind)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stacked_root_raises_for_a_row_out_of_float_range():
+    # cells 6.25e-157 wide: the random row's squared gradients overflow
+    grid = build_grid(1, [(0, 1e-155)], [16])
+    ph = make_phase(grid, 1.5, [(3.0, 1.0)])
+    rng = np.random.default_rng(6)
+    fine = 1e-160 * rng.normal(size=grid.n_nodes)
+    stack = np.array([fine, rng.normal(size=grid.n_nodes), fine])
+    assert np.isfinite(_luxemburg(fine, grid, ph, "gradient"))
+    with pytest.raises(FloatingPointError, match="out of float range"):
+        _luxemburg(stack[1], grid, ph, "gradient")
+    with pytest.raises(FloatingPointError, match="out of float range"):
+        _luxemburg(stack, grid, ph, "gradient")
+
+
 def test_sandwich_unit_modular_fixed_point():
     # scale a field so that rho(u) = 1; then lower = upper = norm = 1
     rng = np.random.default_rng(3)
@@ -314,6 +384,21 @@ def test_sweep_sandwich_matches_the_per_sample_loop(monkeypatch, dim, k, seed):
     assert 0 < expected["fails"] < 25
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_overflowed_modular_checks_no_sandwich():
+    # cells 6.25e-102 wide: a field of size 100 has gradients ~1e103, whose
+    # cubes overflow the raw modular, while its Luxemburg norms stay finite
+    grid = build_grid(1, [(0, 1e-100)], [16])
+    ph = make_phase(grid, 1.5, [(3.0, 1.0)])
+    u = random_field(np.random.default_rng(13), grid, scale=100.0)
+    report = norm_report(u, ph, "gradient")
+    assert report.modular == np.inf and report.sandwich_holds is None
+    assert np.isfinite(report.norm) and report.overline_holds is True
+    # such samples are neither passes nor failures of the sweep; the same
+    # draws failed 4 of 20 samples when a missing sandwich counted as failed
+    assert sweep_sandwich(grid, ph, 20, 0) == {"samples": 20, "fails": 0}
+
+
 def test_poincare_ratio():
     ph = make_phase(GRID, 2.0, [(3.0, 1.0)])
     x = GRID.node_coords()[:, 0]
@@ -389,6 +474,32 @@ def test_dual_bound_matches_probe_by_probe_pairing(dim):
         u = ScalarField(grid, vals)
         best = max(best, abs(l2_pairing(f, u)) / luxemburg_norm(u, ph, "gradient"))
     assert estimate_dual_bound(f, ph, n_probes=40, seed=5, extra_fields=(extra,)) == 1.01 * best
+
+
+def test_dual_bound_probe_stacks_bound_calls_and_memory(monkeypatch):
+    # the 1D double-phase fixture's 300 probes and one extra field: 8 rows per
+    # stack, each stack taking one gradient pass for its magnitudes and one
+    # for its unit-modular check; one field at a time took 602 passes
+    grid = build_grid(1, [(0, 1)], [256])
+    ph = make_phase(grid, 1.5, [(3.0, grid.cell_centers()[:, 0])])
+    f = ScalarField(grid, np.ones(grid.n_nodes))
+    extra = random_field(np.random.default_rng(12), grid, zero_trace=True)
+    calls = []
+    gradient_values = modular.gradient_values
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return gradient_values(*args, **kwargs)
+
+    monkeypatch.setattr(modular, "gradient_values", counting)
+    tracemalloc.start()
+    try:
+        estimate_dual_bound(f, ph, n_probes=300, seed=0, extra_fields=(extra,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(calls) <= 2 * math.ceil(301 / 8)
+    assert peak < 2**20
 
 
 def test_restricted_modular_mass():
