@@ -9,21 +9,24 @@ Three modular kinds are supported:
 ``rho``, ``modular_value``, ``stacked_rho`` and ``norm_report`` all take
 their integrand values from ``_part_values``, which evaluates each part the
 kinds need once, for one field or a whole stack; ``norm_report`` takes one
-field's magnitudes once for its modular, its norm and both norm-modular checks.
+field's magnitudes once for its modular (an overflow there, which bounds
+nothing, raises no warning), both norms and their unit-modular checks.
 
 All integrals use the one-point cell-center quadrature of the mesh module,
 so every modular is a finite weighted sum and is convex, symmetric, and
 strictly decreasing in the Luxemburg scaling parameter wherever positive.
 The Luxemburg norm solves log rho(u / lambda) = 0 by Newton's method in
 log lambda, over per-cell magnitudes divided by their maximum; a step whose
-modular overflows is halved.  ``_luxemburg`` roots a stack of fields at once,
-row by row: each row takes the steps it would take alone and stops on its own
-step, so every norm is bit-identical to rooting one field at a time, and one
-stacked modular evaluation checks every row's unit modular.  A norm whose check
-leaves the float range (squared gradients that overflow, a subnormal cell
-volume) raises ``FloatingPointError``.  ``estimate_dual_bound`` roots its
-probes in stacks of at most ``STACK_CELLS`` = 2^11 cells, or of one row on a
-larger grid: 8 rows on 256 cells, one on a 64x64 grid.
+modular overflows is halved.  ``_luxemburg`` takes magnitudes only and roots a
+stack of them at once, row by row: each row takes the steps it would take alone
+and stops on its own step, so every norm is bit-identical to rooting one field
+at a time, and one stacked modular evaluation of rho(t / lambda), the equation
+Newton solved, checks every row's unit modular.  No gradient of u / lambda is
+taken, so a field with a large constant part roots like its varying part.  A
+norm whose check leaves the float range (squared gradients that overflow, a
+subnormal cell volume) raises ``FloatingPointError``.  ``estimate_dual_bound``
+roots its probes in stacks of at most ``STACK_CELLS`` = 2^11 cells, or of one
+row on a larger grid: 8 rows on 256 cells, one on a 64x64 grid.
 """
 
 from __future__ import annotations
@@ -88,7 +91,7 @@ def _magnitude(u_values: np.ndarray, grid: Grid, part: str) -> np.ndarray:
 
 
 def _part_values(
-    u_values: np.ndarray, grid: Grid, phase: PhaseStructure, kinds, bar: bool = False, mags=None
+    u_values: np.ndarray | None, grid: Grid, phase: PhaseStructure, kinds, bar=False, mags=None
 ) -> dict[str, np.ndarray]:
     """{part: h(|part|)} of ``u_values[..., n_nodes]``, once for each part the kinds sum.
 
@@ -121,10 +124,13 @@ def stacked_rho(
 
 
 def modular_value(
-    u_values: np.ndarray, grid: Grid, phase: PhaseStructure, kind: str, bar: bool = False
+    u_values: np.ndarray | None, grid: Grid, phase: PhaseStructure, kind: str, bar=False, mags=None
 ) -> float | np.ndarray:
-    """Modular of ``u_values[..., n_nodes]``: a float for one field, one per row of a stack."""
-    cells = _assemble(_part_values(u_values, grid, phase, (kind,), bar), kind, grid)
+    """Modular of ``u_values[..., n_nodes]``, or of the kind's part magnitudes ``mags``.
+
+    A float for one field, one value per row of a stack.
+    """
+    cells = _assemble(_part_values(u_values, grid, phase, (kind,), bar, mags), kind, grid)
     value = np.sum(cells, axis=-1)
     return float(value) if value.ndim == 0 else value
 
@@ -144,25 +150,16 @@ def rho(
 
 
 def _luxemburg(
-    u_values: np.ndarray,
-    grid: Grid,
-    phase: PhaseStructure,
-    kind: str,
-    bar: bool = False,
-    mags: list[np.ndarray] | None = None,
-) -> float | np.ndarray:
-    """Luxemburg norm of ``u_values[..., n_nodes]``: a float for one field, one per row of a stack.
+    mags: list[np.ndarray], grid: Grid, phase: PhaseStructure, kind: str, bar: bool = False
+) -> np.ndarray:
+    """Luxemburg norm of each row of ``mags``, the kind's part magnitudes as ``[rows, n_cells]``.
 
     One Newton iteration roots the rows together, each row taking the steps
-    it would take alone; ``mags`` are the kind's part magnitudes of u, if known.
+    it would take alone.
     """
-    stack = np.reshape(u_values, (-1, grid.n_nodes))
-    if mags is None:
-        mags = [_magnitude(u_values, grid, part) for part in _PARTS[kind]]
-    mags = [np.reshape(t, (len(stack), -1)) for t in mags]
     top = functools.reduce(np.maximum, [np.maximum.reduce(t, axis=-1) for t in mags])
     nonzero = top != 0.0
-    if np.count_nonzero(nonzero) == len(stack):
+    if np.count_nonzero(nonzero) == len(top):
         # rho(u / (top e^s)) = sum w e^(-r s) over the (cell, term) entries with
         # w = vol c (t/top)^r > 0; every t/top <= 1, so no power overflows
         terms = phase.terms(bar=bar)
@@ -174,12 +171,12 @@ def _luxemburg(
         positive = w > 0.0
         keep = np.logical_or.reduce(positive)
         n_keep = np.count_nonzero(keep)
-        if np.count_nonzero(positive) == len(stack) * n_keep:
+        if np.count_nonzero(positive) == len(top) * n_keep:
             if n_keep < keep.size:
                 w, r = w.take(np.flatnonzero(keep), axis=-1), r[keep]
             lam = top * np.exp(_newton_roots(w, r))
-            _check_unit_modular(u_values, lam, grid, phase, kind, bar)
-            return float(lam[0]) if np.ndim(u_values) == 1 else lam
+            _check_unit_modular(mags, lam, grid, phase, kind, bar)
+            return lam
         # a row that lacks an entry the others have (a zero magnitude where the
         # weight is positive) is rooted alone, so every sum runs over its own entries
         alone = np.count_nonzero(positive, axis=-1) < n_keep
@@ -187,11 +184,11 @@ def _luxemburg(
     else:
         # a null row has norm 0
         groups = [np.flatnonzero(nonzero)]
-    lam = np.zeros(len(stack))
+    lam = np.zeros(len(top))
     for rows in groups:
         if len(rows):
-            lam[rows] = _luxemburg(stack[rows], grid, phase, kind, bar, [t[rows] for t in mags])
-    return float(lam[0]) if np.ndim(u_values) == 1 else lam
+            lam[rows] = _luxemburg([t[rows] for t in mags], grid, phase, kind, bar)
+    return lam
 
 
 def _newton_roots(w: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -234,12 +231,10 @@ def _newton_roots(w: np.ndarray, r: np.ndarray) -> np.ndarray:
     return root
 
 
-def _check_unit_modular(
-    u_values: np.ndarray, lam: np.ndarray, grid: Grid, phase: PhaseStructure, kind: str, bar: bool
-):
-    """Raise unless rho(u / lam) = 1 on every row of ``u_values``, in one modular evaluation."""
-    scaled = u_values / np.reshape(lam, (*np.shape(u_values)[:-1], 1))
-    residual = np.reshape(modular_value(scaled, grid, phase, kind, bar=bar), -1) - 1.0
+def _check_unit_modular(mags, lam: np.ndarray, grid: Grid, phase: PhaseStructure, kind, bar):
+    """Raise unless rho(t / lam) = 1 on every row of the magnitudes, in one modular evaluation."""
+    scaled = [t / lam[:, None] for t in mags]
+    residual = modular_value(None, grid, phase, kind, bar, scaled) - 1.0
     reached = np.abs(residual) <= UNIT_MODULAR_TOLERANCE
     if np.count_nonzero(reached) < len(lam):
         residual = residual[~reached][0]
@@ -252,7 +247,8 @@ def _check_unit_modular(
 def luxemburg_norm(u: ScalarField, phase: PhaseStructure, kind: str) -> float:
     """The unique lambda > 0 with rho(u/lambda) = 1, or 0 for a null argument."""
     _check_kind(kind)
-    return _luxemburg(u.values, u.grid, phase, kind)
+    mags = [_magnitude(u.values, u.grid, part)[None] for part in _PARTS[kind]]
+    return float(_luxemburg(mags, u.grid, phase, kind)[0])
 
 
 @dataclass(frozen=True)
@@ -272,22 +268,24 @@ def norm_report(u: ScalarField, phase: PhaseStructure, kind: str) -> NormReport:
 
     The sandwich bounds the norm by min/max of rho^(1/m), rho^(1/M).  With
     k = 1, the larger norm under t^p + mu t^q must lie in the band
-    norm <= bar-norm <= e^(1/e) * norm.  The magnitudes are taken once.
+    norm <= bar-norm <= e^(1/e) * norm.  The magnitudes are taken once: they
+    serve the modular, both roots and both roots' unit-modular checks.
     """
     _check_kind(kind)
-    mags = [_magnitude(u.values, u.grid, part) for part in _PARTS[kind]]
-    h = _part_values(u.values, u.grid, phase, (kind,), mags=mags)
-    value = float(np.sum(_assemble(h, kind, u.grid)))
+    mags = [_magnitude(u.values, u.grid, part)[None] for part in _PARTS[kind]]
+    # the raw modular of a huge field may overflow, and then bounds nothing
+    with np.errstate(over="ignore"):
+        value = float(modular_value(None, u.grid, phase, kind, mags=mags)[0])
     s = phase.summary
     lower = min(value ** (1.0 / s.m), value ** (1.0 / s.M))
     upper = max(value ** (1.0 / s.m), value ** (1.0 / s.M))
-    norm = _luxemburg(u.values, u.grid, phase, kind, mags=mags)
+    norm = float(_luxemburg(mags, u.grid, phase, kind)[0])
     holds = None
     if math.isfinite(value):
         holds = bool(lower * (1.0 - 1e-9) <= norm <= upper * (1.0 + 1e-9))
     bar_norm = overline = None
     if phase.k == 1:
-        bar_norm = _luxemburg(u.values, u.grid, phase, kind, bar=True, mags=mags)
+        bar_norm = float(_luxemburg(mags, u.grid, phase, kind, bar=True)[0])
         slack = 1e-9 * (1.0 + norm + bar_norm)
         band = np.exp(1.0 / np.e) * norm
         overline = bool(norm <= bar_norm + slack and bar_norm <= band + slack)
@@ -385,7 +383,7 @@ def estimate_dual_bound(
                 extras[max(first - n_probes, 0) : max(last - n_probes, 0)],
             ]
         )
-        denom = _luxemburg(stack, grid, phase, "gradient")
+        denom = _luxemburg([_magnitude(stack, grid, "gradient")], grid, phase, "gradient")
         pairing = np.abs(_pairing(fc, stack, grid))
         rooted = denom != 0.0
         best = max([best, *(pairing[rooted] / denom[rooted]).tolist()])

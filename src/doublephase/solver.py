@@ -411,14 +411,11 @@ def uniqueness_certificate(
         _require_phi_trace(prob, fld, name)
     gv = gradient_values(grid, v.values)
     gw = gradient_values(grid, w.values)
-    pairing_cells = np.zeros(grid.n_cells)
-    cert_cells = np.zeros(grid.n_cells)
-    for r, weight in prob.phase.terms(bar=True):
-        lhs, rhs = monotonicity_sides(r, gv, gw)
-        pairing_cells += weight * lhs
-        cert_cells += weight * rhs
-    certificate = grid.cell_volume * float(np.sum(cert_cells))
-    pairing = grid.cell_volume * float(np.sum(pairing_cells))
+    # one row per (exponent, weight) term; each cell sums its terms before the cells are summed
+    r, weight = map(np.array, zip(*prob.phase.terms(bar=True)))
+    lhs, rhs = monotonicity_sides(r, gv, gw)
+    certificate = grid.cell_volume * float(np.sum(np.sum(weight * rhs, axis=0)))
+    pairing = grid.cell_volume * float(np.sum(np.sum(weight * lhs, axis=0)))
     if pairing < certificate - 1e-12 * (1.0 + abs(pairing) + certificate):
         raise SolverError("flux pairing fell below its monotonicity certificate")
     grad_scale = 1.0 + float(np.max(np.sqrt(squared_norm(gv))) + np.max(np.sqrt(squared_norm(gw))))

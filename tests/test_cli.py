@@ -248,6 +248,16 @@ def _with(section, key, value):
         ("solve", _with("domain", "extents", [[-1e308, 1e308]])),
         ("solve", laplace_config(domain=TINY_2D)),
         ("norm --field x", laplace_config(domain=TINY_2D)),
+        ("solve", laplace_config(phase=5)),
+        ("solve", [laplace_config()]),
+        ("solve", laplace_config(domain={"dim": 1, "extents": [[0, 1]]})),
+        ("solve", _with("phase", "p", 1.5)),
+        ("solve", '{"domain": {"dim": 1,'),
+        ("solve", _with("phase", "phases", [])),
+        ("verify-uc", _with("verify", "epsilon", "abc")),
+        ("solve", _with("solver", "armijo_constant", 1.5)),
+        ("solve", _with("solver", "shrink_factor", 0)),
+        ("solve", _with("solver", "method", "newton")),
     ],
     ids=["samples-text", "samples-negative", "amplitude-text", "dual-bound-negative",
          "two-start-text", "resolution-fractional", "source-eval-error",
@@ -261,11 +271,14 @@ def _with(section, key, value):
          "output-dir-int", "seed-negative", "seed-negative-check-monotone",
          "seed-flag-negative-verify-uc", "dim-fractional", "dim-bool", "dim-text",
          "extents-text", "extents-bool", "resolution-text", "extents-width-overflows",
-         "cell-volume-underflows", "cell-volume-underflows-norm"],
+         "cell-volume-underflows", "cell-volume-underflows-norm", "phase-number",
+         "top-level-array", "resolution-missing", "p-number", "json-invalid", "phases-empty",
+         "epsilon-text", "armijo-constant-above-1", "shrink-factor-0", "method-unknown"],
 )
 def test_config_holes_exit_1(tmp_path, capsys, command, cfg):
     command, *flags = command.split()
-    cfg_path = write_config(tmp_path, cfg)
+    # text that is not JSON goes in inline, where the config path would be
+    cfg_path = cfg if isinstance(cfg, str) else write_config(tmp_path, cfg)
     assert run_cli([command, cfg_path, *flags, "--out-dir", tmp_path / "out"]) == 1
     assert capsys.readouterr().err.startswith("config error:")
 
@@ -366,7 +379,7 @@ def test_norm_command(tmp_path, capsys):
 
 def test_norm_computes_one_modular_per_kind(tmp_path, capsys, monkeypatch):
     # per kind of a double-phase structure: one magnitude pass serves the
-    # modular and both roots, and each root checks its own unit modular
+    # modular, both roots and both roots' unit-modular checks
     import doublephase.modular
 
     roots, passes = [], []
@@ -385,7 +398,7 @@ def test_norm_computes_one_modular_per_kind(tmp_path, capsys, monkeypatch):
     cfg_path = write_config(tmp_path, laplace_config())
     assert run_cli(["norm", cfg_path, "--field", "x*(1 - x)"]) == 0
     assert sorted(roots) == ["gradient"] * 2 + ["sobolev"] * 2 + ["zero_order"] * 2
-    assert sorted(passes) == ["gradient"] * 6 + ["zero_order"] * 6
+    assert sorted(passes) == ["gradient"] * 2 + ["zero_order"] * 2
     payload = read_json(capsys.readouterr().out)
     assert payload["kinds"]["zero_order"]["modular"] > 0
 
@@ -416,6 +429,22 @@ def test_norm_extreme_field_scales(tmp_path, capsys, field):
             assert entry["sandwich_holds"] is True
     overflowed = [entry["modular"] is None for entry in payload["kinds"].values()]
     assert overflowed == [field == "1e50*x"] * 3
+
+
+# a field with a large constant part: the roots and their unit-modular checks
+# run on per-cell magnitudes, so the constant never enters a gradient of u/norm
+def test_fields_with_a_large_constant_part(tmp_path, capsys):
+    cfg = laplace_config(n=64, phase={"p": "1.5", "phases": [{"q": "3", "mu": "x"}]})
+    cfg_path = write_config(tmp_path, cfg)
+    norms = []
+    for field in ("1e6 + x", "x"):
+        assert run_cli(["norm", cfg_path, "--field", field]) == 0
+        kinds = read_json(capsys.readouterr().out)["kinds"]
+        assert all(entry["sandwich_holds"] for entry in kinds.values())
+        norms.append(kinds["gradient"]["luxemburg_norm"])
+    assert norms[0] == pytest.approx(norms[1], rel=1e-9)
+    cfg["boundary"] = "1e8 + x"
+    assert run_cli(["solve", write_config(tmp_path, cfg), "--out-dir", tmp_path / "out"]) == 0
 
 
 def test_norm_on_a_small_domain_with_a_large_exponent(tmp_path, capsys):

@@ -117,6 +117,8 @@ CORPUS = [
     "-(x + y)",
     "1 - 2 - 3",
     "2^-1",
+    "2^(x + 1)",
+    "(2^x)^y",
 ]
 
 

@@ -51,6 +51,14 @@ def test_problem_rejects_phase_from_other_grid():
     Problem(grid, make_phase(twin, 2.0, [(3.0, 1.0)]), zero, zero)
 
 
+def test_problem_rejects_phi_with_another_node_count():
+    grid = build_grid(1, [(0, 1)], [16])
+    zero = ScalarField.zeros(grid)
+    phi = ScalarField.zeros(build_grid(1, [(0, 1)], [8]))
+    with pytest.raises(ValueError, match="phi does not match the grid node count"):
+        Problem(grid, make_phase(grid, 2.0, [(3.0, 1.0)]), phi, zero)
+
+
 @pytest.mark.parametrize("seed", [-1, True, 1.5])
 def test_solver_options_reject_bad_seed(seed):
     # numpy's generator would raise from inside solve_weak, or take True as 1
