@@ -7,10 +7,10 @@ Three modular kinds are supported:
 * ``sobolev``     is the exact sum of the two.
 
 ``rho``, ``modular_value``, ``stacked_rho`` and ``norm_report`` all take
-their integrand values from ``_part_values``, which evaluates each part the
-kinds need once, for one field or a whole stack; ``norm_report`` takes one
-field's magnitudes once for its modular (an overflow there, which bounds
-nothing, raises no warning), both norms and their unit-modular checks.
+their integrand values from ``_part_values``, once per part the kinds need,
+for one field or a whole stack.  A modular that overflows there reads inf,
+silently; the sandwich then reads ``None``, a uniform-convexity pair vacuous,
+and a Luxemburg check raises ``FloatingPointError``.
 
 All integrals use the one-point cell-center quadrature of the mesh module,
 so every modular is a finite weighted sum and is convex, symmetric, and
@@ -100,7 +100,8 @@ def _part_values(
     parts = list(dict.fromkeys(part for kind in kinds for part in _PARTS[kind]))
     if mags is None:
         mags = (_magnitude(u_values, grid, part) for part in parts)
-    return {part: phase.h_of(t, bar=bar) for part, t in zip(parts, mags)}
+    with np.errstate(over="ignore"):
+        return {part: phase.h_of(t, bar=bar) for part, t in zip(parts, mags)}
 
 
 def _assemble(h: dict[str, np.ndarray], kind: str, grid: Grid) -> np.ndarray:
@@ -125,14 +126,13 @@ def stacked_rho(
 
 def modular_value(
     u_values: np.ndarray | None, grid: Grid, phase: PhaseStructure, kind: str, bar=False, mags=None
-) -> float | np.ndarray:
+) -> np.ndarray:
     """Modular of ``u_values[..., n_nodes]``, or of the kind's part magnitudes ``mags``.
 
-    A float for one field, one value per row of a stack.
+    One value per row: 0-d for one field.
     """
     cells = _assemble(_part_values(u_values, grid, phase, (kind,), bar, mags), kind, grid)
-    value = np.sum(cells, axis=-1)
-    return float(value) if value.ndim == 0 else value
+    return np.sum(cells, axis=-1)
 
 
 def rho(
@@ -200,7 +200,8 @@ def _newton_roots(w: np.ndarray, r: np.ndarray) -> np.ndarray:
     root = np.zeros(len(w))
     live = np.arange(len(w))
     s = step = np.zeros(len(w))
-    e = np.empty_like(w)
+    # C order, whatever the order of w: each row sums along its contiguous entries
+    e = np.empty(w.shape)
     with np.errstate(over="ignore"):
         for _ in range(MAX_NEWTON_STEPS):
             np.multiply(nr, s[:, None], out=e)
@@ -226,7 +227,7 @@ def _newton_roots(w: np.ndarray, r: np.ndarray) -> np.ndarray:
                 live, w, s, step = live[~done], w[~done], s[~done], step[~done]
                 if not len(live):
                     break
-                e = np.empty_like(w)
+                e = np.empty(w.shape)
     root[live] = s
     return root
 
@@ -273,9 +274,7 @@ def norm_report(u: ScalarField, phase: PhaseStructure, kind: str) -> NormReport:
     """
     _check_kind(kind)
     mags = [_magnitude(u.values, u.grid, part)[None] for part in _PARTS[kind]]
-    # the raw modular of a huge field may overflow, and then bounds nothing
-    with np.errstate(over="ignore"):
-        value = float(modular_value(None, u.grid, phase, kind, mags=mags)[0])
+    value = float(modular_value(None, u.grid, phase, kind, mags=mags)[0])
     s = phase.summary
     lower = min(value ** (1.0 / s.m), value ** (1.0 / s.M))
     upper = max(value ** (1.0 / s.m), value ** (1.0 / s.M))

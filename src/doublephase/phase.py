@@ -65,7 +65,7 @@ class PhaseStructure:
                 )
             pairs.append(PhasePair(q, mu))
         object.__setattr__(self, "phases", tuple(pairs))
-        m = min(float(p.min()), *(float(pr.q_cells.min()) for pr in pairs))
+        m = self.summary.m
         if m < 1.0 + MIN_EXPONENT_MARGIN:
             raise ValueError(
                 f"all exponents must exceed 1: sampled minimum {m} <= 1 + {MIN_EXPONENT_MARGIN}"
@@ -96,41 +96,41 @@ class PhaseStructure:
         """The integrand as (exponent, coefficient) per-cell array pairs.
 
         With ``bar`` the coefficients are 1 and mu_j instead of 1/p and mu_j/q_j.
+        Where mu_j = 0 its term has exponent 2: the term is 0 at any exponent, and
+        2 keeps t^(r-2) = 1 and t^r finite (t < 1e154), so no sum forms 0 * inf.
         """
         return self._terms[bar]
 
     @cached_property
     def _terms(self) -> dict[bool, tuple[tuple[np.ndarray, np.ndarray], ...]]:
         # formed once per structure: read-only, like the samples they derive from
-        ones = _readonly(np.ones_like(self.p_cells))
-        inv_p = _readonly(1.0 / self.p_cells)
-        return {
-            True: ((self.p_cells, ones), *((pr.q_cells, pr.mu_cells) for pr in self.phases)),
-            False: (
-                (self.p_cells, inv_p),
-                *((pr.q_cells, _readonly(pr.mu_cells / pr.q_cells)) for pr in self.phases),
-            ),
-        }
+        r = [self.p_cells]
+        bar = [_readonly(np.ones_like(self.p_cells))]
+        plain = [_readonly(1.0 / self.p_cells)]
+        for pr in self.phases:
+            r.append(_readonly(np.where(pr.mu_cells > 0.0, pr.q_cells, 2.0)))
+            bar.append(pr.mu_cells)
+            plain.append(_readonly(pr.mu_cells / pr.q_cells))
+        return {True: tuple(zip(r, bar)), False: tuple(zip(r, plain))}
 
     def h_of(self, t: np.ndarray, bar: bool = False) -> np.ndarray:
         """Integrand values per cell for nonnegative per-cell arguments t."""
         t = np.asarray(t, dtype=float)
-        (r, c), *rest = self.terms(bar=bar)
-        out = c * t**r
-        for r, c in rest:
+        out = 0.0
+        for r, c in self.terms(bar=bar):
             out += c * t**r
         return out
 
     def flux_coefficient(self, t: np.ndarray) -> np.ndarray:
         """Per-cell scalar c(t) with flux(g) = c(|g|) g; zero extended at t = 0.
 
-        c(t) = t^{p-2} + sum_j mu_j t^{q_j-2}; the product c(t) t -> 0 as
-        t -> 0 because every exponent exceeds 1.
+        c(t) = t^{p-2} + sum_j mu_j t^{q_j-2}, summed over ``terms(bar=True)``;
+        the product c(t) t -> 0 as t -> 0 because every exponent exceeds 1.
         """
         t = np.asarray(t, dtype=float)
-        out = power_flux_coefficient(t, self.p_cells)
-        for pr in self.phases:
-            out += pr.mu_cells * power_flux_coefficient(t, pr.q_cells)
+        out = 0.0
+        for r, c in self.terms(bar=True):
+            out += c * power_flux_coefficient(t, r)
         return out
 
 

@@ -149,7 +149,6 @@ class Solution:
     gradient_norm: float
     weak_residual: float
     iterations: int
-    converged: bool
     termination: str
     dual_bound: float | None = None
     lower_bound_used: float | None = None
@@ -159,13 +158,16 @@ class Solution:
     uniqueness_gap: float | None = None
     gradients_equal: bool | None = None
 
+    @property
+    def converged(self) -> bool:
+        return self.termination in ("gradient_tolerance", "energy_tolerance")
+
 
 def energy(u: ScalarField, prob: Problem) -> float:
     """I(u) = rho(grad(phi - u)) + <f, u> for a zero-trace u, <f, u> = load . u."""
     _require_zero_trace(prob.grid, u.values, "u")
-    w_vals = prob.phi.values - u.values
-    value = modular_value(w_vals, prob.grid, prob.phase, "gradient")
-    return value + float(np.dot(prob.load, u.values))
+    value = modular_value(prob.phi.values - u.values, prob.grid, prob.phase, "gradient")
+    return float(value) + float(np.dot(prob.load, u.values))
 
 
 def _flux(phase: PhaseStructure, w_grad: np.ndarray) -> np.ndarray:
@@ -279,6 +281,8 @@ def minimize(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
         _require_zero_trace(grid, u, "initial guess")
 
     E = energy(ScalarField(grid, u), prob)
+    if not np.isfinite(E):
+        raise SolverError("non-finite energy at iteration 0")
     history = [E]
     gtol = opts.gradient_tolerance
     if gtol is None:
@@ -309,12 +313,10 @@ def minimize(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
             s *= opts.shrink_factor
         return None
 
-    converged = False
     termination = "max_iterations"
     it = 0
     while it < opts.max_iterations:
         if float(np.max(np.abs(g))) <= gtol:
-            converged = True
             termination = "gradient_tolerance"
             break
         cells, log_scale = _curvature(phase, w_grad)
@@ -346,7 +348,6 @@ def minimize(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
             history.append(E)
         g = -_defect(prob, w_grad)
         if abs(dE) <= opts.energy_tolerance * (1.0 + abs(E)):
-            converged = True
             termination = "energy_tolerance"
             break
 
@@ -358,7 +359,6 @@ def minimize(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
         gradient_norm=gnorm,
         weak_residual=gnorm,
         iterations=it,
-        converged=converged,
         termination=termination,
     )
 

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from dataclasses import fields
@@ -318,9 +319,9 @@ def test_overflowed_energy_floor_is_written_as_null(tmp_path, p, dual_bound):
 
 
 # the seeded second start has gradients ~1e5 on cells 6.25e-6 wide, whose 60th
-# powers overflow in the certificate, the flux and the modular
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_results_are_written_as_null(tmp_path):
+# powers overflow its starting energy: the descent stops there, as it does on a
+# non-finite energy at any later iterate
+def test_non_finite_results_are_written_as_null(tmp_path, capsys):
     cfg = laplace_config(
         domain={"dim": 2, "extents": [[0, 1e-4]] * 2, "resolution": [16, 16]},
         phase={"p": "1.5", "phases": [{"q": "60", "mu": "1"}]},
@@ -328,9 +329,8 @@ def test_non_finite_results_are_written_as_null(tmp_path):
         solver={"two_start_check": True, "dual_probes": 20},
     )
     out = tmp_path / "out"
-    assert run_cli(["solve", write_config(tmp_path, cfg), "--out-dir", out]) == 0
-    results = read_json((out / "report.json").read_text())["results"]
-    assert results["uniqueness"]["certificate"] is None
+    assert run_cli(["solve", write_config(tmp_path, cfg), "--out-dir", out]) == 2
+    assert capsys.readouterr().err == "solver error: non-finite energy at iteration 0\n"
 
 
 # a dual-bound probe's squared gradients overflow (1D cells 6.25e-157 wide,
@@ -522,7 +522,6 @@ def test_check_sandwich(tmp_path, capsys):
     assert read_json(capsys.readouterr().out)["fails"] == 0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_check_sandwich_passes_samples_whose_modular_overflows(tmp_path, capsys):
     # as `norm` writes null for such a sandwich, the sweep counts no failure
     cfg = laplace_config(domain={"dim": 1, "extents": [[0, 1e-100]], "resolution": [16]})
@@ -582,3 +581,30 @@ def test_module_entry_point(tmp_path):
     )
     assert usage.returncode == 1
     assert "the following arguments are required: config" in usage.stderr
+
+
+def test_solve_where_a_large_exponent_weight_vanishes(tmp_path):
+    # mu = 0 on x > 0.5, where the boundary datum is steep: 0 * t^200 used to
+    # read NaN there and stopped the first line search
+    cfg = laplace_config(
+        n=64,
+        phase={"p": "1.5", "phases": [{"q": "200", "mu": "max(0, 0.5 - x)"}]},
+        source="1",
+        boundary="2000*max(0, x - 0.5)",
+        solver={"gradient_tolerance": 1e-6},
+    )
+    out = tmp_path / "out"
+    assert run_cli(["solve", write_config(tmp_path, cfg), "--out-dir", out]) == 0
+    results = read_json((out / "report.json").read_text())["results"]
+    assert results["converged"] is True and results["iterations"] > 0
+    assert results["termination"] in ("gradient_tolerance", "energy_tolerance")
+    assert math.isfinite(results["energy"]) and results["residual"] < 1e-5
+
+
+def test_norm_where_a_large_exponent_weight_vanishes(tmp_path, capsys):
+    # mu = 0: the gradient modular is |100|^1.5 / 1.5, not 0 * 100^200
+    cfg = laplace_config(n=16, phase={"p": "1.5", "phases": [{"q": "200", "mu": "0"}]})
+    assert run_cli(["norm", write_config(tmp_path, cfg), "--field", "100*x"]) == 0
+    gradient = read_json(capsys.readouterr().out)["kinds"]["gradient"]
+    assert gradient["modular"] == pytest.approx(1000.0 / 1.5, rel=1e-12)
+    assert gradient["sandwich_holds"] is True

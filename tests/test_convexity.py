@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -560,3 +561,28 @@ def test_sweeps_count_overflowed_rows_as_fails(sweep):
     out = sweep(2000, 4, 1e3)
     assert 0 < out["fails"] < 2000
     assert np.isfinite(out["worst_relative_excess"])
+
+
+def _phase_q200(mu):
+    grid = build_grid(1, [(0, 1)], [16])
+    mu = mu(grid.cell_centers()[:, 0])
+    return grid, make_phase(grid, 1.5, [(200.0, mu)])
+
+
+def test_sweep_uc_pairs_has_no_false_fails_where_the_weight_vanishes():
+    # mu = 0: the q-term is 0, so the modular is the p-modular, which is
+    # uniformly convex; a term 0 * inf read NaN and failed 18 of 20 pairs
+    grid, ph = _phase_q200(np.zeros_like)
+    tallies = sweep_uc_pairs(grid, ph, 20, 0, kinds=KINDS)
+    assert all(t["fail"] == 0 for t in tallies.values())
+    assert sum(t["pass"] for t in tallies.values()) > 0
+
+
+def test_sweep_uc_pairs_counts_overflowed_pairs_vacuous_silently():
+    # mu = x, q = 200: every modular of a drawn pair overflows to inf, which
+    # bounds nothing; the pair is vacuous and no RuntimeWarning escapes
+    grid, ph = _phase_q200(lambda x: x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tallies = sweep_uc_pairs(grid, ph, 20, 0, kinds=KINDS)
+    assert tallies == {kind: {"pass": 0, "vacuous": 20, "fail": 0} for kind in KINDS}

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -520,3 +521,34 @@ def test_restricted_modular_mass():
     rest = rho(u, ph, "gradient", mask=~mask)
     assert np.all(part.cell_values[~mask] == 0.0)
     assert part.value + rest.value == pytest.approx(full.value, rel=1e-13)
+
+
+def test_newton_roots_do_not_depend_on_the_memory_order_of_the_weights():
+    # each row sums along its own contiguous entries: a Fortran-ordered stack
+    # roots bit for bit like its rows rooted alone
+    rng = np.random.default_rng(2)
+    w = 10.0 ** rng.uniform(-8, 0, (10, 120))
+    r = rng.uniform(1.2, 4.0, 120)
+    alone = np.array([modular._newton_roots(w[i : i + 1], r)[0] for i in range(len(w))])
+    assert modular._newton_roots(w, r).tobytes() == alone.tobytes()
+    assert modular._newton_roots(np.asfortranarray(w), r).tobytes() == alone.tobytes()
+
+
+def test_modular_value_returns_one_value_per_row():
+    rng = np.random.default_rng(5)
+    ph = random_phase(rng, GRID)
+    stack = rng.normal(size=(3, GRID.n_nodes))
+    rows = modular.modular_value(stack, GRID, ph, "sobolev")
+    one = modular.modular_value(stack[1], GRID, ph, "sobolev")
+    assert rows.shape == (3,) and one.shape == () and one == rows[1]
+
+
+def test_an_overflowed_modular_reads_inf_silently():
+    # one overflow rule for every modular: inf, and no RuntimeWarning
+    ph = make_phase(GRID, 1.5, [(200.0, 1.0)])
+    u = 100.0 * GRID.node_coords()[:, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert modular.modular_value(u, GRID, ph, "gradient") == np.inf
+        assert rho(ScalarField(GRID, u), ph, "sobolev").value == np.inf
+        assert np.all(modular.stacked_rho(u[None], GRID, ph, KINDS)["gradient"] == np.inf)

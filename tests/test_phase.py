@@ -198,3 +198,24 @@ def test_matuszewska_oracle_sweep():
         ph = make_phase(GRID, p, [(q, mu)])
         closed = matuszewska_index(ph, 0)
         assert abs(closed - numeric_matuszewska(p, q, mu)) <= 1e-3
+
+
+def test_vanishing_weight_writes_exponent_two():
+    # where mu_j = 0 the table's q_j-term has exponent 2 in both forms; the
+    # sampled exponents, and so the summary, keep q_j
+    mu = np.where(GRID.cell_centers()[:, 0] < 0.5, 0.0, 1.0)
+    ph = make_phase(GRID, 1.5, [(200.0, mu)])
+    for bar in (False, True):
+        _, (r, c) = ph.terms(bar=bar)
+        assert np.all(r == np.where(mu > 0.0, 200.0, 2.0))
+        assert np.all(c[mu == 0.0] == 0.0) and not r.flags.writeable
+    assert ph.summary.q_minus == (200.0,) and ph.summary.m == 1.5
+
+
+def test_vanishing_weight_term_reads_zero_where_its_power_overflows():
+    # 100^200 overflows: a term 0 * 100^200 would read NaN (and warn)
+    ph = make_phase(GRID, 1.5, [(200.0, 0.0)])
+    t = np.full(GRID.n_cells, 100.0)
+    assert np.all(ph.h_of(t) == pytest.approx(100.0**1.5 / 1.5, rel=1e-15))
+    assert np.all(ph.h_of(t, bar=True) == 100.0**1.5)
+    assert np.all(ph.flux_coefficient(t) == 100.0**-0.5)

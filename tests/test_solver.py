@@ -713,3 +713,34 @@ def test_energy_floor_is_shared_and_infinite_on_overflow():
     for a, m in ((-1.0, 2.0), (1.0, 1.0)):
         with pytest.raises(ValueError):
             _energy_floor(a, m)
+
+
+def test_minimize_rejects_a_non_finite_starting_energy():
+    # phi = 1e150 x: the starting modular overflows.  The descent stops with the
+    # error it raises on a non-finite energy at any later iterate, instead of
+    # reading gradient_tolerance 1e-8 (1 + inf) as "converged" at iteration 0
+    grid = build_grid(1, [(0, 1)], [16])
+    x = grid.node_coords()[:, 0]
+    prob = make_problem(grid, 1.5, [(3.0, grid.cell_centers()[:, 0])],
+                        f_values=np.ones(grid.n_nodes), phi_values=1e150 * x)
+    with pytest.raises(SolverError, match="^non-finite energy at iteration 0$"):
+        minimize(prob)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_solution_checks_reject_fields_off_phi_on_the_boundary(dim):
+    grid = build_grid(dim, [(0, 1)] * dim, [6] * dim)
+    rng = np.random.default_rng(21)
+    prob = make_problem(grid, 1.7, [(2.9, 1.1)], phi_values=rng.normal(size=grid.n_nodes))
+    w = ScalarField(grid, prob.phi.values + zero_trace_random(grid, rng))
+    off = w.values.copy()
+    off[np.flatnonzero(boundary_mask(grid))[-1]] += 1e-6
+    off = ScalarField(grid, off)
+    weak_residual(w, prob)
+    uniqueness_certificate(w, w, prob)
+    with pytest.raises(ValueError, match="^w must equal phi on boundary nodes$"):
+        weak_residual(off, prob)
+    with pytest.raises(ValueError, match="^v must equal phi on boundary nodes$"):
+        uniqueness_certificate(off, w, prob)
+    with pytest.raises(ValueError, match="^w must equal phi on boundary nodes$"):
+        uniqueness_certificate(w, off, prob)
