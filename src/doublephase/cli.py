@@ -253,15 +253,11 @@ def _write_report(report: dict, out_dir: Path) -> Path:
 
 
 def _write_solution_csv(path: Path, grid: Grid, u: np.ndarray, w: np.ndarray):
-    coords = grid.node_coords()
     header = ("x", "y")[: grid.dim] + ("u", "w")
+    rows = np.column_stack([grid.node_coords(), u, w]).tolist()
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(grid.n_nodes):
-            cells = [repr(float(c)) for c in coords[i]]
-            cells.append(repr(float(u[i])))
-            cells.append(repr(float(w[i])))
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def cmd_solve(config: Config, out_dir: Path) -> int:

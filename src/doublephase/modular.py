@@ -18,10 +18,13 @@ strictly decreasing in the Luxemburg scaling parameter wherever positive.
 The Luxemburg norm solves log rho(u / lambda) = 0 by Newton's method in
 log lambda, over per-cell magnitudes divided by their maximum; a step whose
 modular overflows is halved.  ``_luxemburg`` takes magnitudes only and roots a
-stack of them at once, row by row: each row takes the steps it would take alone
-and stops on its own step, so every norm is bit-identical to rooting one field
-at a time, and one stacked modular evaluation of rho(t / lambda), the equation
-Newton solved, checks every row's unit modular.  No gradient of u / lambda is
+stack of them by one grouping rule: a null row has norm 0, and the other rows
+share one Newton iteration when they all have the same positive (cell, term)
+entries, each row alone otherwise.  In the shared iteration each row takes the
+steps it would take alone and is held in place once its step is within
+tolerance, so every norm is bit-identical to rooting one field at a time, and
+one stacked modular evaluation of rho(t / lambda), the equation Newton solved,
+checks every row's unit modular.  No gradient of u / lambda is
 taken, so a field with a large constant part roots like its varying part.  A
 norm whose check leaves the float range (squared gradients that overflow, a
 subnormal cell volume) raises ``FloatingPointError``.  ``estimate_dual_bound``
@@ -154,40 +157,36 @@ def _luxemburg(
 ) -> np.ndarray:
     """Luxemburg norm of each row of ``mags``, the kind's part magnitudes as ``[rows, n_cells]``.
 
-    One Newton iteration roots the rows together, each row taking the steps
-    it would take alone.
+    A null row has norm 0.  The other rows share one Newton iteration, each
+    taking the steps it would take alone, when they all have the same positive
+    (cell, term) entries; otherwise each is rooted alone, so every sum runs over
+    its own entries.
     """
     top = functools.reduce(np.maximum, [np.maximum.reduce(t, axis=-1) for t in mags])
-    nonzero = top != 0.0
-    if np.count_nonzero(nonzero) == len(top):
-        # rho(u / (top e^s)) = sum w e^(-r s) over the (cell, term) entries with
-        # w = vol c (t/top)^r > 0; every t/top <= 1, so no power overflows
-        terms = phase.terms(bar=bar)
-        w = np.concatenate(
-            [grid.cell_volume * c * (t / top[:, None]) ** r for t in mags for r, c in terms],
-            axis=-1,
-        )
-        r = np.concatenate([r for r, _ in terms] * len(mags))
-        positive = w > 0.0
-        keep = np.logical_or.reduce(positive)
-        n_keep = np.count_nonzero(keep)
-        if np.count_nonzero(positive) == len(top) * n_keep:
-            if n_keep < keep.size:
-                w, r = w.take(np.flatnonzero(keep), axis=-1), r[keep]
-            lam = top * np.exp(_newton_roots(w, r))
-            _check_unit_modular(mags, lam, grid, phase, kind, bar)
-            return lam
-        # a row that lacks an entry the others have (a zero magnitude where the
-        # weight is positive) is rooted alone, so every sum runs over its own entries
-        alone = np.count_nonzero(positive, axis=-1) < n_keep
-        groups = [np.flatnonzero(~alone), *([i] for i in np.flatnonzero(alone))]
-    else:
-        # a null row has norm 0
-        groups = [np.flatnonzero(nonzero)]
     lam = np.zeros(len(top))
-    for rows in groups:
-        if len(rows):
-            lam[rows] = _luxemburg([t[rows] for t in mags], grid, phase, kind, bar)
+    rows = np.flatnonzero(top)
+    if not len(rows):
+        return lam
+    if len(rows) < len(top):
+        mags, top = [t[rows] for t in mags], top[rows]
+    # rho(u / (top e^s)) = sum w e^(-r s) over the (cell, term) entries with
+    # w = vol c (t/top)^r > 0; every t/top <= 1, so no power overflows
+    terms = phase.terms(bar=bar)
+    w = np.concatenate(
+        [grid.cell_volume * c * (t / top[:, None]) ** r for t in mags for r, c in terms],
+        axis=-1,
+    )
+    r = np.concatenate([r for r, _ in terms] * len(mags))
+    positive = w > 0.0
+    keep = np.logical_or.reduce(positive)
+    if np.count_nonzero(positive) == len(rows) * np.count_nonzero(keep):
+        if not keep.all():
+            w, r = w.take(np.flatnonzero(keep), axis=-1), r[keep]
+        lam[rows] = top * np.exp(_newton_roots(w, r))
+        _check_unit_modular(mags, lam[rows], grid, phase, kind, bar)
+    else:
+        for i, row in enumerate(rows):
+            lam[row] = _luxemburg([t[i : i + 1] for t in mags], grid, phase, kind, bar)[0]
     return lam
 
 
@@ -195,14 +194,13 @@ def _newton_roots(w: np.ndarray, r: np.ndarray) -> np.ndarray:
     """s per row with sum w e^(-r s) = 1, for weights ``w[k, n_entries] > 0``."""
     # F(s) = log rho is convex, with slope -(w-weighted mean of r) in [-M, -m]:
     # Newton climbs monotonically to the root from any iterate left of it.  A
-    # row stops once its step is within tolerance; ``live`` lists the others.
+    # row is done once its step is within tolerance; its s is then held fixed.
     nr = -r
-    root = np.zeros(len(w))
-    live = np.arange(len(w))
     s = step = np.zeros(len(w))
+    done = np.zeros(len(w), dtype=bool)
     # C order, whatever the order of w: each row sums along its contiguous entries
     e = np.empty(w.shape)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(MAX_NEWTON_STEPS):
             np.multiply(nr, s[:, None], out=e)
             np.exp(e, out=e)
@@ -210,26 +208,16 @@ def _newton_roots(w: np.ndarray, r: np.ndarray) -> np.ndarray:
             total = np.add.reduce(e, axis=-1)
             e *= r
             slope = np.add.reduce(e, axis=-1)
+            # a step far past the root (tiny rho(u / top), large r) overflowed
+            # the sums (slope >= total, as every r > 1): take back half of it
             newton = np.isfinite(slope)
-            if np.count_nonzero(newton) == len(s):
-                step = np.log(total) * total / slope
-                s = s + step
-                done = np.abs(step) <= NEWTON_STEP_TOLERANCE
-            else:
-                # a step far past the root (tiny rho(u / top), large r) overflowed
-                # the sums (slope >= total, as every r > 1): take back half of it
-                with np.errstate(invalid="ignore"):
-                    step = np.where(newton, np.log(total) * total / slope, 0.5 * step)
-                s = np.where(newton, s + step, s - step)
-                done = newton & (np.abs(step) <= NEWTON_STEP_TOLERANCE)
-            if np.count_nonzero(done):
-                root[live[done]] = s[done]
-                live, w, s, step = live[~done], w[~done], s[~done], step[~done]
-                if not len(live):
-                    break
-                e = np.empty(w.shape)
-    root[live] = s
-    return root
+            step = np.where(newton, np.log(total) * total / slope, 0.5 * step)
+            step[done] = 0.0
+            s = np.where(newton, s + step, s - step)
+            done |= newton & (np.abs(step) <= NEWTON_STEP_TOLERANCE)
+            if done.all():
+                break
+    return s
 
 
 def _check_unit_modular(mags, lam: np.ndarray, grid: Grid, phase: PhaseStructure, kind, bar):

@@ -147,7 +147,8 @@ def growth_envelope_check(phase: PhaseStructure, cell: int, t: float) -> bool:
     """Check alpha * min(t^p, t^q) <= H <= beta * max(t^p, t^q) at one cell.
 
     alpha = 1/p_+ + mu/q_+ and beta = 1/p_- + mu/q_- use the grid-global
-    exponent extremes; stated for the double-phase structure only.
+    exponent extremes; stated for the double-phase structure only.  H is read
+    from ``terms()``; a power that overflows reads inf, silently.
     """
     if phase.k != 1:
         raise ValueError("growth envelope is defined for double-phase (k = 1) only")
@@ -159,9 +160,10 @@ def growth_envelope_check(phase: PhaseStructure, cell: int, t: float) -> bool:
     beta = 1.0 / s.p_minus + mu / s.q_minus_global
     p = phase.p_cells[cell]
     q = phase.phases[0].q_cells[cell]
-    tp = t**p
-    tq = t**q
-    h = tp / p + mu / q * tq
+    with np.errstate(over="ignore"):
+        tp = t**p
+        tq = t**q
+        h = sum(c[cell] * t ** r[cell] for r, c in phase.terms())
     slack = 1e-12 * (1.0 + tp + tq)
     return bool(alpha * min(tp, tq) <= h + slack and h <= beta * max(tp, tq) + slack)
 

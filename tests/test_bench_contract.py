@@ -53,6 +53,23 @@ def test_pinned_library_options_build():
     assert isinstance(_load("workloads")._options(1e-6, True), SolverOptions)
 
 
+def test_micro_timings_call_every_layer(monkeypatch):
+    # micro.py reports a call its layer no longer accepts as absent, with no
+    # error: each call runs once here, on tiny grids, and none may be absent
+    micro = _load("micro")
+
+    def once(fn):
+        fn()
+        return 0.0
+
+    monkeypatch.setattr(micro, "SIZES", {"n16": (1, [16]), "4x4": (2, [4, 4])})
+    monkeypatch.setattr(micro, "SWEEP_SAMPLES", 1000)
+    monkeypatch.setattr(micro, "_per_call_seconds", once)
+    metrics, absent = micro.micro_metrics(0)
+    assert absent == []
+    assert "micro.modular.luxemburg_norm.us.4x4" in metrics
+
+
 def test_traced_roots_make_one_stacked_check_each():
     # bench/run.py reads modular.evals_per_norm as the modular_value calls made
     # inside modular._luxemburg per _luxemburg call: a stack of dual-bound

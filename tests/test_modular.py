@@ -525,13 +525,19 @@ def test_restricted_modular_mass():
 
 def test_newton_roots_do_not_depend_on_the_memory_order_of_the_weights():
     # each row sums along its own contiguous entries: a Fortran-ordered stack
-    # roots bit for bit like its rows rooted alone
+    # roots bit for bit like its rows rooted alone.  In the second stack the
+    # first row converges on its first step (its sum is 1 at s = 0) and is held
+    # in place, while the first step of the second row, to s ~ -307, overflows
+    # the r = 60 entry and is halved
     rng = np.random.default_rng(2)
-    w = 10.0 ** rng.uniform(-8, 0, (10, 120))
-    r = rng.uniform(1.2, 4.0, 120)
-    alone = np.array([modular._newton_roots(w[i : i + 1], r)[0] for i in range(len(w))])
-    assert modular._newton_roots(w, r).tobytes() == alone.tobytes()
-    assert modular._newton_roots(np.asfortranarray(w), r).tobytes() == alone.tobytes()
+    stacks = [
+        (10.0 ** rng.uniform(-8, 0, (10, 120)), rng.uniform(1.2, 4.0, 120)),
+        (np.array([[0.5, 0.5], [1e-200, 1e-250], [0.3, 0.2]]), np.array([1.5, 60.0])),
+    ]
+    for w, r in stacks:
+        alone = np.array([modular._newton_roots(w[i : i + 1], r)[0] for i in range(len(w))])
+        assert modular._newton_roots(w, r).tobytes() == alone.tobytes()
+        assert modular._newton_roots(np.asfortranarray(w), r).tobytes() == alone.tobytes()
 
 
 def test_modular_value_returns_one_value_per_row():

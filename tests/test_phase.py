@@ -77,6 +77,11 @@ def test_growth_envelope():
     ph = make_phase(GRID, 1.8, [(3.2, 0.7)])
     assert growth_envelope_check(ph, 0, 1.0)
     assert growth_envelope_check(ph, 0, 0.0)
+    # mu = 0 with q = 200: t^q overflows at t = 100, and the q-term of H must
+    # read 0, not 0 * inf = NaN; the overflowed bound reads inf, silently
+    ph = make_phase(GRID, 1.5, [(200.0, 0.0)])
+    for t in (1.0, 3.0, 100.0):
+        assert growth_envelope_check(ph, 0, t)
 
 
 def test_growth_envelope_brute_force_sweep():
