@@ -2,9 +2,11 @@
 
 One JSON config drives every subcommand; expressions for the exponents,
 weights, source, and boundary datum are strings in the expression language
-of :mod:`doublephase.exprparse`.  Reports are emitted as pretty-printed JSON
-with sorted keys so identical configs and seeds reproduce byte-identical
-files apart from the ``timing_seconds`` entry.
+of :mod:`doublephase.exprparse`.  ``parse_config`` checks the whole config
+and builds the problem and solver options once; every command reads them.
+Reports are emitted as pretty-printed JSON with sorted keys so identical
+configs and seeds reproduce byte-identical files apart from the
+``timing_seconds`` entry.
 
 Every check a command reports is computed by the library.
 
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .convexity import delta_of_epsilon, sweep_monotonicity, sweep_two_point, sweep_uc_pairs
-from .exprparse import EvalError, Expr, ParseError, parse, sample
+from .exprparse import EvalError, ParseError, parse, sample
 from .mesh import Grid, ScalarField, _is_finite, _is_number, build_grid
 from .modular import KINDS, norm_report, sweep_sandwich
 from .phase import PhasePair, PhaseStructure
@@ -63,27 +65,28 @@ def _require_keys(obj: dict, path: str, required, optional):
             raise ConfigError(f"{path}: missing required key '{key}'")
 
 
-def _parse_expr(text, path: str) -> Expr:
+def _sample(text, path: str, grid: Grid, where: str) -> np.ndarray:
+    """Sample the expression ``text`` at the grid's ``where`` points; errors name ``path``."""
     if not isinstance(text, str):
         raise ConfigError(f"{path}: expected an expression string")
     try:
-        return parse(text)
-    except ParseError as err:
+        return sample(parse(text), grid, where)
+    except (ParseError, EvalError) as err:
         raise ConfigError(f"{path}: {err}") from err
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Config:
-    grid: Grid
-    p_expr: Expr
-    phase_exprs: list[tuple[Expr, Expr]]  # (q_j, mu_j)
-    source_expr: Expr
-    boundary_expr: Expr
-    solver: dict
+    problem: Problem
+    solver: SolverOptions
     verify: dict
     seed: int
     out_dir: str | None
     raw: dict
+
+    @property
+    def grid(self) -> Grid:
+        return self.problem.grid
 
 
 def _check_seed(seed, path: str) -> int:
@@ -93,8 +96,12 @@ def _check_seed(seed, path: str) -> int:
     return seed
 
 
-def parse_config(source: str | Path) -> Config:
-    """Parse and validate a config from a path or a JSON string."""
+def parse_config(source: str | Path, seed: int | None = None) -> Config:
+    """Check a config, from a path or a JSON string, and build everything it describes.
+
+    Every command reads the built config, so every command rejects the same
+    configs.  ``seed``, when given, overrides the config seed (``--seed``).
+    """
     try:
         is_file = Path(source).exists()
     except OSError:
@@ -121,21 +128,25 @@ def parse_config(source: str | Path) -> Config:
 
     ph = raw["phase"]
     _require_keys(ph, "phase", required=("p", "phases"), optional=())
-    p_expr = _parse_expr(ph["p"], "phase.p")
+    p = _sample(ph["p"], "phase.p", grid, "cells")
     if not isinstance(ph["phases"], list) or not ph["phases"]:
         raise ConfigError("phase.phases: expected a non-empty list")
-    phase_exprs = []
+    pairs = []
     for j, pair in enumerate(ph["phases"]):
-        _require_keys(pair, f"phase.phases[{j}]", required=("q", "mu"), optional=())
-        phase_exprs.append(
-            (
-                _parse_expr(pair["q"], f"phase.phases[{j}].q"),
-                _parse_expr(pair["mu"], f"phase.phases[{j}].mu"),
+        path = f"phase.phases[{j}]"
+        _require_keys(pair, path, required=("q", "mu"), optional=())
+        pairs.append(
+            PhasePair(
+                _sample(pair["q"], f"{path}.q", grid, "cells"),
+                _sample(pair["mu"], f"{path}.mu", grid, "cells"),
             )
         )
-
-    source_expr = _parse_expr(raw.get("source", "0"), "source")
-    boundary_expr = _parse_expr(raw.get("boundary", "0"), "boundary")
+    f = ScalarField(grid, _sample(raw.get("source", "0"), "source", grid, "nodes"))
+    phi = ScalarField(grid, _sample(raw.get("boundary", "0"), "boundary", grid, "nodes"))
+    try:
+        phase = PhaseStructure(grid, p, tuple(pairs))
+    except ValueError as err:
+        raise ConfigError(f"phase: {err}") from err
 
     solver = dict(_SOLVER_DEFAULTS)
     if "solver" in raw:
@@ -150,8 +161,13 @@ def parse_config(source: str | Path) -> Config:
     amplitude, exponent_max = verify["amplitude"], verify["exponent_max"]
     if not (_is_number(samples, int) and samples >= 1):
         raise ConfigError(f"verify.samples: expected a positive integer, got {samples!r}")
-    if eps is not None and not _is_number(eps):
-        raise ConfigError(f"verify.epsilon: expected a number, got {eps!r}")
+    if eps is not None:
+        if not _is_number(eps):
+            raise ConfigError(f"verify.epsilon: expected a number, got {eps!r}")
+        try:
+            delta_of_epsilon(eps, phase.summary.m)
+        except ValueError as err:
+            raise ConfigError(f"verify.epsilon: {err}") from err
     # the sweeps draw from [-amplitude, amplitude], whose width must be finite
     if not (_is_number(amplitude) and amplitude > 0 and math.isfinite(2 * amplitude)):
         raise ConfigError(
@@ -162,7 +178,10 @@ def parse_config(source: str | Path) -> Config:
             f"verify.exponent_max: expected a finite number above 1, got {exponent_max!r}"
         )
 
-    seed = _check_seed(raw.get("seed", 0), "seed")
+    _check_seed(raw.get("seed", 0), "seed")
+    if seed is not None:
+        raw = dict(raw, seed=_check_seed(seed, "--seed"))
+    seed = raw.get("seed", 0)
 
     out_dir = None
     if "output" in raw:
@@ -171,46 +190,25 @@ def parse_config(source: str | Path) -> Config:
         if out_dir is not None and not isinstance(out_dir, str):
             raise ConfigError(f"output.dir: expected a string, got {out_dir!r}")
 
-    return Config(
-        grid=grid,
-        p_expr=p_expr,
-        phase_exprs=phase_exprs,
-        source_expr=source_expr,
-        boundary_expr=boundary_expr,
-        solver=solver,
-        verify=verify,
-        seed=seed,
-        out_dir=out_dir,
-        raw=raw,
-    )
-
-
-def build_phase(config: Config) -> PhaseStructure:
-    grid = config.grid
-    p = sample(config.p_expr, grid, "cells")
-    pairs = tuple(
-        PhasePair(sample(q, grid, "cells"), sample(mu, grid, "cells"))
-        for q, mu in config.phase_exprs
-    )
     try:
-        return PhaseStructure(grid, p, pairs)
-    except ValueError as err:
-        raise ConfigError(f"phase: {err}") from err
+        options = SolverOptions(**solver, seed=seed)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"solver: {err}") from err
+    return Config(Problem(grid, phase, phi, f), options, verify, seed, out_dir, raw)
+
+
+# Kept by name: bench/workloads.py, the tracer's cli.build_problem stage and
+# tests/test_bench_contract.py call them.
+def build_phase(config: Config) -> PhaseStructure:
+    return config.problem.phase
 
 
 def build_problem(config: Config) -> Problem:
-    grid = config.grid
-    phase = build_phase(config)
-    phi = ScalarField(grid, sample(config.boundary_expr, grid, "nodes"))
-    f = ScalarField(grid, sample(config.source_expr, grid, "nodes"))
-    return Problem(grid, phase, phi, f)
+    return config.problem
 
 
 def solver_options(config: Config) -> SolverOptions:
-    try:
-        return SolverOptions(**config.solver, seed=config.seed)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"solver: {err}") from err
+    return config.solver
 
 
 def _versions() -> dict:
@@ -262,8 +260,7 @@ def _write_solution_csv(path: Path, grid: Grid, u: np.ndarray, w: np.ndarray):
 
 def cmd_solve(config: Config, out_dir: Path) -> int:
     started = time.perf_counter()
-    prob = build_problem(config)
-    sol = solve_weak(prob, solver_options(config))
+    sol = solve_weak(config.problem, config.solver)
     results = {
         "converged": sol.converged,
         "termination": sol.termination,
@@ -295,9 +292,8 @@ def cmd_solve(config: Config, out_dir: Path) -> int:
 
 def cmd_norm(config: Config, field_expr: str, kind: str | None, out_dir: Path | None) -> int:
     started = time.perf_counter()
-    phase = build_phase(config)
-    expr = _parse_expr(field_expr, "--field")
-    u = ScalarField(config.grid, sample(expr, config.grid, "nodes"))
+    phase = config.problem.phase
+    u = ScalarField(config.grid, _sample(field_expr, "--field", config.grid, "nodes"))
     kinds = (kind,) if kind else KINDS
     reports = [norm_report(u, phase, k) for k in kinds]
     results: dict = {"field": field_expr, "kinds": {}}
@@ -323,20 +319,14 @@ def _emit(report: dict, out_dir: Path | None):
 
 
 def _sweep_uc(config: Config) -> dict:
-    phase = build_phase(config)
-    eps = config.verify["epsilon"]
-    if eps is not None:
-        try:
-            delta_of_epsilon(eps, phase.summary.m)
-        except ValueError as err:
-            raise ConfigError(f"verify.epsilon: {err}") from err
+    phase = config.problem.phase
     tallies = sweep_uc_pairs(
         config.grid,
         phase,
         config.verify["samples"],
         config.seed,
         kinds=KINDS,
-        eps=eps,
+        eps=config.verify["epsilon"],
     )
     fails = sum(t["fail"] for t in tallies.values())
     return {"tallies": tallies, "fails": fails, "multiphase": phase.k > 1}
@@ -366,7 +356,7 @@ _SUITES = {
         "sandwich",
         "norm-modular sandwich sweep",
         lambda config: sweep_sandwich(
-            config.grid, build_phase(config), config.verify["samples"], config.seed
+            config.grid, config.problem.phase, config.verify["samples"], config.seed
         ),
     ),
 }
@@ -409,10 +399,7 @@ def main(argv=None) -> int:
         # argparse exits 0 after --help and 2 after printing a usage error
         return 1 if stop.code else 0
     try:
-        config = parse_config(args.config)
-        if args.seed is not None:
-            config.seed = _check_seed(args.seed, "--seed")
-            config.raw = dict(config.raw, seed=args.seed)
+        config = parse_config(args.config, seed=args.seed)
         out_dir = args.out_dir if args.out_dir is not None else config.out_dir
         out_path = Path(out_dir) if out_dir is not None else None
 
@@ -421,7 +408,7 @@ def main(argv=None) -> int:
         if args.command == "norm":
             return cmd_norm(config, args.field, args.kind, out_path)
         return cmd_verify(config, args.command, out_path)
-    except (ConfigError, EvalError) as err:
+    except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
     except (SolverError, FloatingPointError) as err:

@@ -51,9 +51,12 @@ class Stencil:
     corners: tuple[tuple, ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Grid:
-    """Uniform tensor-product grid on a box in 1 or 2 dimensions."""
+    """Uniform tensor-product grid on a box in 1 or 2 dimensions.
+
+    A value: two grids are equal when their dim, extents and resolution are.
+    """
 
     dim: int
     extents: tuple[tuple[float, float], ...]

@@ -322,14 +322,19 @@ def l2_pairing(f: ScalarField, u: ScalarField) -> float:
 
 def dual_pairing_bound_check(
     f: ScalarField, u: ScalarField, a: float, phase: PhaseStructure
-) -> bool:
-    """Check |<f, u>| <= a * rho(u)^(1/m) for a zero-trace u with gradient norm >= 1."""
+) -> bool | None:
+    """Check |<f, u>| <= a * rho(u)^(1/m) for a zero-trace u with gradient norm >= 1.
+
+    ``None`` where the modular overflows: the bound is then inf and checks nothing.
+    """
     if a < 0:
         raise ValueError("dual-norm bound must be nonnegative")
     grad_norm = luxemburg_norm(u, phase, "gradient")
     if grad_norm < 1.0 - 1e-12:
         raise ValueError(f"hypothesis violated: gradient norm {grad_norm} < 1")
     value = rho(u, phase, "gradient").value
+    if not math.isfinite(value):
+        return None
     m = phase.summary.m
     lhs = abs(l2_pairing(f, u))
     rhs = a * value ** (1.0 / m)

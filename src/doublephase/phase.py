@@ -148,24 +148,25 @@ def growth_envelope_check(phase: PhaseStructure, cell: int, t: float) -> bool:
 
     alpha = 1/p_+ + mu/q_+ and beta = 1/p_- + mu/q_- use the grid-global
     exponent extremes; stated for the double-phase structure only.  H is read
-    from ``terms()``; a power that overflows reads inf, silently.
+    from ``terms()``.  Both sides are divided by max(t^p, t^q) = t^e, so no
+    power overflows and the slack is a fixed relative 1e-12.
     """
     if phase.k != 1:
         raise ValueError("growth envelope is defined for double-phase (k = 1) only")
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
+    if t == 0:
+        return True  # H(0) = 0 and both bounds vanish
     s = phase.summary
     mu = phase.phases[0].mu_cells[cell]
     alpha = 1.0 / s.p_plus + mu / s.q_plus_global
     beta = 1.0 / s.p_minus + mu / s.q_minus_global
     p = phase.p_cells[cell]
     q = phase.phases[0].q_cells[cell]
-    with np.errstate(over="ignore"):
-        tp = t**p
-        tq = t**q
-        h = sum(c[cell] * t ** r[cell] for r, c in phase.terms())
-    slack = 1e-12 * (1.0 + tp + tq)
-    return bool(alpha * min(tp, tq) <= h + slack and h <= beta * max(tp, tq) + slack)
+    e = max(p, q) if t >= 1.0 else min(p, q)
+    h = sum(c[cell] * t ** (r[cell] - e) for r, c in phase.terms() if c[cell] > 0.0)
+    lower = alpha * min(t, 1.0 / t) ** abs(p - q)  # min(t^p, t^q) / t^e
+    return bool(lower <= h + 1e-12 and h <= beta + 1e-12)
 
 
 def matuszewska_index(phase: PhaseStructure, cell: int) -> float:

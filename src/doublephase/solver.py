@@ -80,11 +80,9 @@ class Problem:
     f: ScalarField
 
     def __post_init__(self):
-        if self.phase.grid is not self.grid and self.phase.grid.cell_shape != self.grid.cell_shape:
-            raise ValueError("phase structure does not match the grid")
-        for name, fld in (("phi", self.phi), ("f", self.f)):
-            if fld.values.size != self.grid.n_nodes:
-                raise ValueError(f"{name} does not match the grid node count")
+        for name, part in (("phase structure", self.phase), ("phi", self.phi), ("f", self.f)):
+            if part.grid != self.grid:
+                raise ValueError(f"{name} does not match the grid")
 
     @cached_property
     def load(self) -> np.ndarray:

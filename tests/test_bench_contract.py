@@ -49,6 +49,15 @@ def test_pinned_cli_solver_settings_parse():
     assert isinstance(cli.solver_options(parsed), SolverOptions)
 
 
+def test_every_workload_sets_up(tmp_path):
+    # setup only, no operation runs: it builds the inputs, through the CLI's
+    # config builders by name for the CLI workloads
+    workloads = _load("workloads").WORKLOADS
+    assert set(workloads) == {"solve-1d", "cli-solve-2d", "verify-sweeps"}
+    for name, setup in workloads.items():
+        assert setup(0, tmp_path), name
+
+
 def test_pinned_library_options_build():
     assert isinstance(_load("workloads")._options(1e-6, True), SolverOptions)
 

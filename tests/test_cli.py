@@ -52,7 +52,7 @@ def read_json(text: str):
 def test_parse_config_minimal():
     cfg = parse_config(json.dumps(laplace_config()))
     assert cfg.grid.n_cells == 32
-    assert len(cfg.phase_exprs) == 1
+    assert cfg.problem.phase.k == 1
     prob = build_problem(cfg)
     assert prob.phase.k == 1
     assert np.all(prob.phase.phases[0].mu_cells == 0.0)
@@ -72,9 +72,8 @@ def test_parse_config_rejects_unknown_key():
 def test_parse_config_rejects_bad_exponent():
     bad = laplace_config()
     bad["phase"]["p"] = "0.5 + x"
-    cfg = parse_config(json.dumps(bad))
     with pytest.raises(ConfigError, match="must exceed 1"):
-        build_problem(cfg)
+        parse_config(json.dumps(bad))
 
 
 def test_parse_config_rejects_bad_expression():
@@ -259,6 +258,11 @@ def _with(section, key, value):
         ("solve", _with("solver", "armijo_constant", 1.5)),
         ("solve", _with("solver", "shrink_factor", 0)),
         ("solve", _with("solver", "method", "newton")),
+        ("check-monotone", _with("solver", "max_iterations", 0)),
+        ("check-inequalities", _with("phase", "p", "0.5 + x")),
+        ("verify-uc", laplace_config(source="log(x - 2)")),
+        ("norm --field x", _with("verify", "epsilon", 5)),
+        ("solve", _with("verify", "epsilon", 5)),
     ],
     ids=["samples-text", "samples-negative", "amplitude-text", "dual-bound-negative",
          "two-start-text", "resolution-fractional", "source-eval-error",
@@ -274,7 +278,10 @@ def _with(section, key, value):
          "extents-text", "extents-bool", "resolution-text", "extents-width-overflows",
          "cell-volume-underflows", "cell-volume-underflows-norm", "phase-number",
          "top-level-array", "resolution-missing", "p-number", "json-invalid", "phases-empty",
-         "epsilon-text", "armijo-constant-above-1", "shrink-factor-0", "method-unknown"],
+         "epsilon-text", "armijo-constant-above-1", "shrink-factor-0", "method-unknown",
+         "max-iterations-0-check-monotone", "p-below-1-check-inequalities",
+         "source-eval-error-verify-uc", "epsilon-out-of-range-norm",
+         "epsilon-out-of-range-solve"],
 )
 def test_config_holes_exit_1(tmp_path, capsys, command, cfg):
     command, *flags = command.split()
@@ -282,6 +289,20 @@ def test_config_holes_exit_1(tmp_path, capsys, command, cfg):
     cfg_path = cfg if isinstance(cfg, str) else write_config(tmp_path, cfg)
     assert run_cli([command, cfg_path, *flags, "--out-dir", tmp_path / "out"]) == 1
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize(
+    "command,flags,path,cfg",
+    [
+        ("solve", [], "source", laplace_config(source="log(x - 2)")),
+        ("norm", ["--field", "log(x - 2)"], "--field", laplace_config()),
+    ],
+    ids=["source", "field"],
+)
+def test_evaluation_errors_name_their_path(tmp_path, capsys, command, flags, path, cfg):
+    assert run_cli([command, write_config(tmp_path, cfg), *flags, "--out-dir", tmp_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: log of non-positive value")
 
 
 @pytest.mark.parametrize(

@@ -453,6 +453,20 @@ def test_dual_pairing_bound():
         dual_pairing_bound_check(f, small, 1.0, ph)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_dual_pairing_bound_over_an_overflowed_modular_checks_nothing():
+    # gradients ~1e103 on cells 6.25e-102 wide: the gradient norm is finite,
+    # rho overflows, and a * rho^(1/m) would be inf for any a > 0
+    grid = build_grid(1, [(0, 1e-100)], [16])
+    ph = make_phase(grid, 1.5, [(3.0, 1.0)])
+    rng = np.random.default_rng(0)
+    u = random_field(rng, grid, scale=100.0, zero_trace=True)
+    assert np.isfinite(luxemburg_norm(u, ph, "gradient"))
+    assert rho(u, ph, "gradient").value == math.inf
+    f = random_field(rng, grid)
+    assert dual_pairing_bound_check(f, u, 1e-300, ph) is None
+
+
 def test_dual_pairing_sweep_with_estimated_bound():
     rng = np.random.default_rng(8)
     ph = make_phase(GRID, 1.7, [(2.9, 1.3)])

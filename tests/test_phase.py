@@ -73,15 +73,27 @@ def test_mu_scaling_identity():
         assert h_at(scaled, cell, t) == pytest.approx(h_at(base, cell, t) + extra)
 
 
-def test_growth_envelope():
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_growth_envelope(monkeypatch):
     ph = make_phase(GRID, 1.8, [(3.2, 0.7)])
     assert growth_envelope_check(ph, 0, 1.0)
     assert growth_envelope_check(ph, 0, 0.0)
-    # mu = 0 with q = 200: t^q overflows at t = 100, and the q-term of H must
-    # read 0, not 0 * inf = NaN; the overflowed bound reads inf, silently
+    # mu = 0 with q = 200: t^q would overflow at t = 100, and the q-term of H
+    # must read 0, not 0 * inf = NaN
     ph = make_phase(GRID, 1.5, [(200.0, 0.0)])
     for t in (1.0, 3.0, 100.0):
         assert growth_envelope_check(ph, 0, t)
+    # an integrand 1e6 times too large breaks the upper bound at every t > 0,
+    # also where t^q = 100^200 leaves the float range
+    terms = PhaseStructure.terms
+
+    def inflated(self, bar=False):
+        return tuple((r, 1e6 * c) for r, c in terms(self, bar))
+
+    monkeypatch.setattr(PhaseStructure, "terms", inflated)
+    ph = make_phase(GRID, 1.5, [(200.0, 1.0)])
+    for t in (0.5, 3.0, 30.0, 100.0):
+        assert not growth_envelope_check(ph, 0, t)
 
 
 def test_growth_envelope_brute_force_sweep():

@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 from doublephase import cli
+from doublephase.solver import SolverOptions
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -25,7 +26,7 @@ def test_config_schema_matches_the_defaults():
     raw = json.loads(schema)
     assert raw["solver"] == cli._SOLVER_DEFAULTS
     assert raw["verify"] == cli._VERIFY_DEFAULTS
-    assert config.solver == cli._SOLVER_DEFAULTS
+    assert config.solver == SolverOptions(**cli._SOLVER_DEFAULTS)
     assert config.verify == cli._VERIFY_DEFAULTS
 
 

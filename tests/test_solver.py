@@ -46,6 +46,10 @@ def test_problem_rejects_phase_from_other_grid():
     zero = ScalarField.zeros(grid)
     with pytest.raises(ValueError, match="does not match the grid"):
         Problem(grid, make_phase(other, 2.0, [(3.0, 1.0)]), zero, zero)
+    # same cell lattice, on [0, 5]
+    wide = build_grid(1, [(0, 5)], [16])
+    with pytest.raises(ValueError, match="phase structure does not match the grid"):
+        Problem(grid, make_phase(wide, 2.0, [(3.0, 1.0)]), zero, zero)
     # an equal lattice on a separately built grid is accepted
     twin = build_grid(1, [(0, 1)], [16])
     Problem(grid, make_phase(twin, 2.0, [(3.0, 1.0)]), zero, zero)
@@ -55,8 +59,20 @@ def test_problem_rejects_phi_with_another_node_count():
     grid = build_grid(1, [(0, 1)], [16])
     zero = ScalarField.zeros(grid)
     phi = ScalarField.zeros(build_grid(1, [(0, 1)], [8]))
-    with pytest.raises(ValueError, match="phi does not match the grid node count"):
+    with pytest.raises(ValueError, match="phi does not match the grid"):
         Problem(grid, make_phase(grid, 2.0, [(3.0, 1.0)]), phi, zero)
+
+
+def test_problem_rejects_fields_with_the_node_count_of_another_grid():
+    # a 2D 4x4 grid has the 25 nodes of a 24-cell 1D grid
+    grid = build_grid(1, [(0, 1)], [24])
+    phase = make_phase(grid, 2.0, [(3.0, 1.0)])
+    zero = ScalarField.zeros(grid)
+    square = ScalarField.zeros(build_grid(2, [(0, 1), (0, 1)], [4, 4]))
+    assert square.values.size == grid.n_nodes
+    for name, fields in (("phi", (square, zero)), ("f", (zero, square))):
+        with pytest.raises(ValueError, match=f"^{name} does not match the grid$"):
+            Problem(grid, phase, *fields)
 
 
 @pytest.mark.parametrize("seed", [-1, True, 1.5])
