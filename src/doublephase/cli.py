@@ -80,7 +80,6 @@ class Config:
     problem: Problem
     solver: SolverOptions
     verify: dict
-    seed: int
     out_dir: str | None
     raw: dict
 
@@ -194,7 +193,7 @@ def parse_config(source: str | Path, seed: int | None = None) -> Config:
         options = SolverOptions(**solver, seed=seed)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"solver: {err}") from err
-    return Config(Problem(grid, phase, phi, f), options, verify, seed, out_dir, raw)
+    return Config(Problem(grid, phase, phi, f), options, verify, out_dir, raw)
 
 
 # Kept by name: bench/workloads.py, the tracer's cli.build_problem stage and
@@ -235,7 +234,7 @@ def _report(command: str, config: Config, results: dict, started: float) -> dict
         "command": command,
         "config": config.raw,
         "results": _json_numbers(results),
-        "seed": config.seed,
+        "seed": config.solver.seed,
         "timing_seconds": time.perf_counter() - started,
         "versions": _versions(),
     }
@@ -324,7 +323,7 @@ def _sweep_uc(config: Config) -> dict:
         config.grid,
         phase,
         config.verify["samples"],
-        config.seed,
+        config.solver.seed,
         kinds=KINDS,
         eps=config.verify["epsilon"],
     )
@@ -334,7 +333,7 @@ def _sweep_uc(config: Config) -> dict:
 
 def _scalar_sweep_args(config: Config) -> tuple:
     v = config.verify
-    return v["samples"], config.seed, float(v["exponent_max"]), float(v["amplitude"])
+    return v["samples"], config.solver.seed, float(v["exponent_max"]), float(v["amplitude"])
 
 
 # verify command -> (suite name in the report, help text, sweep returning the
@@ -356,7 +355,7 @@ _SUITES = {
         "sandwich",
         "norm-modular sandwich sweep",
         lambda config: sweep_sandwich(
-            config.grid, config.problem.phase, config.verify["samples"], config.seed
+            config.grid, config.problem.phase, config.verify["samples"], config.solver.seed
         ),
     ),
 }

@@ -68,10 +68,7 @@ class ConvexityReport:
 
 
 def partition(phase: PhaseStructure) -> RegimePartition:
-    if phase.k != 1:
-        raise ValueError("regime partition is defined for double-phase (k = 1) only")
-    p = phase.p_cells
-    q = phase.phases[0].q_cells
+    p, q, _ = phase.double_phase("regime partition")
     p_low = p < 2.0
     q_low = q < 2.0
     return RegimePartition(

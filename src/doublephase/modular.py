@@ -9,8 +9,8 @@ Three modular kinds are supported:
 ``rho``, ``modular_value``, ``stacked_rho`` and ``norm_report`` all take
 their integrand values from ``_part_values``, once per part the kinds need,
 for one field or a whole stack.  A modular that overflows there reads inf,
-silently; the sandwich then reads ``None``, a uniform-convexity pair vacuous,
-and a Luxemburg check raises ``FloatingPointError``.
+silently; the sandwich then reads ``None`` (as where it underflows), a
+uniform-convexity pair vacuous, and a Luxemburg check raises ``FloatingPointError``.
 
 All integrals use the one-point cell-center quadrature of the mesh module,
 so every modular is a finite weighted sum and is convex, symmetric, and
@@ -91,6 +91,12 @@ def _magnitude(u_values: np.ndarray, grid: Grid, part: str) -> np.ndarray:
     if part == "zero_order":
         return np.abs(cell_average_values(grid, u_values))
     return np.sqrt(squared_norm(gradient_values(grid, u_values)))
+
+
+def _field_magnitudes(u: ScalarField, kind: str) -> list[np.ndarray]:
+    """The kind's part magnitudes of one field, each as ``[1, n_cells]``."""
+    _check_kind(kind)
+    return [_magnitude(u.values, u.grid, part)[None] for part in _PARTS[kind]]
 
 
 def _part_values(
@@ -235,9 +241,7 @@ def _check_unit_modular(mags, lam: np.ndarray, grid: Grid, phase: PhaseStructure
 
 def luxemburg_norm(u: ScalarField, phase: PhaseStructure, kind: str) -> float:
     """The unique lambda > 0 with rho(u/lambda) = 1, or 0 for a null argument."""
-    _check_kind(kind)
-    mags = [_magnitude(u.values, u.grid, part)[None] for part in _PARTS[kind]]
-    return float(_luxemburg(mags, u.grid, phase, kind)[0])
+    return float(_luxemburg(_field_magnitudes(u, kind), u.grid, phase, kind)[0])
 
 
 @dataclass(frozen=True)
@@ -247,7 +251,7 @@ class NormReport:
     norm: float
     sandwich_lower: float
     sandwich_upper: float
-    sandwich_holds: bool | None  # None where the modular overflowed: it then bounds nothing
+    sandwich_holds: bool | None  # None where the modular over- or underflowed: it bounds nothing
     bar_norm: float | None  # norm under t^p + mu t^q; double-phase (k = 1) only
     overline_holds: bool | None
 
@@ -260,15 +264,14 @@ def norm_report(u: ScalarField, phase: PhaseStructure, kind: str) -> NormReport:
     norm <= bar-norm <= e^(1/e) * norm.  The magnitudes are taken once: they
     serve the modular, both roots and both roots' unit-modular checks.
     """
-    _check_kind(kind)
-    mags = [_magnitude(u.values, u.grid, part)[None] for part in _PARTS[kind]]
+    mags = _field_magnitudes(u, kind)
     value = float(modular_value(None, u.grid, phase, kind, mags=mags)[0])
     s = phase.summary
     lower = min(value ** (1.0 / s.m), value ** (1.0 / s.M))
     upper = max(value ** (1.0 / s.m), value ** (1.0 / s.M))
     norm = float(_luxemburg(mags, u.grid, phase, kind)[0])
     holds = None
-    if math.isfinite(value):
+    if norm == 0.0 or np.finfo(float).tiny <= value < math.inf:
         holds = bool(lower * (1.0 - 1e-9) <= norm <= upper * (1.0 + 1e-9))
     bar_norm = overline = None
     if phase.k == 1:
@@ -283,8 +286,8 @@ def sweep_sandwich(grid: Grid, phase: PhaseStructure, n_samples: int, seed: int)
     """Seeded sweep of ``norm_report``'s checks and of ||c u|| = c ||u|| (1e-12 relative).
 
     Each sample draws a scale, a field u, a kind and c, in this order.  A sample
-    fails only on a check it evaluated: a sandwich over an overflowed modular
-    (``None``) counts as neither pass nor failure.
+    fails only on a check it evaluated: a sandwich over a modular that overflowed
+    or underflowed (``None``) counts as neither pass nor failure.
     """
     rng = np.random.default_rng(seed)
     fails = 0
@@ -329,10 +332,11 @@ def dual_pairing_bound_check(
     """
     if a < 0:
         raise ValueError("dual-norm bound must be nonnegative")
-    grad_norm = luxemburg_norm(u, phase, "gradient")
+    mags = _field_magnitudes(u, "gradient")
+    grad_norm = float(_luxemburg(mags, u.grid, phase, "gradient")[0])
     if grad_norm < 1.0 - 1e-12:
         raise ValueError(f"hypothesis violated: gradient norm {grad_norm} < 1")
-    value = rho(u, phase, "gradient").value
+    value = float(modular_value(None, u.grid, phase, "gradient", mags=mags)[0])
     if not math.isfinite(value):
         return None
     m = phase.summary.m

@@ -75,6 +75,12 @@ class PhaseStructure:
     def k(self) -> int:
         return len(self.phases)
 
+    def double_phase(self, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The per-cell (p, q, mu) of a double-phase (k = 1) structure; ``what`` names the use."""
+        if self.k != 1:
+            raise ValueError(f"{what} is defined for double-phase (k = 1) only")
+        return self.p_cells, self.phases[0].q_cells, self.phases[0].mu_cells
+
     @cached_property
     def summary(self) -> ExponentSummary:
         q_minus = tuple(float(pr.q_cells.min()) for pr in self.phases)
@@ -151,18 +157,14 @@ def growth_envelope_check(phase: PhaseStructure, cell: int, t: float) -> bool:
     from ``terms()``.  Both sides are divided by max(t^p, t^q) = t^e, so no
     power overflows and the slack is a fixed relative 1e-12.
     """
-    if phase.k != 1:
-        raise ValueError("growth envelope is defined for double-phase (k = 1) only")
+    p, q, mu = (x[cell] for x in phase.double_phase("growth envelope"))
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     if t == 0:
         return True  # H(0) = 0 and both bounds vanish
     s = phase.summary
-    mu = phase.phases[0].mu_cells[cell]
     alpha = 1.0 / s.p_plus + mu / s.q_plus_global
     beta = 1.0 / s.p_minus + mu / s.q_minus_global
-    p = phase.p_cells[cell]
-    q = phase.phases[0].q_cells[cell]
     e = max(p, q) if t >= 1.0 else min(p, q)
     h = sum(c[cell] * t ** (r[cell] - e) for r, c in phase.terms() if c[cell] > 0.0)
     lower = alpha * min(t, 1.0 / t) ** abs(p - q)  # min(t^p, t^q) / t^e
@@ -175,9 +177,5 @@ def matuszewska_index(phase: PhaseStructure, cell: int) -> float:
     Closed form max(p, q) where the weight is active; where mu vanishes the
     integrand is t^p/p and the index is p.  Double-phase only.
     """
-    if phase.k != 1:
-        raise ValueError("matuszewska_index is defined for double-phase (k = 1) only")
-    p = float(phase.p_cells[cell])
-    q = float(phase.phases[0].q_cells[cell])
-    mu = float(phase.phases[0].mu_cells[cell])
+    p, q, mu = (float(x[cell]) for x in phase.double_phase("matuszewska_index"))
     return max(p, q) if mu > 0.0 else p

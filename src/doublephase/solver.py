@@ -293,9 +293,11 @@ def minimize(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
 
     def search(d):
         """Armijo backtracking on the cancellation-free energy difference."""
-        gTd = float(np.dot(g, d))
+        # a slope that overflows stops the search or makes dE, and so E, non-finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            gTd = float(np.dot(g, d))
+            pair_rate = float(np.dot(prob.load, d))
         Gd = gradient_values(grid, d)
-        pair_rate = float(np.dot(prob.load, d))
         # the floor bounds the change of u, not s: where every exponent
         # exceeds 2 and the gradient vanishes (a zero start), B is nearly
         # singular and the accepted step is many orders shorter than -B^-1 g

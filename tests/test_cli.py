@@ -629,3 +629,87 @@ def test_norm_where_a_large_exponent_weight_vanishes(tmp_path, capsys):
     gradient = read_json(capsys.readouterr().out)["kinds"]["gradient"]
     assert gradient["modular"] == pytest.approx(1000.0 / 1.5, rel=1e-12)
     assert gradient["sandwich_holds"] is True
+
+
+def test_check_sandwich_where_the_modular_underflows(tmp_path, capsys):
+    # p = q = 300: t^300 underflows for the sweep's small fields, so a sample's
+    # modular is 0.0 or subnormal and bounds nothing; 34 of these 500 samples
+    # failed when such a sandwich was checked, though every norm is right
+    phase = {"p": "300", "phases": [{"q": "300", "mu": "1"}]}
+    cfg = laplace_config(n=16, phase=phase, verify={"samples": 500}, seed=0)
+    cfg_path = write_config(tmp_path, cfg)
+    assert run_cli(["check-sandwich", cfg_path]) == 0
+    assert read_json(capsys.readouterr().out)["fails"] == 0
+    assert run_cli(["norm", cfg_path, "--field", "0.01*sin(pi*x)"]) == 0
+    for entry in read_json(capsys.readouterr().out)["kinds"].values():
+        assert entry["modular"] == 0.0 and entry["luxemburg_norm"] > 0.0
+        assert entry["sandwich_holds"] is None
+
+
+def test_solve_where_the_line_search_slope_overflows(tmp_path, capsys):
+    # f = 1e300: the first direction's pairings with g and with the load
+    # overflow; the non-finite energy is a solver error, without a warning
+    cfg = laplace_config(
+        n=16, phase={"p": "1.5", "phases": [{"q": "3", "mu": "x"}]}, source="1e300"
+    )
+    cfg_path = write_config(tmp_path, cfg)
+    assert run_cli(["solve", cfg_path, "--out-dir", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == "solver error: non-finite energy at iteration 1\n"
+
+
+def edge_config(**overrides):
+    cfg = {
+        "domain": {"dim": 1, "extents": [[0, 1]], "resolution": [16]},
+        "phase": {"p": "1.5", "phases": [{"q": "3", "mu": "x"}]},
+        "source": "1",
+        "verify": {"samples": 100},
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+EDGE_COMMANDS = (
+    ("solve",),
+    ("norm", "--field", "sin(pi*x)"),
+    ("verify-uc",),
+    ("check-monotone",),
+    ("check-inequalities",),
+    ("check-sandwich",),
+)
+
+
+# odd but valid configs through every command: each exits 0 unless it has a
+# reason to exit 2 (listed), and says nothing on stderr but a solver error;
+# a RuntimeWarning is an error under pytest
+@pytest.mark.parametrize(
+    "cfg,exit_2",
+    [
+        (edge_config(phase={"p": "300", "phases": [{"q": "300", "mu": "1"}]}), ()),
+        # the energy of the first step overflows
+        (edge_config(source="1e300"), ("solve",)),
+        (
+            edge_config(
+                phase={"p": "1.5", "phases": [{"q": "3", "mu": "x"}, {"q": "4", "mu": "1"}]}
+            ),
+            (),
+        ),
+        (edge_config(domain={"dim": 2, "extents": [[0, 1], [0, 1]], "resolution": [3, 17]}), ()),
+        (edge_config(domain={"dim": 1, "extents": [[0, 1]], "resolution": [2]}), ()),
+        (edge_config(phase={"p": "1.5", "phases": [{"q": "200", "mu": "0"}]}), ()),
+        # rows whose sides overflow count as fails
+        (
+            edge_config(verify={"samples": 100, "amplitude": 1e150}),
+            ("check-monotone", "check-inequalities"),
+        ),
+    ],
+    ids=["p-q-300", "source-1e300", "two-phases", "2d-3x17", "resolution-2", "mu-0-q-200",
+         "amplitude-1e150"],
+)
+def test_edge_configs_through_every_command(tmp_path, capsys, cfg, exit_2):
+    cfg_path = write_config(tmp_path, cfg)
+    for command, *flags in EDGE_COMMANDS:
+        code = run_cli([command, cfg_path, *flags, "--out-dir", tmp_path / command])
+        assert code == (2 if command in exit_2 else 0), command
+        err = capsys.readouterr().err
+        solver_error = err.startswith("solver error:") and err.count("\n") == 1
+        assert err == "" or (code == 2 and solver_error), command

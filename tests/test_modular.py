@@ -408,6 +408,22 @@ def test_an_overflowed_modular_checks_no_sandwich():
     assert sweep_sandwich(grid, ph, 20, 0) == {"samples": 20, "fails": 0}
 
 
+def test_an_underflowed_modular_checks_no_sandwich():
+    # p = q = 200 and |grad u| = c in every cell: rho = 0.01 c^200 is 0.0 at
+    # c = 0.01 and subnormal at c = 0.0288, where rho^(1/200) bounds nothing,
+    # while the Luxemburg norms, rooted on scaled magnitudes, stay right
+    grid = build_grid(1, [(0, 1)], [16])
+    ph = make_phase(grid, 200.0, [(200.0, 1.0)])
+    x = grid.node_coords()[:, 0]
+    for c, holds in ((0.0, True), (0.01, None), (0.05, True)):
+        report = norm_report(ScalarField(grid, c * x), ph, "gradient")
+        assert report.sandwich_holds is holds and report.overline_holds is True
+        assert (report.modular == 0.0) is (c < 0.05)
+    report = norm_report(ScalarField(grid, 0.0288 * x), ph, "gradient")
+    assert 0.0 < report.modular < np.finfo(float).tiny and report.sandwich_holds is None
+    assert report.norm == pytest.approx(0.0288 * 0.01 ** (1 / 200), rel=1e-12)
+
+
 def test_poincare_ratio():
     ph = make_phase(GRID, 2.0, [(3.0, 1.0)])
     x = GRID.node_coords()[:, 0]
@@ -465,6 +481,26 @@ def test_dual_pairing_bound_over_an_overflowed_modular_checks_nothing():
     assert rho(u, ph, "gradient").value == math.inf
     f = random_field(rng, grid)
     assert dual_pairing_bound_check(f, u, 1e-300, ph) is None
+
+
+def test_dual_pairing_bound_takes_one_magnitude_pass(monkeypatch):
+    # one pass of gradient magnitudes serves the norm hypothesis and the modular
+    rng = np.random.default_rng(7)
+    ph = random_phase(rng, GRID)
+    f = random_field(rng, GRID)
+    u = random_field(rng, GRID, zero_trace=True)
+    unit = ScalarField(GRID, u.values / luxemburg_norm(u, ph, "gradient"))
+    a = 1.001 * abs(l2_pairing(f, unit))
+    calls = []
+    gradient_values = modular.gradient_values
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return gradient_values(*args, **kwargs)
+
+    monkeypatch.setattr(modular, "gradient_values", counting)
+    assert dual_pairing_bound_check(f, unit, a, ph) is True
+    assert len(calls) == 1
 
 
 def test_dual_pairing_sweep_with_estimated_bound():

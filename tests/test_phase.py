@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from doublephase.convexity import partition
 from doublephase.mesh import build_grid
 from doublephase.phase import (
     PhasePair,
@@ -114,6 +117,14 @@ def test_growth_envelope_rejects_multiphase():
     ph = make_phase(GRID, 2.0, [(3.0, 1.0), (4.0, 1.0)])
     with pytest.raises(ValueError, match="double-phase"):
         growth_envelope_check(ph, 0, 1.0)
+    # the other statements on the one double-phase pair keep their own names
+    for what, check in (
+        ("regime partition", lambda: partition(ph)),
+        ("matuszewska_index", lambda: matuszewska_index(ph, 0)),
+    ):
+        message = f"{what} is defined for double-phase (k = 1) only"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check()
 
 
 def test_exponent_summary():
