@@ -28,8 +28,10 @@ checks every row's unit modular.  No gradient of u / lambda is
 taken, so a field with a large constant part roots like its varying part.  A
 norm whose check leaves the float range (squared gradients that overflow, a
 subnormal cell volume) raises ``FloatingPointError``.  ``estimate_dual_bound``
-roots its probes in stacks of at most ``STACK_CELLS`` = 2^11 cells, or of one
-row on a larger grid: 8 rows on 256 cells, one on a 64x64 grid.
+pairs its probes with f and takes their modulars in stacks of at most
+``STACK_CELLS`` = 2^11 cells, or of one row on a larger grid: 8 rows on 256
+cells, one on a 64x64 grid.  It roots only the probes whose sandwich lower
+bound min(rho^(1/m), rho^(1/M)) cannot rule out a ratio above the best so far.
 """
 
 from __future__ import annotations
@@ -60,8 +62,9 @@ UNIT_MODULAR_TOLERANCE = 1e-10
 NEWTON_STEP_TOLERANCE = 1e-13
 MAX_NEWTON_STEPS = 100
 # cells per stack of dual-bound probes: 8 rows on 256 cells, one row from 2^11
-# cells up; a root on a few hundred cells is mostly per-call overhead, which the
-# rows of a stack share
+# cells up.  A stack takes one gradient pass, one modular evaluation and at most
+# one root, of the rows the sandwich cannot rule out; on a few hundred cells
+# each is mostly per-call overhead, which the rows of a stack share
 STACK_CELLS = 2**11
 
 
@@ -356,31 +359,45 @@ def estimate_dual_bound(
 
     Random probes alone sit far below the supremum, so pass any fields known
     to align with f (for instance a computed minimizer) as extra probes.  The
-    probes, then the extra fields, are rooted and paired with f in stacks of
-    ``STACK_CELLS // n_cells`` rows (at least one), each drawn as one block.
+    extra fields are paired with f and rooted first, as one stack; the probes
+    are then drawn and paired in stacks of ``STACK_CELLS // n_cells`` rows (at
+    least one), each drawn as one block.  A probe is rooted only where the
+    sandwich ||grad u|| >= min(rho^(1/m), rho^(1/M)) cannot rule out that its
+    ratio beats the best so far: a skipped ratio lies below it, so the bound is
+    bit-identical to rooting every probe.
     """
     grid = f.grid
     interior = np.flatnonzero(~boundary_mask(grid))
     fc = cell_average_values(grid, f.values)
-    rng = np.random.default_rng(seed)
-    extras = np.array([u.values[interior] for u in extra_fields])
-    extras = extras.reshape(len(extra_fields), len(interior))
-    n_rows = n_probes + len(extras)
-    per_stack = max(1, STACK_CELLS // grid.n_cells)
-    best = 0.0
-    for first in range(0, n_rows, per_stack):
-        last = min(first + per_stack, n_rows)
-        drawn = max(min(last, n_probes) - first, 0)
-        stack = np.zeros((last - first, grid.n_nodes))
+    s = phase.summary
+
+    def raised(best: float, rows: np.ndarray) -> float:
+        """``best`` raised by the ratios of the zero-trace fields with interior ``rows``."""
+        stack = np.zeros((len(rows), grid.n_nodes))
         # interior columns by index: a boolean column mask on a 2D array is slower
-        stack[:, interior] = np.concatenate(
-            [
-                rng.normal(size=(drawn, len(interior))),
-                extras[max(first - n_probes, 0) : max(last - n_probes, 0)],
-            ]
-        )
-        denom = _luxemburg([_magnitude(stack, grid, "gradient")], grid, phase, "gradient")
+        stack[:, interior] = rows
+        mags = _magnitude(stack, grid, "gradient")
         pairing = np.abs(_pairing(fc, stack, grid))
+        value = modular_value(None, grid, phase, "gradient", mags=[mags])
+        # the margin absorbs rounding where the sandwich is tight (p = q); a NaN
+        # anywhere leaves the row to the root
+        with np.errstate(all="ignore"):
+            lower = np.minimum(value ** (1.0 / s.m), value ** (1.0 / s.M))
+            ruled_out = (np.finfo(float).tiny <= value) & (value < math.inf)
+            ruled_out &= pairing <= best * lower * (1.0 - 1e-6)
+        root = np.flatnonzero(~ruled_out)
+        if not len(root):
+            return best
+        denom = _luxemburg([mags[root]], grid, phase, "gradient")
         rooted = denom != 0.0
-        best = max([best, *(pairing[rooted] / denom[rooted]).tolist()])
+        return max([best, *(pairing[root][rooted] / denom[rooted]).tolist()])
+
+    best = 0.0
+    if extra_fields:
+        best = raised(best, np.array([u.values[interior] for u in extra_fields]))
+    rng = np.random.default_rng(seed)
+    per_stack = max(1, STACK_CELLS // grid.n_cells)
+    for first in range(0, n_probes, per_stack):
+        drawn = min(per_stack, n_probes - first)
+        best = raised(best, rng.normal(size=(drawn, len(interior))))
     return 1.01 * best

@@ -21,6 +21,7 @@ from doublephase.modular import (
     rho,
     sweep_sandwich,
 )
+from doublephase.solver import Problem, SolverOptions, minimize
 from test_phase import make_phase
 
 GRID = build_grid(1, [(0, 1)], [16])
@@ -47,6 +48,19 @@ def random_field(rng, grid, scale=1.0, zero_trace=False):
     if zero_trace:
         vals[boundary_mask(grid)] = 0.0
     return ScalarField(grid, vals)
+
+
+def _counting(monkeypatch, name):
+    """Replace ``modular.<name>`` by a wrapper; return the list it appends one entry per call to."""
+    calls = []
+    fn = getattr(modular, name)
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(modular, name, counting)
+    return calls
 
 
 def test_zero_field_all_kinds():
@@ -288,6 +302,21 @@ def test_sandwich_hilbert_case():
     assert report.modular == rho(u, ph, "zero_order").value
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_sandwich_fails_a_norm_off_by_half(monkeypatch, kind):
+    # at p = q the sandwich is the equality norm = rho^(1/p): it holds for the
+    # true root and fails for one 1.5x too large, which a sandwich loosened to
+    # [lower / 2, 2 upper] would pass.  The dual bound's probe pruning reads
+    # its lower side
+    rng = np.random.default_rng(17)
+    ph = make_phase(GRID, 2.5, [(2.5, rng.uniform(0.5, 2.0, GRID.n_cells))])
+    u = random_field(rng, GRID)
+    assert norm_report(u, ph, kind).sandwich_holds is True
+    root = modular._luxemburg
+    monkeypatch.setattr(modular, "_luxemburg", lambda *args, **kw: 1.5 * root(*args, **kw))
+    assert norm_report(u, ph, kind).sandwich_holds is False
+
+
 def test_sandwich_random_sweep():
     rng = np.random.default_rng(5)
     for _ in range(200):
@@ -491,14 +520,7 @@ def test_dual_pairing_bound_takes_one_magnitude_pass(monkeypatch):
     u = random_field(rng, GRID, zero_trace=True)
     unit = ScalarField(GRID, u.values / luxemburg_norm(u, ph, "gradient"))
     a = 1.001 * abs(l2_pairing(f, unit))
-    calls = []
-    gradient_values = modular.gradient_values
-
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return gradient_values(*args, **kwargs)
-
-    monkeypatch.setattr(modular, "gradient_values", counting)
+    calls = _counting(monkeypatch, "gradient_values")
     assert dual_pairing_bound_check(f, unit, a, ph) is True
     assert len(calls) == 1
 
@@ -535,30 +557,105 @@ def test_dual_bound_matches_probe_by_probe_pairing(dim):
     assert estimate_dual_bound(f, ph, n_probes=40, seed=5, extra_fields=(extra,)) == 1.01 * best
 
 
-def test_dual_bound_probe_stacks_bound_calls_and_memory(monkeypatch):
-    # the 1D double-phase fixture's 300 probes and one extra field: 8 rows per
-    # stack, each stack taking one gradient pass, whose magnitudes serve the
-    # root and its unit-modular check; one field at a time took 602 passes
+def _double_phase_fixture():
+    """The 1D 256-cell double-phase problem of the solve benchmark: p = 1.5, q = 3, mu = x, f = 1."""
     grid = build_grid(1, [(0, 1)], [256])
     ph = make_phase(grid, 1.5, [(3.0, grid.cell_centers()[:, 0])])
-    f = ScalarField(grid, np.ones(grid.n_nodes))
+    return grid, ph, ScalarField(grid, np.ones(grid.n_nodes))
+
+
+def test_dual_bound_probe_stacks_bound_calls_and_memory(monkeypatch):
+    # the 1D double-phase fixture's 300 probes and one extra field: the extra
+    # takes one gradient pass, then each of the 38 stacks of 8 probes one, whose
+    # magnitudes serve the pairing's sandwich, the root and its unit-modular
+    # check; one field at a time took 602 passes.  A random extra sits low
+    # enough that 13 probe stacks hold a probe the sandwich cannot rule out
+    grid, ph, f = _double_phase_fixture()
     extra = random_field(np.random.default_rng(12), grid, zero_trace=True)
-    calls = []
-    gradient_values = modular.gradient_values
-
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return gradient_values(*args, **kwargs)
-
-    monkeypatch.setattr(modular, "gradient_values", counting)
+    passes = _counting(monkeypatch, "gradient_values")
+    roots = _counting(monkeypatch, "_luxemburg")
     tracemalloc.start()
     try:
         estimate_dual_bound(f, ph, n_probes=300, seed=0, extra_fields=(extra,))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(calls) <= math.ceil(301 / 8)
+    assert len(passes) == 1 + math.ceil(300 / 8)
+    assert len(roots) == 14
     assert peak < 2**20
+
+
+def test_dual_bound_roots_no_probe_below_the_minimizer(monkeypatch):
+    # the computed minimizer pairs with f far above every random probe, so the
+    # sandwich rules out all 300 probes and only the extra field is rooted
+    grid, ph, f = _double_phase_fixture()
+    prob = Problem(grid, ph, ScalarField.zeros(grid), f)
+    u = minimize(prob, SolverOptions(gradient_tolerance=1e-6)).u_star
+    roots = _counting(monkeypatch, "_luxemburg")
+    estimate_dual_bound(f, ph, n_probes=300, seed=0, extra_fields=(u,))
+    assert len(roots) == 1
+
+
+def _every_row_rooted(f, phase, n_probes, seed, extra_fields):
+    """The dual bound with every probe and extra field rooted: probes first, then extras, in stacks."""
+    grid = f.grid
+    interior = np.flatnonzero(~boundary_mask(grid))
+    fc = modular.cell_average_values(grid, f.values)
+    rng = np.random.default_rng(seed)
+    extras = np.array([u.values[interior] for u in extra_fields]).reshape(-1, len(interior))
+    n_rows = n_probes + len(extras)
+    per_stack = max(1, modular.STACK_CELLS // grid.n_cells)
+    best = 0.0
+    for first in range(0, n_rows, per_stack):
+        last = min(first + per_stack, n_rows)
+        drawn = max(min(last, n_probes) - first, 0)
+        stack = np.zeros((last - first, grid.n_nodes))
+        stack[:, interior] = np.concatenate(
+            [
+                rng.normal(size=(drawn, len(interior))),
+                extras[max(first - n_probes, 0) : max(last - n_probes, 0)],
+            ]
+        )
+        denom = _root(stack, grid, phase, "gradient")
+        pairing = np.abs(modular._pairing(fc, stack, grid))
+        rooted = denom != 0.0
+        best = max([best, *(pairing[rooted] / denom[rooted]).tolist()])
+    return 1.01 * best
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_dual_bound_roots_only_probes_that_can_win_bit_identically(dim, monkeypatch):
+    # a probe the sandwich rules out has a ratio below the best so far, so
+    # skipping its root leaves every bit of the bound.  Every other phase has
+    # p = q, where the sandwich is the norm itself and a probe that beats the
+    # best by a hair must still be rooted.  The weak extra pairs with f at 1e-3
+    # of a random field, so random probes beat it and are rooted
+    rng = np.random.default_rng(31 + dim)
+    roots = _counting(monkeypatch, "_luxemburg")
+    for trial in range(6):
+        grid = build_grid(dim, [(0, 1)] * dim, [48 + 37 * trial] if dim == 1 else [5 + trial, 9])
+        if trial % 2:
+            p = rng.uniform(1.2, 4.0)
+            ph = make_phase(grid, p, [(p, rng.uniform(0.0, 3.0, grid.n_cells))])
+        else:
+            ph = random_phase(rng, grid)
+        f = random_field(rng, grid)
+        aligned = ScalarField(grid, np.where(boundary_mask(grid), 0.0, f.values))
+        r = random_field(rng, grid, zero_trace=True)
+        weak = r.values - (1.0 - 1e-3) * l2_pairing(f, r) / l2_pairing(f, aligned) * aligned.values
+        extras = {
+            "none": (),
+            "null": (ScalarField.zeros(grid),),
+            "weak": (ScalarField(grid, weak),),
+            "aligned": (aligned,),
+        }
+        n_probes, seed = int(rng.integers(20, 120)), int(rng.integers(0, 1000))
+        for name, extra in extras.items():
+            expected = _every_row_rooted(f, ph, n_probes, seed, extra)
+            roots.clear()
+            assert estimate_dual_bound(f, ph, n_probes, seed, extra) == expected, (trial, name)
+            if name == "weak":
+                assert len(roots) > 1 and expected > estimate_dual_bound(f, ph, 0, seed, extra)
 
 
 def test_restricted_modular_mass():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doublephase.mesh import ScalarField, boundary_mask, build_grid
+from doublephase.mesh import ScalarField, boundary_mask, build_grid, gradient_values, squared_norm
 from doublephase.modular import poincare_ratio, rho
 from doublephase.solver import (
     Problem,
@@ -444,6 +444,21 @@ def test_uniqueness_certificate():
     other = ScalarField(grid, w_vals + bump)
     cert2, equal2 = uniqueness_certificate(w, other, prob)
     assert cert2 > 0.0 and not equal2
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_uniqueness_certificate_is_the_flux_pairing_at_p_equal_q_equal_2(dim):
+    # at p = q = 2 the bound 2^0 |A - B|^2 is the flux pairing <A - B, A - B>
+    # itself, so the certificate is vol * sum (1 + mu) |grad(v - w)|^2
+    grid = build_grid(dim, [(0, 1)] * dim, [24] if dim == 1 else [7, 5])
+    rng = np.random.default_rng(40 + dim)
+    mu = rng.uniform(0.1, 3.0, grid.n_cells)
+    prob = make_problem(grid, 2.0, [(2.0, mu)])
+    v = ScalarField(grid, zero_trace_random(grid, rng))
+    w = ScalarField(grid, zero_trace_random(grid, rng))
+    diff = squared_norm(gradient_values(grid, v.values - w.values))
+    pairing = grid.cell_volume * float(np.sum((1.0 + mu) * diff))
+    assert uniqueness_certificate(v, w, prob)[0] == pytest.approx(pairing, rel=1e-12)
 
 
 def test_two_starts_agree():
