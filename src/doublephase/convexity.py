@@ -281,6 +281,7 @@ def _energy_floor(a: float, m: float) -> float:
         raise ValueError(f"m must exceed 1, got {m}")
     if a < 0:
         raise ValueError("a must be nonnegative")
+    a, m = float(a), float(m)  # a numpy scalar's power warns on overflow, a float's raises
     try:
         return a * (a / m) ** (1.0 / (m - 1.0))
     except OverflowError:

@@ -15,23 +15,18 @@ uniform-convexity pair vacuous, and a Luxemburg check raises ``FloatingPointErro
 All integrals use the one-point cell-center quadrature of the mesh module,
 so every modular is a finite weighted sum and is convex, symmetric, and
 strictly decreasing in the Luxemburg scaling parameter wherever positive.
-The Luxemburg norm solves log rho(u / lambda) = 0 by Newton's method in
-log lambda, over per-cell magnitudes divided by their maximum; a step whose
-modular overflows is halved.  ``_luxemburg`` takes magnitudes only and roots a
-stack of them by one grouping rule: a null row has norm 0, and the other rows
-share one Newton iteration when they all have the same positive (cell, term)
-entries, each row alone otherwise.  In the shared iteration each row takes the
-steps it would take alone and is held in place once its step is within
-tolerance, so every norm is bit-identical to rooting one field at a time, and
-one stacked modular evaluation of rho(t / lambda), the equation Newton solved,
-checks every row's unit modular.  No gradient of u / lambda is
-taken, so a field with a large constant part roots like its varying part.  A
-norm whose check leaves the float range (squared gradients that overflow, a
-subnormal cell volume) raises ``FloatingPointError``.  ``estimate_dual_bound``
-pairs its probes with f and takes their modulars in stacks of at most
-``STACK_CELLS`` = 2^11 cells, or of one row on a larger grid: 8 rows on 256
-cells, one on a 64x64 grid.  It roots only the probes whose sandwich lower
-bound min(rho^(1/m), rho^(1/M)) cannot rule out a ratio above the best so far.
+``_luxemburg`` roots one field: it solves log rho(u / lambda) = 0 by Newton's
+method in log lambda, over the field's per-cell magnitudes divided by their
+maximum, halves a step whose modular overflows, and checks the unit modular
+with one evaluation of rho(t / lambda), the equation Newton solved.  No
+gradient of u / lambda is taken, so a field with a large constant part roots
+like its varying part.  A norm whose check leaves the float range (squared
+gradients that overflow, a subnormal cell volume) raises ``FloatingPointError``.
+``estimate_dual_bound`` pairs its probes with f and takes their modulars in
+stacks of at most ``STACK_CELLS`` = 2^11 cells, or of one row on a larger
+grid: 8 rows on 256 cells, one on a 64x64 grid.  It roots, one at a time, only
+the probes whose sandwich lower bound min(rho^(1/m), rho^(1/M)) cannot rule
+out a ratio above the best so far.
 """
 
 from __future__ import annotations
@@ -62,9 +57,9 @@ UNIT_MODULAR_TOLERANCE = 1e-10
 NEWTON_STEP_TOLERANCE = 1e-13
 MAX_NEWTON_STEPS = 100
 # cells per stack of dual-bound probes: 8 rows on 256 cells, one row from 2^11
-# cells up.  A stack takes one gradient pass, one modular evaluation and at most
-# one root, of the rows the sandwich cannot rule out; on a few hundred cells
-# each is mostly per-call overhead, which the rows of a stack share
+# cells up.  A stack takes one gradient pass, one pairing and one modular
+# evaluation, whose per-call overhead its rows share on a few hundred cells;
+# the rows the sandwich cannot rule out are then rooted one at a time
 STACK_CELLS = 2**11
 
 
@@ -97,9 +92,9 @@ def _magnitude(u_values: np.ndarray, grid: Grid, part: str) -> np.ndarray:
 
 
 def _field_magnitudes(u: ScalarField, kind: str) -> list[np.ndarray]:
-    """The kind's part magnitudes of one field, each as ``[1, n_cells]``."""
+    """The kind's part magnitudes of one field, each as ``[n_cells]``."""
     _check_kind(kind)
-    return [_magnitude(u.values, u.grid, part)[None] for part in _PARTS[kind]]
+    return [_magnitude(u.values, u.grid, part) for part in _PARTS[kind]]
 
 
 def _part_values(
@@ -163,88 +158,52 @@ def rho(
 
 def _luxemburg(
     mags: list[np.ndarray], grid: Grid, phase: PhaseStructure, kind: str, bar: bool = False
-) -> np.ndarray:
-    """Luxemburg norm of each row of ``mags``, the kind's part magnitudes as ``[rows, n_cells]``.
+) -> float:
+    """Luxemburg norm of one field from the kind's part magnitudes ``mags``, each ``[n_cells]``.
 
-    A null row has norm 0.  The other rows share one Newton iteration, each
-    taking the steps it would take alone, when they all have the same positive
-    (cell, term) entries; otherwise each is rooted alone, so every sum runs over
-    its own entries.
+    A null field has norm 0.  Newton's method solves log rho(t / (top e^s)) = 0
+    in s, which is convex with slope -(w-weighted mean of r) in [-M, -m], so it
+    climbs monotonically to the root from any iterate left of it.
     """
-    top = functools.reduce(np.maximum, [np.maximum.reduce(t, axis=-1) for t in mags])
-    lam = np.zeros(len(top))
-    rows = np.flatnonzero(top)
-    if not len(rows):
-        return lam
-    if len(rows) < len(top):
-        mags, top = [t[rows] for t in mags], top[rows]
-    # rho(u / (top e^s)) = sum w e^(-r s) over the (cell, term) entries with
+    top = functools.reduce(np.maximum, [t.max() for t in mags])
+    if top == 0.0:
+        return 0.0
+    # rho(t / (top e^s)) = sum w e^(-r s) over the (cell, term) entries with
     # w = vol c (t/top)^r > 0; every t/top <= 1, so no power overflows
     terms = phase.terms(bar=bar)
-    w = np.concatenate(
-        [grid.cell_volume * c * (t / top[:, None]) ** r for t in mags for r, c in terms],
-        axis=-1,
-    )
+    w = np.concatenate([grid.cell_volume * c * (t / top) ** r for t in mags for r, c in terms])
     r = np.concatenate([r for r, _ in terms] * len(mags))
     positive = w > 0.0
-    keep = np.logical_or.reduce(positive)
-    if np.count_nonzero(positive) == len(rows) * np.count_nonzero(keep):
-        if not keep.all():
-            w, r = w.take(np.flatnonzero(keep), axis=-1), r[keep]
-        lam[rows] = top * np.exp(_newton_roots(w, r))
-        _check_unit_modular(mags, lam[rows], grid, phase, kind, bar)
-    else:
-        for i, row in enumerate(rows):
-            lam[row] = _luxemburg([t[i : i + 1] for t in mags], grid, phase, kind, bar)[0]
-    return lam
-
-
-def _newton_roots(w: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """s per row with sum w e^(-r s) = 1, for weights ``w[k, n_entries] > 0``."""
-    # F(s) = log rho is convex, with slope -(w-weighted mean of r) in [-M, -m]:
-    # Newton climbs monotonically to the root from any iterate left of it.  A
-    # row is done once its step is within tolerance; its s is then held fixed.
-    nr = -r
-    s = step = np.zeros(len(w))
-    done = np.zeros(len(w), dtype=bool)
-    # C order, whatever the order of w: each row sums along its contiguous entries
-    e = np.empty(w.shape)
+    w, r = w[positive], r[positive]
+    s = step = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(MAX_NEWTON_STEPS):
-            np.multiply(nr, s[:, None], out=e)
-            np.exp(e, out=e)
-            e *= w
-            total = np.add.reduce(e, axis=-1)
-            e *= r
-            slope = np.add.reduce(e, axis=-1)
-            # a step far past the root (tiny rho(u / top), large r) overflowed
-            # the sums (slope >= total, as every r > 1): take back half of it
-            newton = np.isfinite(slope)
-            step = np.where(newton, np.log(total) * total / slope, 0.5 * step)
-            step[done] = 0.0
-            s = np.where(newton, s + step, s - step)
-            done |= newton & (np.abs(step) <= NEWTON_STEP_TOLERANCE)
-            if done.all():
+            e = w * np.exp(-r * s)
+            total = np.sum(e)
+            slope = np.sum(e * r)
+            if not np.isfinite(slope):
+                # a step far past the root (tiny rho(t / top), large r) overflowed
+                # the sums (slope >= total, as every r > 1): take back half of it
+                step *= 0.5
+                s -= step
+                continue
+            step = np.log(total) * total / slope
+            s += step
+            if abs(step) <= NEWTON_STEP_TOLERANCE:
                 break
-    return s
-
-
-def _check_unit_modular(mags, lam: np.ndarray, grid: Grid, phase: PhaseStructure, kind, bar):
-    """Raise unless rho(t / lam) = 1 on every row of the magnitudes, in one modular evaluation."""
-    scaled = [t / lam[:, None] for t in mags]
-    residual = modular_value(None, grid, phase, kind, bar, scaled) - 1.0
-    reached = np.abs(residual) <= UNIT_MODULAR_TOLERANCE
-    if np.count_nonzero(reached) < len(lam):
-        residual = residual[~reached][0]
+    norm = top * np.exp(s)
+    residual = float(modular_value(None, grid, phase, kind, bar, [t / norm for t in mags])) - 1.0
+    if not abs(residual) <= UNIT_MODULAR_TOLERANCE:
         if not math.isfinite(residual):
             # a magnitude, a cell weight or the root itself left the float range
             raise FloatingPointError(f"luxemburg norm out of float range: residual {residual}")
         raise RuntimeError(f"luxemburg Newton did not reach unit modular: residual {residual}")
+    return float(norm)
 
 
 def luxemburg_norm(u: ScalarField, phase: PhaseStructure, kind: str) -> float:
     """The unique lambda > 0 with rho(u/lambda) = 1, or 0 for a null argument."""
-    return float(_luxemburg(_field_magnitudes(u, kind), u.grid, phase, kind)[0])
+    return _luxemburg(_field_magnitudes(u, kind), u.grid, phase, kind)
 
 
 @dataclass(frozen=True)
@@ -268,17 +227,17 @@ def norm_report(u: ScalarField, phase: PhaseStructure, kind: str) -> NormReport:
     serve the modular, both roots and both roots' unit-modular checks.
     """
     mags = _field_magnitudes(u, kind)
-    value = float(modular_value(None, u.grid, phase, kind, mags=mags)[0])
+    value = float(modular_value(None, u.grid, phase, kind, mags=mags))
     s = phase.summary
     lower = min(value ** (1.0 / s.m), value ** (1.0 / s.M))
     upper = max(value ** (1.0 / s.m), value ** (1.0 / s.M))
-    norm = float(_luxemburg(mags, u.grid, phase, kind)[0])
+    norm = _luxemburg(mags, u.grid, phase, kind)
     holds = None
     if norm == 0.0 or np.finfo(float).tiny <= value < math.inf:
         holds = bool(lower * (1.0 - 1e-9) <= norm <= upper * (1.0 + 1e-9))
     bar_norm = overline = None
     if phase.k == 1:
-        bar_norm = float(_luxemburg(mags, u.grid, phase, kind, bar=True)[0])
+        bar_norm = _luxemburg(mags, u.grid, phase, kind, bar=True)
         slack = 1e-9 * (1.0 + norm + bar_norm)
         band = np.exp(1.0 / np.e) * norm
         overline = bool(norm <= bar_norm + slack and bar_norm <= band + slack)
@@ -286,7 +245,7 @@ def norm_report(u: ScalarField, phase: PhaseStructure, kind: str) -> NormReport:
 
 
 def sweep_sandwich(grid: Grid, phase: PhaseStructure, n_samples: int, seed: int) -> dict:
-    """Seeded sweep of ``norm_report``'s checks and of ||c u|| = c ||u|| (1e-12 relative).
+    """Seeded sweep of ``norm_report``'s checks and of ||c u|| = c ||u|| to 1e-12 max(1, c ||u||).
 
     Each sample draws a scale, a field u, a kind and c, in this order.  A sample
     fails only on a check it evaluated: a sandwich over a modular that overflowed
@@ -336,10 +295,10 @@ def dual_pairing_bound_check(
     if a < 0:
         raise ValueError("dual-norm bound must be nonnegative")
     mags = _field_magnitudes(u, "gradient")
-    grad_norm = float(_luxemburg(mags, u.grid, phase, "gradient")[0])
+    grad_norm = _luxemburg(mags, u.grid, phase, "gradient")
     if grad_norm < 1.0 - 1e-12:
         raise ValueError(f"hypothesis violated: gradient norm {grad_norm} < 1")
-    value = float(modular_value(None, u.grid, phase, "gradient", mags=mags)[0])
+    value = float(modular_value(None, u.grid, phase, "gradient", mags=mags))
     if not math.isfinite(value):
         return None
     m = phase.summary.m
@@ -359,9 +318,9 @@ def estimate_dual_bound(
 
     Random probes alone sit far below the supremum, so pass any fields known
     to align with f (for instance a computed minimizer) as extra probes.  The
-    extra fields are paired with f and rooted first, as one stack; the probes
-    are then drawn and paired in stacks of ``STACK_CELLS // n_cells`` rows (at
-    least one), each drawn as one block.  A probe is rooted only where the
+    extra fields are paired with f and rooted first; the probes are then drawn
+    and paired in stacks of ``STACK_CELLS // n_cells`` rows (at least one),
+    each drawn as one block.  A probe is rooted, on its own, only where the
     sandwich ||grad u|| >= min(rho^(1/m), rho^(1/M)) cannot rule out that its
     ratio beats the best so far: a skipped ratio lies below it, so the bound is
     bit-identical to rooting every probe.
@@ -385,12 +344,11 @@ def estimate_dual_bound(
             lower = np.minimum(value ** (1.0 / s.m), value ** (1.0 / s.M))
             ruled_out = (np.finfo(float).tiny <= value) & (value < math.inf)
             ruled_out &= pairing <= best * lower * (1.0 - 1e-6)
-        root = np.flatnonzero(~ruled_out)
-        if not len(root):
-            return best
-        denom = _luxemburg([mags[root]], grid, phase, "gradient")
-        rooted = denom != 0.0
-        return max([best, *(pairing[root][rooted] / denom[rooted]).tolist()])
+        for i in np.flatnonzero(~ruled_out):
+            denom = _luxemburg([mags[i]], grid, phase, "gradient")
+            if denom != 0.0:
+                best = max(best, float(pairing[i]) / denom)
+        return best
 
     best = 0.0
     if extra_fields:

@@ -79,13 +79,12 @@ def test_micro_timings_call_every_layer(monkeypatch):
     assert "micro.modular.luxemburg_norm.us.4x4" in metrics
 
 
-def test_traced_roots_make_one_stacked_check_each():
+def test_traced_roots_make_one_check_each():
     # bench/run.py reads modular.evals_per_norm as the modular_value calls made
-    # inside modular._luxemburg per _luxemburg call: the probes of a dual-bound
-    # stack that the sandwich cannot rule out are rooted by one call and
-    # checked by one stacked modular_value.  With no extra field the first of
-    # the 3 stacks of 32 probes roots its rows, and one later stack holds a
-    # probe that may beat them
+    # inside modular._luxemburg per _luxemburg call: each probe of a dual-bound
+    # stack that the sandwich cannot rule out is rooted by one call and checked
+    # by one modular_value.  With no extra field every probe of the first of
+    # the 3 stacks of 32 probes is rooted, and one later probe may beat them
     from doublephase import modular
     from doublephase.mesh import ScalarField, build_grid
     from doublephase.phase import PhasePair, PhaseStructure
@@ -102,5 +101,5 @@ def test_traced_roots_make_one_stacked_check_each():
         tr.uninstall()
     assert tr.absent == []
     roots = tr.calls("modular._luxemburg")
-    assert roots == 2
+    assert roots == 33
     assert tr.calls("modular.modular_value", parent="modular._luxemburg") == roots

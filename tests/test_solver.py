@@ -96,6 +96,16 @@ def test_solve_weak_uses_the_dual_bound_option():
     assert sol.lower_bound_used == lower_bound(2.5, 2.0, 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bound", [1e308, np.float64(1e308)], ids=["float", "numpy"])
+def test_an_overflowing_energy_floor_is_silent_for_a_numpy_bound(bound):
+    # SolverOptions takes np.float64, a float subclass, whose power warns on
+    # overflow where a Python float's raises; both give an unbounded floor
+    grid = build_grid(1, [(0, 1)], [8])
+    prob = make_problem(grid, 2.0, [(3.0, 1.0)], f_values=np.ones(grid.n_nodes))
+    assert solve_weak(prob, SolverOptions(dual_bound=bound)).lower_bound_used == -np.inf
+
+
 def test_energy_trivial_cases():
     grid = build_grid(1, [(0, 1)], [8])
     prob = make_problem(grid, 2.0, [(3.0, 1.0)])

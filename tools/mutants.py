@@ -2,9 +2,12 @@
 
 Each row of ``MUTANTS`` names a weakening: the file, the text it replaces
 (which must occur exactly once), the replacement, and the tests expected to
-fail on it.  Every row is applied to a fresh temporary copy of ``src`` and
-``tests``, and only its tests run there.  A row whose tests still pass
-survived; the script prints one line per row and exits 1 if any survived.
+fail on it.  Every row is applied to a fresh temporary copy of ``src``,
+``tests``, ``bench`` and ``README.md``, and only its tests run there.  A row
+is killed where pytest reports a failing test (exit 1) and survived where its
+tests pass; the script prints one line per row and exits 1 if any survived.
+Any other pytest exit (a collection error, a test id that names no test)
+proves nothing about the row, so the script stops there with exit 2.
 
     python3 tools/mutants.py            # every row
     python3 tools/mutants.py certificate-halved
@@ -56,11 +59,61 @@ MUTANTS = (
         "pairing <= best * lower * 2.0",
         ("tests/test_modular.py::test_dual_bound_roots_only_probes_that_can_win_bit_identically",),
     ),
+    Mutant(
+        "overline-band-x2",
+        "src/doublephase/modular.py",
+        "band = np.exp(1.0 / np.e) * norm",
+        "band = 2.0 * np.exp(1.0 / np.e) * norm",
+        ("tests/test_modular.py::test_overline_band_is_sharp",),
+    ),
+    Mutant(
+        "overline-lower-side-halved",
+        "src/doublephase/modular.py",
+        "overline = bool(norm <= bar_norm + slack and",
+        "overline = bool(0.5 * norm <= bar_norm + slack and",
+        ("tests/test_modular.py::test_overline_band_is_sharp",),
+    ),
+    Mutant(
+        "energy-floor-halved",
+        "src/doublephase/solver.py",
+        "head = _energy_floor(a, m)",
+        "head = 0.5 * _energy_floor(a, m)",
+        ("tests/test_solver.py::test_lower_bound_values",),
+    ),
+    Mutant(
+        "weak-residual-x0.1",
+        "src/doublephase/solver.py",
+        "residual = float(np.max(np.abs(r)))",
+        "residual = 0.1 * float(np.max(np.abs(r)))",
+        ("tests/test_solver.py::test_weak_residual_is_the_energy_gradient_norm",),
+    ),
+    Mutant(
+        "monotonicity-power-bound-halved",
+        "src/doublephase/convexity.py",
+        "return 2.0 ** (2.0 - r) * ndiff**r",
+        "return 0.5 * 2.0 ** (2.0 - r) * ndiff**r",
+        ("tests/test_convexity.py::test_monotonicity_check",),
+    ),
+    Mutant(
+        "dual-bound-factor-0.5",
+        "src/doublephase/modular.py",
+        "return 1.01 * best",
+        "return 0.5 * best",
+        ("tests/test_modular.py::test_dual_bound_matches_probe_by_probe_pairing",),
+    ),
 )
 
 
-def tests_pass(root: Path, tests: tuple[str, ...]) -> bool:
-    """Run ``tests`` in the checkout or copy at ``root``, on its own ``src``."""
+class Inconclusive(Exception):
+    """A run that neither passed nor failed its tests, or a row that does not apply."""
+
+
+def tests_fail(root: Path, tests: tuple[str, ...]) -> bool:
+    """Run ``tests`` in the checkout or copy at ``root``, on its own ``src``.
+
+    True where a test fails (pytest exit 1), False where all pass; any other
+    exit raises ``Inconclusive``.
+    """
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
@@ -69,22 +122,25 @@ def tests_pass(root: Path, tests: tuple[str, ...]) -> bool:
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )
-    return run.returncode == 0
+    if run.returncode not in (0, 1):
+        raise Inconclusive(f"pytest exited {run.returncode} on {' '.join(tests)}")
+    return run.returncode == 1
 
 
 def killed(mutant: Mutant) -> bool:
     """Apply ``mutant`` to a temporary copy and report whether its tests fail there."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp)
-        for part in ("src", "tests"):
-            shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
+        for part in ("src", "tests", "bench"):
+            shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__", "out"))
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy2(ROOT / name, copy / name)
         target = copy / mutant.path
         text = target.read_text(encoding="utf-8")
         if text.count(mutant.old) != 1:
-            raise SystemExit(f"{mutant.name}: {mutant.old!r} occurs {text.count(mutant.old)} times in {mutant.path}")
+            raise Inconclusive(f"{mutant.name}: {mutant.old!r} occurs {text.count(mutant.old)} times in {mutant.path}")
         target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
-        return not tests_pass(copy, mutant.killers)
+        return tests_fail(copy, mutant.killers)
 
 
 def main(argv: list[str]) -> int:
@@ -93,15 +149,19 @@ def main(argv: list[str]) -> int:
     if unknown:
         print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
         return 2
-    # a killer that fails on the unmutated code would count every mutant as killed
-    if not tests_pass(ROOT, tuple(dict.fromkeys(t for m in chosen for t in m.killers))):
-        print("the killing tests fail on the unmutated code", file=sys.stderr)
+    try:
+        # a killer that fails on the unmutated code would count every mutant as killed
+        if tests_fail(ROOT, tuple(dict.fromkeys(t for m in chosen for t in m.killers))):
+            print("the killing tests fail on the unmutated code", file=sys.stderr)
+            return 2
+        survivors = 0
+        for mutant in chosen:
+            dead = killed(mutant)
+            survivors += not dead
+            print(f"{'killed  ' if dead else 'SURVIVED'} {mutant.name}")
+    except Inconclusive as err:
+        print(f"inconclusive: {err}", file=sys.stderr)
         return 2
-    survivors = 0
-    for mutant in chosen:
-        dead = killed(mutant)
-        survivors += not dead
-        print(f"{'killed  ' if dead else 'SURVIVED'} {mutant.name}")
     return 1 if survivors else 0
 
 
