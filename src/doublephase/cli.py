@@ -320,7 +320,6 @@ def _emit(report: dict, out_dir: Path | None):
 def _sweep_uc(config: Config) -> dict:
     phase = config.problem.phase
     tallies = sweep_uc_pairs(
-        config.grid,
         phase,
         config.verify["samples"],
         config.solver.seed,
@@ -355,7 +354,7 @@ _SUITES = {
         "sandwich",
         "norm-modular sandwich sweep",
         lambda config: sweep_sandwich(
-            config.grid, config.problem.phase, config.verify["samples"], config.solver.seed
+            config.problem.phase, config.verify["samples"], config.solver.seed
         ),
     ),
 }

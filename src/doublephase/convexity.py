@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import ScalarField, gradient_values, squared_norm
+from .mesh import ScalarField, _require_same_grid, gradient_values, squared_norm
 from .phase import PhaseStructure, power_flux_coefficient
 from .modular import stacked_rho
 
@@ -84,6 +84,7 @@ def pair_split(
 ) -> PairSplit:
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
+    _require_same_grid(u.grid, ("v", v))
     gu = gradient_values(u.grid, u.values)
     gv = gradient_values(v.grid, v.values)
     nu = np.sqrt(squared_norm(gu))
@@ -186,12 +187,12 @@ def uc_verdicts(midpoint, average, gap, eps, delta):
     return np.where(gap <= threshold, 0, np.where(passed, 1, 2)), threshold
 
 
-def _uc_modulars(u: np.ndarray, v: np.ndarray, grid, phase: PhaseStructure, kinds):
+def _uc_modulars(u: np.ndarray, v: np.ndarray, phase: PhaseStructure, kinds):
     """Per kind, (midpoint, average, gap) modulars of the row pairs of u and v."""
     # one call per field stack: a single 4x taller stack raised the peak
     # memory of a solve's one-pair certificate and of the sweep
     ru, rv, rmid, rhalf = (
-        stacked_rho(w, grid, phase, kinds) for w in (u, v, (u + v) / 2.0, (u - v) / 2.0)
+        stacked_rho(w, phase, kinds) for w in (u, v, (u + v) / 2.0, (u - v) / 2.0)
     )
     return {kind: (rmid[kind], (ru[kind] + rv[kind]) / 2.0, rhalf[kind]) for kind in kinds}
 
@@ -199,15 +200,14 @@ def _uc_modulars(u: np.ndarray, v: np.ndarray, grid, phase: PhaseStructure, kind
 def verify_uc_pair(
     u: ScalarField, v: ScalarField, eps: float, phase: PhaseStructure, kind: str
 ) -> ConvexityReport:
-    """Certify the uniform-convexity implication for one pair of fields.
+    """Certify the uniform-convexity implication for one pair of fields on the phase's grid.
 
     Covers every phase count: with k >= 2 phases m is the minimum over all
     exponent fields.
     """
+    _require_same_grid(phase.grid, ("u", u), ("v", v))
     delta = delta_of_epsilon(eps, phase.summary.m)
-    midpoint, average, gap = _uc_modulars(
-        u.values[None], v.values[None], u.grid, phase, (kind,)
-    )[kind]
+    midpoint, average, gap = _uc_modulars(u.values[None], v.values[None], phase, (kind,))[kind]
     verdict, threshold = uc_verdicts(midpoint, average, gap, eps, delta)
     return ConvexityReport(
         kind=kind,
@@ -359,20 +359,20 @@ UC_CHUNK_NODES = 2**15
 
 
 def sweep_uc_pairs(
-    grid,
     phase: PhaseStructure,
     n_samples: int,
     seed: int,
     kinds=("gradient", "sobolev"),
     eps: float | None = None,
 ):
-    """Seeded uniform-convexity sweep on a fixed grid and phase structure.
+    """Seeded uniform-convexity sweep on a fixed phase structure and its grid.
 
     Each sample draws the scales of u and v, then u, v and (unless fixed)
     eps.  Pairs are certified in chunks of ``UC_CHUNK_NODES // n_nodes``:
     one ``stacked_rho`` call each for the chunk's u, v, midpoints and
     half-differences evaluates every part of every kind's modular once.
     """
+    grid = phase.grid
     rng = np.random.default_rng(seed)
     m = phase.summary.m
     bound = admissible_epsilon_bound(m)
@@ -390,9 +390,9 @@ def sweep_uc_pairs(
             scale_v = 10.0 ** rng.uniform(-1, 1)
             u[i] = scale_u * rng.normal(size=grid.n_nodes)
             v[i] = scale_v * rng.normal(size=grid.n_nodes)
-            e[i] = eps if eps is not None else rng.uniform(0.02, 0.98) * min(1.0, bound)
+            e[i] = eps if eps is not None else rng.uniform(0.02, 0.98) * bound
         delta = delta_of_epsilon(e, m)
-        modulars = _uc_modulars(u, v, grid, phase, kinds)
+        modulars = _uc_modulars(u, v, phase, kinds)
         for kind in kinds:
             verdicts, _ = uc_verdicts(*modulars[kind], e, delta)
             counts = np.bincount(verdicts, minlength=len(VERDICTS))

@@ -203,6 +203,13 @@ def boundary_mask(grid: Grid) -> np.ndarray:
     return m.reshape(-1)
 
 
+def _require_same_grid(grid: Grid, *named):
+    """Raise unless every ``(name, part)``, a field or a phase, lies on ``grid``."""
+    for name, part in named:
+        if part.grid != grid:
+            raise ValueError(f"{name} does not match the grid")
+
+
 def _require_zero_trace(grid: Grid, values: np.ndarray, what: str):
     if np.any(values[boundary_mask(grid)] != 0.0):
         raise ValueError(f"{what} must vanish on boundary nodes (a zero boundary trace)")

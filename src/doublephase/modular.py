@@ -11,6 +11,8 @@ their integrand values from ``_part_values``, once per part the kinds need,
 for one field or a whole stack.  A modular that overflows there reads inf,
 silently; the sandwich then reads ``None`` (as where it underflows), a
 uniform-convexity pair vacuous, and a Luxemburg check raises ``FloatingPointError``.
+Each entry point that takes a field holds it to ``phase.grid``, on which rho
+pairs it with p, q and mu cell by cell (``mesh._require_same_grid``).
 
 All integrals use the one-point cell-center quadrature of the mesh module,
 so every modular is a finite weighted sum and is convex, symmetric, and
@@ -40,6 +42,7 @@ import numpy as np
 from .mesh import (
     Grid,
     ScalarField,
+    _require_same_grid,
     _require_zero_trace,
     boundary_mask,
     cell_average_values,
@@ -91,14 +94,15 @@ def _magnitude(u_values: np.ndarray, grid: Grid, part: str) -> np.ndarray:
     return np.sqrt(squared_norm(gradient_values(grid, u_values)))
 
 
-def _field_magnitudes(u: ScalarField, kind: str) -> list[np.ndarray]:
-    """The kind's part magnitudes of one field, each as ``[n_cells]``."""
+def _field_magnitudes(u: ScalarField, phase: PhaseStructure, kind: str) -> list[np.ndarray]:
+    """The kind's part magnitudes of one field on the phase's grid, each as ``[n_cells]``."""
     _check_kind(kind)
+    _require_same_grid(phase.grid, ("u", u))
     return [_magnitude(u.values, u.grid, part) for part in _PARTS[kind]]
 
 
 def _part_values(
-    u_values: np.ndarray | None, grid: Grid, phase: PhaseStructure, kinds, bar=False, mags=None
+    u_values: np.ndarray | None, phase: PhaseStructure, kinds, bar=False, mags=None
 ) -> dict[str, np.ndarray]:
     """{part: h(|part|)} of ``u_values[..., n_nodes]``, once for each part the kinds sum.
 
@@ -106,29 +110,27 @@ def _part_values(
     """
     parts = list(dict.fromkeys(part for kind in kinds for part in _PARTS[kind]))
     if mags is None:
-        mags = (_magnitude(u_values, grid, part) for part in parts)
+        mags = (_magnitude(u_values, phase.grid, part) for part in parts)
     with np.errstate(over="ignore"):
         return {part: phase.h_of(t, bar=bar) for part, t in zip(parts, mags)}
 
 
-def _assemble(h: dict[str, np.ndarray], kind: str, grid: Grid) -> np.ndarray:
+def _assemble(h: dict[str, np.ndarray], kind: str, phase: PhaseStructure) -> np.ndarray:
     """Per-cell contributions of one kind from its parts' integrand values."""
-    return functools.reduce(np.add, [h[part] for part in _PARTS[kind]]) * grid.cell_volume
+    return functools.reduce(np.add, [h[part] for part in _PARTS[kind]]) * phase.grid.cell_volume
 
 
-def stacked_rho(
-    u_values: np.ndarray, grid: Grid, phase: PhaseStructure, kinds
-) -> dict[str, np.ndarray]:
+def stacked_rho(u_values: np.ndarray, phase: PhaseStructure, kinds) -> dict[str, np.ndarray]:
     """Modular of every row of ``u_values[..., n_nodes]``, for each kind in ``kinds``.
 
-    Each part the kinds need is evaluated once for the whole stack, and a
-    sobolev modular adds its two parts as ``rho`` does, so every value
-    equals ``rho`` of that row bit for bit.
+    The rows lie on the phase's grid.  Each part the kinds need is evaluated
+    once for the whole stack, and a sobolev modular adds its two parts as
+    ``rho`` does, so every value equals ``rho`` of that row bit for bit.
     """
     for kind in kinds:
         _check_kind(kind)
-    h = _part_values(u_values, grid, phase, kinds)
-    return {kind: np.sum(_assemble(h, kind, grid), axis=-1) for kind in kinds}
+    h = _part_values(u_values, phase, kinds)
+    return {kind: np.sum(_assemble(h, kind, phase), axis=-1) for kind in kinds}
 
 
 def modular_value(
@@ -136,9 +138,10 @@ def modular_value(
 ) -> np.ndarray:
     """Modular of ``u_values[..., n_nodes]``, or of the kind's part magnitudes ``mags``.
 
-    One value per row: 0-d for one field.
+    One value per row: 0-d for one field.  ``grid`` must be the phase's.
     """
-    cells = _assemble(_part_values(u_values, grid, phase, (kind,), bar, mags), kind, grid)
+    _require_same_grid(grid, ("phase structure", phase))
+    cells = _assemble(_part_values(u_values, phase, (kind,), bar, mags), kind, phase)
     return np.sum(cells, axis=-1)
 
 
@@ -149,15 +152,15 @@ def rho(
     mask: np.ndarray | None = None,
 ) -> ModularReport:
     """Modular of u under the phase integrand, optionally restricted to a cell mask."""
-    _check_kind(kind)
-    cells = _assemble(_part_values(u.values, u.grid, phase, (kind,)), kind, u.grid)
+    mags = _field_magnitudes(u, phase, kind)
+    cells = _assemble(_part_values(None, phase, (kind,), mags=mags), kind, phase)
     if mask is not None:
         cells = np.where(np.asarray(mask, dtype=bool), cells, 0.0)
     return ModularReport(kind=kind, value=float(np.sum(cells)), cell_values=cells)
 
 
 def _luxemburg(
-    mags: list[np.ndarray], grid: Grid, phase: PhaseStructure, kind: str, bar: bool = False
+    mags: list[np.ndarray], phase: PhaseStructure, kind: str, bar: bool = False
 ) -> float:
     """Luxemburg norm of one field from the kind's part magnitudes ``mags``, each ``[n_cells]``.
 
@@ -170,8 +173,8 @@ def _luxemburg(
         return 0.0
     # rho(t / (top e^s)) = sum w e^(-r s) over the (cell, term) entries with
     # w = vol c (t/top)^r > 0; every t/top <= 1, so no power overflows
-    terms = phase.terms(bar=bar)
-    w = np.concatenate([grid.cell_volume * c * (t / top) ** r for t in mags for r, c in terms])
+    terms, vol = phase.terms(bar=bar), phase.grid.cell_volume
+    w = np.concatenate([vol * c * (t / top) ** r for t in mags for r, c in terms])
     r = np.concatenate([r for r, _ in terms] * len(mags))
     positive = w > 0.0
     w, r = w[positive], r[positive]
@@ -192,7 +195,8 @@ def _luxemburg(
             if abs(step) <= NEWTON_STEP_TOLERANCE:
                 break
     norm = top * np.exp(s)
-    residual = float(modular_value(None, grid, phase, kind, bar, [t / norm for t in mags])) - 1.0
+    unit = modular_value(None, phase.grid, phase, kind, bar, [t / norm for t in mags])
+    residual = float(unit) - 1.0
     if not abs(residual) <= UNIT_MODULAR_TOLERANCE:
         if not math.isfinite(residual):
             # a magnitude, a cell weight or the root itself left the float range
@@ -203,7 +207,7 @@ def _luxemburg(
 
 def luxemburg_norm(u: ScalarField, phase: PhaseStructure, kind: str) -> float:
     """The unique lambda > 0 with rho(u/lambda) = 1, or 0 for a null argument."""
-    return _luxemburg(_field_magnitudes(u, kind), u.grid, phase, kind)
+    return _luxemburg(_field_magnitudes(u, phase, kind), phase, kind)
 
 
 @dataclass(frozen=True)
@@ -226,31 +230,32 @@ def norm_report(u: ScalarField, phase: PhaseStructure, kind: str) -> NormReport:
     norm <= bar-norm <= e^(1/e) * norm.  The magnitudes are taken once: they
     serve the modular, both roots and both roots' unit-modular checks.
     """
-    mags = _field_magnitudes(u, kind)
+    mags = _field_magnitudes(u, phase, kind)
     value = float(modular_value(None, u.grid, phase, kind, mags=mags))
     s = phase.summary
     lower = min(value ** (1.0 / s.m), value ** (1.0 / s.M))
     upper = max(value ** (1.0 / s.m), value ** (1.0 / s.M))
-    norm = _luxemburg(mags, u.grid, phase, kind)
+    norm = _luxemburg(mags, phase, kind)
     holds = None
     if norm == 0.0 or np.finfo(float).tiny <= value < math.inf:
         holds = bool(lower * (1.0 - 1e-9) <= norm <= upper * (1.0 + 1e-9))
     bar_norm = overline = None
     if phase.k == 1:
-        bar_norm = _luxemburg(mags, u.grid, phase, kind, bar=True)
+        bar_norm = _luxemburg(mags, phase, kind, bar=True)
         slack = 1e-9 * (1.0 + norm + bar_norm)
         band = np.exp(1.0 / np.e) * norm
         overline = bool(norm <= bar_norm + slack and bar_norm <= band + slack)
     return NormReport(kind, value, norm, lower, upper, holds, bar_norm, overline)
 
 
-def sweep_sandwich(grid: Grid, phase: PhaseStructure, n_samples: int, seed: int) -> dict:
+def sweep_sandwich(phase: PhaseStructure, n_samples: int, seed: int) -> dict:
     """Seeded sweep of ``norm_report``'s checks and of ||c u|| = c ||u|| to 1e-12 max(1, c ||u||).
 
-    Each sample draws a scale, a field u, a kind and c, in this order.  A sample
+    Each sample draws a scale, a field u on the phase's grid, a kind and c, in this order.  A sample
     fails only on a check it evaluated: a sandwich over a modular that overflowed
     or underflowed (``None``) counts as neither pass nor failure.
     """
+    grid = phase.grid
     rng = np.random.default_rng(seed)
     fails = 0
     for _ in range(n_samples):
@@ -281,7 +286,8 @@ def _pairing(fc: np.ndarray, u_values: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def l2_pairing(f: ScalarField, u: ScalarField) -> float:
-    """Midpoint-quadrature L2 pairing of two nodal fields."""
+    """Midpoint-quadrature L2 pairing of two nodal fields on one grid."""
+    _require_same_grid(f.grid, ("u", u))
     return float(_pairing(cell_average_values(f.grid, f.values), u.values, u.grid))
 
 
@@ -294,8 +300,9 @@ def dual_pairing_bound_check(
     """
     if a < 0:
         raise ValueError("dual-norm bound must be nonnegative")
-    mags = _field_magnitudes(u, "gradient")
-    grad_norm = _luxemburg(mags, u.grid, phase, "gradient")
+    _require_zero_trace(u.grid, u.values, "u")
+    mags = _field_magnitudes(u, phase, "gradient")
+    grad_norm = _luxemburg(mags, phase, "gradient")
     if grad_norm < 1.0 - 1e-12:
         raise ValueError(f"hypothesis violated: gradient norm {grad_norm} < 1")
     value = float(modular_value(None, u.grid, phase, "gradient", mags=mags))
@@ -316,8 +323,8 @@ def estimate_dual_bound(
 ) -> float:
     """Empirical bound on sup |<f, u>| / ||grad u|| over zero-trace probes.
 
-    Random probes alone sit far below the supremum, so pass any fields known
-    to align with f (for instance a computed minimizer) as extra probes.  The
+    Random probes alone sit far below the supremum, so pass any zero-trace fields
+    known to align with f (a computed minimizer) as extra probes.  The
     extra fields are paired with f and rooted first; the probes are then drawn
     and paired in stacks of ``STACK_CELLS // n_cells`` rows (at least one),
     each drawn as one block.  A probe is rooted, on its own, only where the
@@ -325,7 +332,10 @@ def estimate_dual_bound(
     ratio beats the best so far: a skipped ratio lies below it, so the bound is
     bit-identical to rooting every probe.
     """
-    grid = f.grid
+    grid = phase.grid
+    _require_same_grid(grid, ("f", f), *(("extra field", u) for u in extra_fields))
+    for u in extra_fields:
+        _require_zero_trace(grid, u.values, "extra field")
     interior = np.flatnonzero(~boundary_mask(grid))
     fc = cell_average_values(grid, f.values)
     s = phase.summary
@@ -345,7 +355,7 @@ def estimate_dual_bound(
             ruled_out = (np.finfo(float).tiny <= value) & (value < math.inf)
             ruled_out &= pairing <= best * lower * (1.0 - 1e-6)
         for i in np.flatnonzero(~ruled_out):
-            denom = _luxemburg([mags[i]], grid, phase, "gradient")
+            denom = _luxemburg([mags[i]], phase, "gradient")
             if denom != 0.0:
                 best = max(best, float(pairing[i]) / denom)
         return best

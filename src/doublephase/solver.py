@@ -45,6 +45,7 @@ from .mesh import (
     _is_finite,
     _is_number,
     _readonly,
+    _require_same_grid,
     _require_zero_trace,
     boundary_mask,
     cell_average_adjoint,
@@ -80,9 +81,9 @@ class Problem:
     f: ScalarField
 
     def __post_init__(self):
-        for name, part in (("phase structure", self.phase), ("phi", self.phi), ("f", self.f)):
-            if part.grid != self.grid:
-                raise ValueError(f"{name} does not match the grid")
+        _require_same_grid(
+            self.grid, ("phase structure", self.phase), ("phi", self.phi), ("f", self.f)
+        )
 
     @cached_property
     def load(self) -> np.ndarray:
@@ -163,6 +164,7 @@ class Solution:
 
 def energy(u: ScalarField, prob: Problem) -> float:
     """I(u) = rho(grad(phi - u)) + <f, u> for a zero-trace u, <f, u> = load . u."""
+    _require_same_grid(prob.grid, ("u", u))
     _require_zero_trace(prob.grid, u.values, "u")
     value = modular_value(prob.phi.values - u.values, prob.grid, prob.phase, "gradient")
     return float(value) + float(np.dot(prob.load, u.values))
@@ -182,13 +184,12 @@ def _defect(prob: Problem, w_grad: np.ndarray) -> np.ndarray:
 
 def energy_gradient(u: ScalarField, prob: Problem) -> np.ndarray:
     """Exact gradient of the discrete energy; zero on boundary nodes."""
+    _require_same_grid(prob.grid, ("u", u))
     _require_zero_trace(prob.grid, u.values, "u")
     return -_defect(prob, gradient_values(prob.grid, prob.phi.values - u.values))
 
 
-def _modular_step_delta(
-    phase: PhaseStructure, vol: float, a: np.ndarray, b: np.ndarray, s: float
-) -> float:
+def _modular_step_delta(phase: PhaseStructure, a: np.ndarray, b: np.ndarray, s: float) -> float:
     """rho(|a - s b|) - rho(|a|) summed over cells, without cancellation.
 
     a is the current per-cell w-gradient, b the per-cell gradient of the
@@ -211,7 +212,7 @@ def _modular_step_delta(
         near_val = safe_t0**r * np.expm1(r * log_ratio)
         far_val = t1**r - t0**r
         acc += c * np.where(near, near_val, far_val)
-    return vol * float(np.sum(acc))
+    return phase.grid.cell_volume * float(np.sum(acc))
 
 
 def _curvature(phase: PhaseStructure, w_grad: np.ndarray) -> tuple[np.ndarray, float]:
@@ -307,7 +308,7 @@ def minimize(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
         while gTd < 0.0 and s * size >= floor:
             # an overflowing trial step gives a non-finite dE and is rejected
             with np.errstate(over="ignore", invalid="ignore"):
-                dE = _modular_step_delta(phase, grid.cell_volume, w_grad, Gd, s) + s * pair_rate
+                dE = _modular_step_delta(phase, w_grad, Gd, s) + s * pair_rate
             if dE <= opts.armijo_constant * s * gTd:
                 return s, dE
             s *= opts.shrink_factor
@@ -364,6 +365,7 @@ def minimize(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
 
 
 def _require_phi_trace(prob: Problem, fld: ScalarField, name: str):
+    _require_same_grid(prob.grid, (name, fld))
     bmask = boundary_mask(prob.grid)
     scale = 1.0 + float(np.max(np.abs(prob.phi.values)))
     if np.max(np.abs((fld.values - prob.phi.values)[bmask])) > 1e-12 * scale:
@@ -462,7 +464,7 @@ def solve_weak(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution
         start = np.zeros(prob.grid.n_nodes)
         amp = 0.5 * (1.0 + float(np.max(np.abs(prob.phi.values))))
         start[interior] = amp * rng.normal(size=int(interior.sum()))
-        second = minimize(prob, replace(opts, initial_guess=start, two_start_check=False))
+        second = minimize(prob, replace(opts, initial_guess=start))
         eps = min(opts.uc_epsilon, 0.9 * admissible_epsilon_bound(m))
         report = verify_uc_pair(sol.u_star, second.u_star, eps, prob.phase, "gradient")
         cert, equal = uniqueness_certificate(sol.w_star, second.w_star, prob)

@@ -407,7 +407,7 @@ def test_norm_computes_one_modular_per_kind(tmp_path, capsys, monkeypatch):
     luxemburg, magnitude = doublephase.modular._luxemburg, doublephase.modular._magnitude
 
     def counting_luxemburg(*args, **kwargs):
-        roots.append(args[3])
+        roots.append(args[2])
         return luxemburg(*args, **kwargs)
 
     def counting_magnitude(*args, **kwargs):

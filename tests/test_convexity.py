@@ -138,7 +138,7 @@ def test_uc_sweep_no_fails():
             rng.uniform(1.1, 5.0, grid.n_cells),
             [(rng.uniform(1.1, 5.0, grid.n_cells), rng.uniform(0, 10, grid.n_cells))],
         )
-        tallies = sweep_uc_pairs(grid, ph, 10, seed=int(rng.integers(0, 2**31)),
+        tallies = sweep_uc_pairs(ph, 10, seed=int(rng.integers(0, 2**31)),
                                  kinds=("gradient", "zero_order", "sobolev"))
         for kind in tallies:
             assert tallies[kind]["fail"] == 0
@@ -325,7 +325,7 @@ def per_pair_sweep(grid, phase, n_samples, seed, kinds, eps):
 
 def assert_uc_modulars_equal_rho(grid, phase, us, vs, kinds):
     """Batched midpoint, average and gap modulars == rho of each pair."""
-    modulars = _uc_modulars(us, vs, grid, phase, kinds)
+    modulars = _uc_modulars(us, vs, phase, kinds)
     for i, (u, v) in enumerate(zip(us, vs)):
         for kind in kinds:
             midpoint, average, gap = (values[i] for values in modulars[kind])
@@ -371,7 +371,7 @@ def test_chunked_sweep_matches_per_pair_sweep(
     }[count]
     kinds = tuple(kinds)
     with mock.patch.object(convexity, "UC_CHUNK_NODES", chunk * grid.n_nodes):
-        tallies = sweep_uc_pairs(grid, phase, n_samples, seed, kinds=kinds, eps=eps)
+        tallies = sweep_uc_pairs(phase, n_samples, seed, kinds=kinds, eps=eps)
     expected, us, vs = per_pair_sweep(grid, phase, n_samples, seed, kinds, eps)
     assert tallies == expected
     assert_uc_modulars_equal_rho(grid, phase, us, vs, kinds)
@@ -382,7 +382,7 @@ def test_sweep_at_the_default_chunk_matches_per_pair_sweep():
     phase = random_phase(grid, np.random.default_rng(13), 2)
     chunk = convexity.UC_CHUNK_NODES // grid.n_nodes
     assert chunk > 1
-    tallies = sweep_uc_pairs(grid, phase, chunk + 1, 5, kinds=KINDS)
+    tallies = sweep_uc_pairs(phase, chunk + 1, 5, kinds=KINDS)
     expected, us, vs = per_pair_sweep(grid, phase, chunk + 1, 5, KINDS, None)
     assert tallies == expected
     assert sum(expected["gradient"].values()) == chunk + 1
@@ -573,7 +573,7 @@ def test_sweep_uc_pairs_has_no_false_fails_where_the_weight_vanishes():
     # mu = 0: the q-term is 0, so the modular is the p-modular, which is
     # uniformly convex; a term 0 * inf read NaN and failed 18 of 20 pairs
     grid, ph = _phase_q200(np.zeros_like)
-    tallies = sweep_uc_pairs(grid, ph, 20, 0, kinds=KINDS)
+    tallies = sweep_uc_pairs(ph, 20, 0, kinds=KINDS)
     assert all(t["fail"] == 0 for t in tallies.values())
     assert sum(t["pass"] for t in tallies.values()) > 0
 
@@ -584,5 +584,5 @@ def test_sweep_uc_pairs_counts_overflowed_pairs_vacuous_silently():
     grid, ph = _phase_q200(lambda x: x)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tallies = sweep_uc_pairs(grid, ph, 20, 0, kinds=KINDS)
+        tallies = sweep_uc_pairs(ph, 20, 0, kinds=KINDS)
     assert tallies == {kind: {"pass": 0, "vacuous": 20, "fail": 0} for kind in KINDS}

@@ -38,7 +38,7 @@ def random_phase(rng, grid, k=1, mu_low=0.0):
 def _root(u_values, grid, phase, kind, bar=False):
     """``_luxemburg`` of one field's nodal values."""
     mags = [modular._magnitude(u_values, grid, part) for part in modular._PARTS[kind]]
-    return _luxemburg(mags, grid, phase, kind, bar=bar)
+    return _luxemburg(mags, phase, kind, bar=bar)
 
 
 def random_field(rng, grid, scale=1.0, zero_trace=False):
@@ -408,7 +408,7 @@ def test_sweep_sandwich_matches_the_per_sample_loop(monkeypatch, dim, k, seed):
     monkeypatch.setattr(modular, "luxemburg_norm", skewed)
     expected = _sandwich_loop_reference(grid, ph, 25, seed)
     expected_calls, calls[:] = list(calls), []
-    assert sweep_sandwich(grid, ph, 25, seed) == expected
+    assert sweep_sandwich(ph, 25, seed) == expected
     assert calls == expected_calls
     assert 0 < expected["fails"] < 25
 
@@ -425,7 +425,7 @@ def test_an_overflowed_modular_checks_no_sandwich():
     assert np.isfinite(report.norm) and report.overline_holds is True
     # such samples are neither passes nor failures of the sweep; the same
     # draws failed 4 of 20 samples when a missing sandwich counted as failed
-    assert sweep_sandwich(grid, ph, 20, 0) == {"samples": 20, "fails": 0}
+    assert sweep_sandwich(ph, 20, 0) == {"samples": 20, "fails": 0}
 
 
 def test_an_underflowed_modular_checks_no_sandwich():
@@ -487,6 +487,31 @@ def test_dual_pairing_bound():
     with pytest.raises(ValueError, match="hypothesis"):
         small = ScalarField(GRID, 1e-3 * unit.values)
         dual_pairing_bound_check(f, small, 1.0, ph)
+
+
+def _affine_fields():
+    """f = 1 and a phase on 16 cells of [0, 1], with the affine field a + b x."""
+    grid = build_grid(1, [(0, 1)], [16])
+    x = grid.node_coords()[:, 0]
+    f = ScalarField(grid, np.ones(grid.n_nodes))
+    return f, make_phase(grid, 1.5, [(3.0, 1.0)]), lambda a, b: ScalarField(grid, a + b * x)
+
+
+def test_dual_pairing_bound_rejects_a_field_without_zero_trace():
+    # 100 + 2x has gradient norm 2 but is no zero-trace field, so the lemma
+    # says nothing about it: the check returned False, as if the lemma failed
+    f, ph, affine = _affine_fields()
+    a = estimate_dual_bound(f, ph)
+    with pytest.raises(ValueError, match="u must vanish on boundary nodes"):
+        dual_pairing_bound_check(f, affine(100.0, 2.0), a, ph)
+
+
+def test_dual_bound_rejects_an_extra_field_without_zero_trace():
+    # the probes kept only the interior of 1 + x (trace 1 and 2) and gave
+    # 0.1387, below 1.01 |<f, w>| / ||grad w|| = 1.515 of the field itself
+    f, ph, affine = _affine_fields()
+    with pytest.raises(ValueError, match="extra field must vanish on boundary nodes"):
+        estimate_dual_bound(f, ph, extra_fields=(affine(1.0, 1.0),))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -679,4 +704,4 @@ def test_an_overflowed_modular_reads_inf_silently():
         warnings.simplefilter("error")
         assert modular.modular_value(u, GRID, ph, "gradient") == np.inf
         assert rho(ScalarField(GRID, u), ph, "sobolev").value == np.inf
-        assert np.all(modular.stacked_rho(u[None], GRID, ph, KINDS)["gradient"] == np.inf)
+        assert np.all(modular.stacked_rho(u[None], ph, KINDS)["gradient"] == np.inf)

@@ -10,7 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doublephase.mesh import ScalarField, boundary_mask, build_grid, gradient_values, squared_norm
-from doublephase.modular import poincare_ratio, rho
+from doublephase.convexity import pair_split, partition, verify_uc_pair
+from doublephase.modular import (
+    dual_pairing_bound_check,
+    estimate_dual_bound,
+    l2_pairing,
+    luxemburg_norm,
+    modular_value,
+    norm_report,
+    poincare_ratio,
+    rho,
+)
 from doublephase.solver import (
     Problem,
     SolverError,
@@ -73,6 +83,61 @@ def test_problem_rejects_fields_with_the_node_count_of_another_grid():
     for name, fields in (("phi", (square, zero)), ("f", (zero, square))):
         with pytest.raises(ValueError, match=f"^{name} does not match the grid$"):
             Problem(grid, phase, *fields)
+
+
+def _grid_rule_fields():
+    """Zero-trace fields x(L - x), or its 2D product, on the rule's three grids."""
+    fields = {}
+    for name, (dim, side, res) in {
+        "phase grid": (1, 1.0, [16]),
+        "2D 4x4": (2, 1.0, [4, 4]),
+        "[0, 5]": (1, 5.0, [16]),
+    }.items():
+        grid = build_grid(dim, [(0, side)] * dim, res)
+        x = grid.node_coords()
+        fields[name] = ScalarField(grid, 10.0 * np.prod(x * (side - x), axis=1))
+    return fields
+
+
+# each entry point of the modular, convexity and solver layers that takes a
+# field, called on u beside fields on the phase's grid (g, and f = 1)
+_GRID_RULE_CALLS = {
+    "luxemburg_norm": lambda u, g, f, prob: luxemburg_norm(u, prob.phase, "gradient"),
+    "norm_report": lambda u, g, f, prob: norm_report(u, prob.phase, "sobolev"),
+    "rho": lambda u, g, f, prob: rho(u, prob.phase, "sobolev"),
+    "poincare_ratio": lambda u, g, f, prob: poincare_ratio(u, prob.phase),
+    "dual_pairing_bound_check": lambda u, g, f, prob: dual_pairing_bound_check(
+        f, u, 1.0, prob.phase
+    ),
+    "l2_pairing": lambda u, g, f, prob: l2_pairing(f, u),
+    "estimate_dual_bound f": lambda u, g, f, prob: estimate_dual_bound(u, prob.phase, 4),
+    "estimate_dual_bound extra": lambda u, g, f, prob: estimate_dual_bound(
+        f, prob.phase, 4, extra_fields=(u,)
+    ),
+    "verify_uc_pair": lambda u, g, f, prob: verify_uc_pair(g, u, 0.5, prob.phase, "gradient"),
+    "pair_split": lambda u, g, f, prob: pair_split(g, u, 0.5, partition(prob.phase)),
+    "energy": lambda u, g, f, prob: energy(u, prob),
+    "energy_gradient": lambda u, g, f, prob: energy_gradient(u, prob),
+    "weak_residual": lambda u, g, f, prob: weak_residual(u, prob),
+    "uniqueness_certificate": lambda u, g, f, prob: uniqueness_certificate(g, u, prob),
+    "modular_value": lambda u, g, f, prob: modular_value(u.values, u.grid, prob.phase, "gradient"),
+}
+
+
+@pytest.mark.parametrize("field", ["phase grid", "2D 4x4", "[0, 5]"])
+@pytest.mark.parametrize("call", _GRID_RULE_CALLS.values(), ids=_GRID_RULE_CALLS.keys())
+def test_every_entry_point_holds_a_field_to_the_phase_grid(call, field):
+    # a 4x4 field has the 16 cells of the phase, a field on [0, 5] its 17
+    # nodes; both were paired with p, q and mu as if they lay on [0, 1]
+    fields = _grid_rule_fields()
+    g = fields["phase grid"]
+    f = ScalarField(g.grid, np.ones(g.grid.n_nodes))
+    prob = make_problem(g.grid, 1.5, [(3.0, 1.0)], f_values=f.values)
+    if field == "phase grid":
+        call(g, g, f, prob)
+    else:
+        with pytest.raises(ValueError, match="does not match the grid"):
+            call(fields[field], g, f, prob)
 
 
 @pytest.mark.parametrize("seed", [-1, True, 1.5])

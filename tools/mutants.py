@@ -101,6 +101,41 @@ MUTANTS = (
         "return 0.5 * best",
         ("tests/test_modular.py::test_dual_bound_matches_probe_by_probe_pairing",),
     ),
+    Mutant(
+        "uc-delta-x2",
+        "src/doublephase/convexity.py",
+        "delta = np.minimum(e / 2.0, (m - 1.0) * e * e / 32.0)",
+        "delta = 2.0 * np.minimum(e / 2.0, (m - 1.0) * e * e / 32.0)",
+        ("tests/test_convexity.py::test_delta_of_epsilon",),
+    ),
+    Mutant(
+        "uc-rule-delta-halved",
+        "src/doublephase/convexity.py",
+        "passed = midpoint <= (1.0 - delta) * average",
+        "passed = midpoint <= (1.0 - 0.5 * delta) * average",
+        ("tests/test_convexity.py::test_uc_verdicts_rule",),
+    ),
+    Mutant(
+        "two-point-correction-halved",
+        "src/doublephase/convexity.py",
+        "return (h - 1.0) / 2.0 ** (h + 1.0) * (2.0 * nhalf) ** 2",
+        "return 0.5 * (h - 1.0) / 2.0 ** (h + 1.0) * (2.0 * nhalf) ** 2",
+        ("tests/test_convexity.py::test_two_point_tally_matches_both_forms_rule",),
+    ),
+    Mutant(
+        "two-point-rhs-x2",
+        "src/doublephase/convexity.py",
+        "rhs = (na**h + nb**h) / (2.0 * h)",
+        "rhs = (na**h + nb**h) / h",
+        ("tests/test_convexity.py::test_two_point_tally_matches_both_forms_rule",),
+    ),
+    Mutant(
+        "grid-rule-dropped",
+        "src/doublephase/mesh.py",
+        "if part.grid != grid:",
+        "if False:",
+        ("tests/test_solver.py::test_every_entry_point_holds_a_field_to_the_phase_grid",),
+    ),
 )
 
 
