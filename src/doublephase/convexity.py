@@ -17,8 +17,9 @@ leading batch axis: ``uc_verdicts`` applies the rule to arrays of modulars,
 its pairs chunk by chunk through ``stacked_rho``.
 
 The pointwise sides of the two-point and flux-monotonicity inequalities run
-on vector components through ``mesh.squared_norm``; where the exponent is an
-array, each branch of a side is evaluated only on its own rows.
+on vector components through ``mesh.squared_norm``, each branch of a side on
+its own rows only.  ``_two_point_tally`` and ``_monotonicity_tally`` are the
+one rule per sweep row; a single pair is a chunk of one row.
 """
 
 from __future__ import annotations
@@ -138,22 +139,6 @@ def _two_point_sides(h, a, b):
     return nmid**h / h + tail, rhs
 
 
-def two_point_inequality_check(h: float, a, b) -> bool:
-    """Check the midpoint inequality for exponent h at a vector pair.
-
-    For 1 < h <= 2 the inequality carries the quadratic correction term and
-    requires |a| + |b| > 0; for h > 2 it is the power-mean form.  At h = 2
-    both coincide with the parallelogram identity.  Each row is held to the
-    sweep's rule: both sides finite and within its own relative slack.
-    """
-    if h <= 1:
-        raise ValueError(f"h must exceed 1, got {h}")
-    if h < 2 and not (np.any(a) or np.any(b)):
-        raise ValueError("case h < 2 requires |a| + |b| > 0")
-    violated, _ = _two_point_tally(h, a, b)
-    return not np.any(violated)
-
-
 def admissible_epsilon_bound(m: float) -> float:
     """Largest admissible eps for the convexity modulus: min(1, sqrt(32/(m-1)))."""
     if m <= 1:
@@ -237,8 +222,8 @@ def monotonicity_sides(r, A, B):
     F(A) = |A|^(r-2) A; broadcasts over rows, one vector component at a
     time.  With ndiff = |A - B| and base = 1 + |A|^2 + |B|^2 the bound is
     2^(2-r) ndiff^r for r >= 2 and (r - 1) ndiff^2 base^((r-2)/2) below 2;
-    for an array ``r`` each bound is evaluated on its own rows only.
-    Returns (lhs, rhs).
+    ``r`` broadcasts against the rows, and each bound is evaluated on its own
+    rows only.  Returns (lhs, rhs).
     """
     r = np.asarray(r, dtype=float)
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -251,8 +236,6 @@ def monotonicity_sides(r, A, B):
     base = 1.0 + a2 + b2
     del ca, cb, a2, b2  # held through the bounds, they raise a chunk's peak memory
     ndiff = np.sqrt(squared_norm(A - B))
-    if r.ndim == 0:  # unbroadcast: numpy squares for ndiff ** 2.0, an elementwise power does not
-        return lhs, _power_bound(r, ndiff) if r >= 2.0 else _quadratic_bound(r, ndiff, base)
     r, ndiff, base = np.broadcast_arrays(r, ndiff, base)
     high = r >= 2.0
     hi, lo = np.nonzero(high), np.nonzero(~high)
@@ -260,19 +243,6 @@ def monotonicity_sides(r, A, B):
     rhs[hi] = _power_bound(r[hi], ndiff[hi])
     rhs[lo] = _quadratic_bound(r[lo], ndiff[lo], base[lo])
     return lhs, rhs
-
-
-def monotonicity_lower_bound_check(r: float, A, B) -> bool:
-    """Check the flux-difference pairing against its power lower bound.
-
-    For r >= 2 the bound is 2^(2-r) |A - B|^r; for 1 < r < 2 it is
-    (r - 1) |A - B|^2 (1 + |A|^2 + |B|^2)^((r-2)/2).  Each row is held to
-    the sweep's rule: its own relative slack.
-    """
-    if r <= 1:
-        raise ValueError(f"r must exceed 1, got {r}")
-    violated, _ = _monotonicity_tally(r, A, B)
-    return not np.any(violated)
 
 
 def _energy_floor(a: float, m: float) -> float:
@@ -286,14 +256,6 @@ def _energy_floor(a: float, m: float) -> float:
         return a * (a / m) ** (1.0 / (m - 1.0))
     except OverflowError:
         return np.inf  # the floor is unboundedly deep
-
-
-def scalar_lower_bound_check(x: float, a: float, m: float) -> bool:
-    """Check x - a x^(1/m) >= -a (a/m)^(1/(m-1)) with absolute slack."""
-    if x < 0 or a < 0:
-        raise ValueError("x and a must be nonnegative")
-    rhs = -_energy_floor(a, m)
-    return bool(x - a * x ** (1.0 / m) >= rhs - 1e-12)
 
 
 # ---------------------------------------------------------------------------

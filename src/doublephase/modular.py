@@ -22,8 +22,9 @@ method in log lambda, over the field's per-cell magnitudes divided by their
 maximum, halves a step whose modular overflows, and checks the unit modular
 with one evaluation of rho(t / lambda), the equation Newton solved.  No
 gradient of u / lambda is taken, so a field with a large constant part roots
-like its varying part.  A norm whose check leaves the float range (squared
-gradients that overflow, a subnormal cell volume) raises ``FloatingPointError``.
+like its varying part.  A magnitude or a norm past the largest float, or a
+unit-modular check that leaves the float range (a subnormal cell volume),
+raises ``FloatingPointError``; the magnitude pass itself prints no warning.
 ``estimate_dual_bound`` pairs its probes with f and takes their modulars in
 stacks of at most ``STACK_CELLS`` = 2^11 cells, or of one row on a larger
 grid: 8 rows on 256 cells, one on a 64x64 grid.  It roots, one at a time, only
@@ -88,10 +89,11 @@ _PARTS = {
 
 
 def _magnitude(u_values: np.ndarray, grid: Grid, part: str) -> np.ndarray:
-    """Per-cell integrand argument of one part, for ``u_values[..., n_nodes]``."""
-    if part == "zero_order":
-        return np.abs(cell_average_values(grid, u_values))
-    return np.sqrt(squared_norm(gradient_values(grid, u_values)))
+    """Per-cell integrand argument of one part, for ``u_values[..., n_nodes]``; inf on overflow."""
+    with np.errstate(over="ignore"):
+        if part == "zero_order":
+            return np.abs(cell_average_values(grid, u_values))
+        return np.sqrt(squared_norm(gradient_values(grid, u_values)))
 
 
 def _field_magnitudes(u: ScalarField, phase: PhaseStructure, kind: str) -> list[np.ndarray]:
@@ -171,6 +173,8 @@ def _luxemburg(
     top = functools.reduce(np.maximum, [t.max() for t in mags])
     if top == 0.0:
         return 0.0
+    if not math.isfinite(top):
+        raise FloatingPointError(f"luxemburg norm out of float range: magnitude {top}")
     # rho(t / (top e^s)) = sum w e^(-r s) over the (cell, term) entries with
     # w = vol c (t/top)^r > 0; every t/top <= 1, so no power overflows
     terms, vol = phase.terms(bar=bar), phase.grid.cell_volume
@@ -194,7 +198,9 @@ def _luxemburg(
             s += step
             if abs(step) <= NEWTON_STEP_TOLERANCE:
                 break
-    norm = top * np.exp(s)
+        norm = top * np.exp(s)
+    if not math.isfinite(norm):
+        raise FloatingPointError(f"luxemburg norm out of float range: norm {norm}")
     unit = modular_value(None, phase.grid, phase, kind, bar, [t / norm for t in mags])
     residual = float(unit) - 1.0
     if not abs(residual) <= UNIT_MODULAR_TOLERANCE:
@@ -271,15 +277,6 @@ def sweep_sandwich(phase: PhaseStructure, n_samples: int, seed: int) -> dict:
     return {"samples": max(n_samples, 0), "fails": fails}
 
 
-def poincare_ratio(u: ScalarField, phase: PhaseStructure) -> float:
-    """Zero-order norm over gradient norm for a zero-trace field."""
-    _require_zero_trace(u.grid, u.values, "u")
-    grad_norm = luxemburg_norm(u, phase, "gradient")
-    if grad_norm == 0.0:
-        raise ValueError("gradient vanishes identically")
-    return luxemburg_norm(u, phase, "zero_order") / grad_norm
-
-
 def _pairing(fc: np.ndarray, u_values: np.ndarray, grid: Grid) -> np.ndarray:
     """L2 pairing of each row of ``u_values[..., n_nodes]`` with cell averages ``fc``."""
     return np.sum(fc * cell_average_values(grid, u_values), axis=-1) * grid.cell_volume
@@ -289,29 +286,6 @@ def l2_pairing(f: ScalarField, u: ScalarField) -> float:
     """Midpoint-quadrature L2 pairing of two nodal fields on one grid."""
     _require_same_grid(f.grid, ("u", u))
     return float(_pairing(cell_average_values(f.grid, f.values), u.values, u.grid))
-
-
-def dual_pairing_bound_check(
-    f: ScalarField, u: ScalarField, a: float, phase: PhaseStructure
-) -> bool | None:
-    """Check |<f, u>| <= a * rho(u)^(1/m) for a zero-trace u with gradient norm >= 1.
-
-    ``None`` where the modular overflows: the bound is then inf and checks nothing.
-    """
-    if a < 0:
-        raise ValueError("dual-norm bound must be nonnegative")
-    _require_zero_trace(u.grid, u.values, "u")
-    mags = _field_magnitudes(u, phase, "gradient")
-    grad_norm = _luxemburg(mags, phase, "gradient")
-    if grad_norm < 1.0 - 1e-12:
-        raise ValueError(f"hypothesis violated: gradient norm {grad_norm} < 1")
-    value = float(modular_value(None, u.grid, phase, "gradient", mags=mags))
-    if not math.isfinite(value):
-        return None
-    m = phase.summary.m
-    lhs = abs(l2_pairing(f, u))
-    rhs = a * value ** (1.0 / m)
-    return bool(lhs <= rhs + 1e-12 * (1.0 + rhs))
 
 
 def estimate_dual_bound(

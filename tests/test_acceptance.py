@@ -12,7 +12,7 @@ from doublephase.convexity import (
     sweep_monotonicity,
     sweep_two_point,
     verify_uc_pair,
-    scalar_lower_bound_check,
+    _energy_floor,
 )
 from doublephase.mesh import ScalarField, boundary_mask, build_grid
 from doublephase.modular import luxemburg_norm, norm_report, rho
@@ -315,7 +315,7 @@ def test_criterion_09_lower_bound_diagnostic(
         x = float(rng.uniform(0, 100))
         a = float(rng.uniform(0, 10))
         m = float(np.nextafter(rng.uniform(1.0, 8.0), np.inf))
-        if not scalar_lower_bound_check(x, a, m):
+        if not x - a * x ** (1.0 / m) >= -_energy_floor(a, m) - 1e-12:
             scalar_ok = False
             break
     ok = bound_ok and scalar_ok

@@ -377,6 +377,24 @@ def test_out_of_range_norms_exit_2(tmp_path, capsys, command, domain):
     assert capsys.readouterr().err.startswith("solver error: luxemburg norm out of float range")
 
 
+# 1e200 sin(pi x): its zero-order norm lies past the largest float at p near
+# 1 and mu = 1e150, and its squared gradients overflow at p = 1.5, q = 3
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "kind,phase,what",
+    [
+        ("zero_order", {"p": "1.01", "phases": [{"q": "1.0001", "mu": "1e150"}]}, "norm inf"),
+        ("gradient", {"p": "1.5", "phases": [{"q": "3", "mu": "1"}]}, "magnitude inf"),
+    ],
+    ids=["norm-overflow", "magnitude-overflow"],
+)
+def test_norms_past_the_float_range_are_one_solver_error(tmp_path, capsys, kind, phase, what):
+    cfg_path = write_config(tmp_path, laplace_config(n=16, phase=phase))
+    args = ["norm", cfg_path, "--field", "1e200*sin(pi*x)", "--kind", kind]
+    assert run_cli(args) == 2
+    assert capsys.readouterr().err == f"solver error: luxemburg norm out of float range: {what}\n"
+
+
 def test_solver_keys_are_the_solver_options():
     # every solver setting has one home: a SolverOptions field
     names = {f.name for f in fields(SolverOptions)} - {"initial_guess", "seed"}

@@ -12,15 +12,15 @@ from doublephase.convexity import (
     VERDICTS,
     _uc_modulars,
     admissible_epsilon_bound,
+    _energy_floor,
+    _monotonicity_tally,
+    _two_point_tally,
     delta_of_epsilon,
-    monotonicity_lower_bound_check,
     pair_split,
     partition,
-    scalar_lower_bound_check,
     sweep_monotonicity,
     sweep_two_point,
     sweep_uc_pairs,
-    two_point_inequality_check,
     uc_verdicts,
     verify_uc_pair,
 )
@@ -78,7 +78,7 @@ def test_two_point_equality_cases():
     rng = np.random.default_rng(2)
     a = rng.normal(size=2)
     b = rng.normal(size=2)
-    assert two_point_inequality_check(2.0, a, b)
+    assert not _two_point_tally(2.0, a, b)[0].any()
     # parallelogram identity: both left-hand forms equal the right at h = 2
     from doublephase.convexity import _correction_term, _power_mean_term, _two_point_sides
 
@@ -88,9 +88,7 @@ def test_two_point_equality_cases():
     total = np.linalg.norm(a) + np.linalg.norm(b)
     assert head + _correction_term(2.0, nhalf, total) == pytest.approx(rhs[0], rel=1e-12)
     assert head + _power_mean_term(2.0, nhalf) == pytest.approx(rhs[0], rel=1e-12)
-    assert two_point_inequality_check(3.7, a, a)  # equality at a == b
-    with pytest.raises(ValueError, match="requires"):
-        two_point_inequality_check(1.5, [0.0, 0.0], [0.0, 0.0])
+    assert not _two_point_tally(3.7, a, a)[0].any()  # equality at a == b
 
 
 def test_two_point_sweep_small():
@@ -165,14 +163,14 @@ def test_multiphase_with_vanishing_weight_matches_double_phase():
 def test_monotonicity_check():
     rng = np.random.default_rng(7)
     A = rng.normal(size=2)
-    assert monotonicity_lower_bound_check(3.0, A, A)
+    assert not _monotonicity_tally(3.0, A, A)[0].any()
     # r = 2: lhs = |A - B|^2 and gamma(2) = 1, equality
     B = rng.normal(size=2)
     from doublephase.convexity import monotonicity_sides
 
     lhs, rhs = monotonicity_sides(2.0, A, B)
     assert lhs[0] == pytest.approx(rhs[0], rel=1e-12)
-    assert monotonicity_lower_bound_check(2.0, A, B)
+    assert not _monotonicity_tally(2.0, A, B)[0].any()
     out = sweep_monotonicity(50_000, seed=8)
     assert out["fails"] == 0
 
@@ -190,30 +188,35 @@ def test_monotonicity_check_uses_the_sweep_rule(monkeypatch):
         lhs[0] = rhs[0] - 1e-9 * (1.0 + abs(rhs[0]))
         return lhs, rhs
 
-    assert monotonicity_lower_bound_check(3.0, A, B)
+    assert _monotonicity_tally(3.0, A, B)[0].tolist() == [False, False]
     monkeypatch.setattr(convexity, "monotonicity_sides", violated_row0)
-    flagged, _ = convexity._monotonicity_tally(3.0, A, B)
+    flagged, _ = _monotonicity_tally(3.0, A, B)
     assert flagged.tolist() == [True, False]
-    assert not monotonicity_lower_bound_check(3.0, A, B)
+
+
+def scalar_floor_holds(x, a, m):
+    """x - a x^(1/m) >= -a (a/m)^(1/(m-1)), the scalar bound under the energy floor."""
+    return x - a * x ** (1.0 / m) >= -_energy_floor(a, m) - 1e-12
 
 
 def test_scalar_lower_bound():
-    assert scalar_lower_bound_check(5.0, 0.0, 2.0)
-    assert scalar_lower_bound_check(0.0, 3.0, 2.0)
+    assert scalar_floor_holds(5.0, 0.0, 2.0)
+    assert scalar_floor_holds(0.0, 3.0, 2.0)
     # at the interior minimizer the slack is (1 - 1/m) of the bound
     for m in (1.5, 2.0, 4.0):
         a = 2.0
         x_star = (a / m) ** (m / (m - 1.0))
-        assert scalar_lower_bound_check(x_star, a, m)
+        assert scalar_floor_holds(x_star, a, m)
         lhs = x_star - a * x_star ** (1.0 / m)
         rhs = -a * (a / m) ** (1.0 / (m - 1.0))
+        assert -_energy_floor(a, m) == pytest.approx(rhs, rel=1e-15)
         assert lhs - rhs == pytest.approx(-rhs / m, rel=1e-12)
     rng = np.random.default_rng(9)
     for _ in range(2000):
         x = float(rng.uniform(0, 100))
         a = float(rng.uniform(0, 10))
         m = float(np.nextafter(rng.uniform(1.0, 8.0), np.inf))
-        assert scalar_lower_bound_check(x, a, m)
+        assert scalar_floor_holds(x, a, m)
 
 
 def test_restricted_modular_set_identity():
@@ -401,10 +404,9 @@ def test_uc_verdicts_rule():
 
 
 def test_two_point_check_applies_the_sweep_rule():
-    # per row, the check and the sweep's tally agree: at h = 2 exactly, on
-    # rows with a zero vector, and on rows whose sides overflow
-    from doublephase.convexity import _two_point_tally
-
+    # one pair is checked as a sweep chunk of one row: its verdict is the one
+    # its row gets in a chunk, at h = 2 exactly, on rows with a zero vector,
+    # and on rows whose sides overflow
     rng = np.random.default_rng(12)
     hs = [2.0, np.nextafter(2.0, 0.0), np.nextafter(2.0, 3.0), 1.5, 3.7, 400.0]
     hs += list(rng.uniform(1.01, 12.0, 20))
@@ -416,10 +418,9 @@ def test_two_point_check_applies_the_sweep_rule():
             b[0] = 0.0
             violated, _ = _two_point_tally(h, a, b)
             for i in range(len(a)):
-                ok = two_point_inequality_check(h, a[i], b[i])
-                assert ok == (not violated[i])
-                seen.add(ok)
-            assert two_point_inequality_check(h, a, b) == (not violated.any())
+                alone, _ = _two_point_tally(h, a[i], b[i])
+                assert alone.tolist() == [violated[i]]
+                seen.add(bool(alone[0]))
     assert seen == {True, False}  # overflowed rows fail
 
 
@@ -509,14 +510,14 @@ def test_monotonicity_tally_matches_both_bounds_rule(exponent_max):
 @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_monotonicity_sides_match_both_bounds_at_a_scalar_exponent(r, dim):
-    # a scalar r stays 0-d: numpy squares for ndiff ** 2.0, which a
-    # broadcast exponent's elementwise power does not reproduce
+    # a scalar r broadcasts to every row: the bits of the same r given per
+    # row, whose elementwise power at r = 2 need not equal numpy's squaring
     _, A, B = _sweep_chunk(23, 8.0, 20_000)
     A, B = A[:, :dim], B[:, :dim]
     A[:10] = 0.0
     B[10:20] = A[10:20]
     got = convexity.monotonicity_sides(r, A, B)
-    ref = _monotonicity_sides_both_bounds(r, A, B)
+    ref = _monotonicity_sides_both_bounds(np.full(len(A), r), A, B)
     for x, y in zip(got, ref):
         assert x.shape == y.shape and x.tobytes() == y.tobytes()
 

@@ -12,13 +12,11 @@ from hypothesis import strategies as st
 from doublephase.mesh import ScalarField, boundary_mask, build_grid, gradient_values, squared_norm
 from doublephase.convexity import pair_split, partition, verify_uc_pair
 from doublephase.modular import (
-    dual_pairing_bound_check,
     estimate_dual_bound,
     l2_pairing,
     luxemburg_norm,
     modular_value,
     norm_report,
-    poincare_ratio,
     rho,
 )
 from doublephase.solver import (
@@ -105,10 +103,6 @@ _GRID_RULE_CALLS = {
     "luxemburg_norm": lambda u, g, f, prob: luxemburg_norm(u, prob.phase, "gradient"),
     "norm_report": lambda u, g, f, prob: norm_report(u, prob.phase, "sobolev"),
     "rho": lambda u, g, f, prob: rho(u, prob.phase, "sobolev"),
-    "poincare_ratio": lambda u, g, f, prob: poincare_ratio(u, prob.phase),
-    "dual_pairing_bound_check": lambda u, g, f, prob: dual_pairing_bound_check(
-        f, u, 1.0, prob.phase
-    ),
     "l2_pairing": lambda u, g, f, prob: l2_pairing(f, u),
     "estimate_dual_bound f": lambda u, g, f, prob: estimate_dual_bound(u, prob.phase, 4),
     "estimate_dual_bound extra": lambda u, g, f, prob: estimate_dual_bound(
@@ -180,8 +174,6 @@ def test_energy_trivial_cases():
     # with f = 0 the energy at u = 0 is the gradient modular of phi
     x = grid.node_coords()[:, 0]
     prob_phi = make_problem(grid, 2.0, [(3.0, 1.0)], phi_values=x**2)
-    from doublephase.modular import poincare_ratio, rho
-
     expected = rho(ScalarField(grid, x**2), prob_phi.phase, "gradient").value
     assert energy(ScalarField.zeros(grid), prob_phi) == pytest.approx(expected, rel=1e-14)
 
@@ -219,9 +211,11 @@ ZERO_TRACE_ERROR = r"must vanish on boundary nodes \(a zero boundary trace\)"
         lambda prob, u: energy(ScalarField(prob.grid, u), prob),
         lambda prob, u: energy_gradient(ScalarField(prob.grid, u), prob),
         lambda prob, u: minimize(prob, SolverOptions(initial_guess=u)),
-        lambda prob, u: poincare_ratio(ScalarField(prob.grid, u), prob.phase),
+        lambda prob, u: estimate_dual_bound(
+            prob.f, prob.phase, 4, extra_fields=(ScalarField(prob.grid, u),)
+        ),
     ],
-    ids=["energy", "energy_gradient", "initial_guess", "poincare_ratio"],
+    ids=["energy", "energy_gradient", "initial_guess", "dual_bound_extra_field"],
 )
 def test_zero_trace_arguments_share_one_check(call):
     grid = build_grid(2, [(0, 1)] * 2, [4, 4])
@@ -548,6 +542,72 @@ def test_two_starts_agree():
     assert sol.gradients_equal
     assert sol.modular_distance <= 1e-8
     assert sol.uc_certificate.verdict in ("vacuous", "pass")
+
+
+def test_gradients_equal_is_held_to_1e_10_of_the_gradient_scale():
+    # a gap of 1e-6 of the gradient scale is a second solution, one of 1e-12 is rounding
+    grid = build_grid(1, [(0, 1)], [16])
+    rng = np.random.default_rng(13)
+    prob = make_problem(grid, 1.7, [(2.9, 1.1)])
+    v = ScalarField(grid, zero_trace_random(grid, rng))
+    bump = zero_trace_random(grid, rng)
+    scale = 2.0 * float(np.max(np.sqrt(squared_norm(gradient_values(grid, v.values)))))
+    bump *= scale / float(np.max(np.sqrt(squared_norm(gradient_values(grid, bump)))))
+    for rel, equal in ((1e-6, False), (1e-12, True)):
+        w = ScalarField(grid, v.values + rel * bump)
+        assert uniqueness_certificate(v, w, prob)[1] is equal
+
+
+def test_lower_bound_satisfied_is_held_to_1e_9_of_the_floor():
+    # a dual bound of 0 puts the floor at 0; the Laplace energy with f = 1
+    # falls to about -1/24, 4 % of 1 + |floor| below it
+    grid = build_grid(1, [(0, 1)], [16])
+    prob = make_problem(grid, 2.0, [(2.0, 0.0)], f_values=np.ones(grid.n_nodes))
+    sol = solve_weak(prob, SolverOptions(dual_bound=0.0))
+    assert sol.lower_bound_used == 0.0
+    assert -0.05 < float(np.min(sol.energy_history)) < -0.04
+    assert sol.lower_bound_satisfied is False
+
+
+def test_uniqueness_certificate_rejects_a_pairing_below_it(monkeypatch):
+    import doublephase.solver as solver
+
+    sides = solver.monotonicity_sides
+
+    def broken_flux(r, A, B):
+        lhs, rhs = sides(r, A, B)
+        return 0.5 * rhs, rhs  # a flux pairing at half its monotonicity bound
+
+    grid = build_grid(1, [(0, 1)], [16])
+    rng = np.random.default_rng(14)
+    prob = make_problem(grid, 1.7, [(2.9, 1.1)])
+    v = ScalarField(grid, zero_trace_random(grid, rng))
+    w = ScalarField(grid, zero_trace_random(grid, rng))
+    assert uniqueness_certificate(v, w, prob)[0] > 0.0
+    monkeypatch.setattr(solver, "monotonicity_sides", broken_flux)
+    with pytest.raises(SolverError, match="flux pairing fell below its monotonicity certificate"):
+        uniqueness_certificate(v, w, prob)
+
+
+def test_modular_distance_is_the_gap_modular_of_the_two_starts(monkeypatch):
+    # three steps leave the two starts apart; the distance is rho((u1 - u2)/2)
+    import doublephase.solver as solver
+
+    runs = []
+
+    def recording_minimize(prob, opts):
+        runs.append(minimize(prob, opts))
+        return runs[-1]
+
+    monkeypatch.setattr(solver, "minimize", recording_minimize)
+    grid = build_grid(1, [(0, 1)], [16])
+    prob = make_problem(grid, 1.5, [(3.0, 1.0)], f_values=np.ones(grid.n_nodes))
+    sol = solve_weak(prob, SolverOptions(max_iterations=3, two_start_check=True, dual_probes=8))
+    first, second = runs
+    half = ScalarField(grid, (first.u_star.values - second.u_star.values) / 2.0)
+    gap = rho(half, prob.phase, "gradient").value
+    assert gap > 1e-6
+    assert sol.modular_distance == pytest.approx(gap, rel=1e-12)
 
 
 def test_minimize_respects_max_iterations():

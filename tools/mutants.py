@@ -92,7 +92,7 @@ MUTANTS = (
         "src/doublephase/convexity.py",
         "return 2.0 ** (2.0 - r) * ndiff**r",
         "return 0.5 * 2.0 ** (2.0 - r) * ndiff**r",
-        ("tests/test_convexity.py::test_monotonicity_check",),
+        ("tests/test_convexity.py::test_monotonicity_tally_matches_both_bounds_rule",),
     ),
     Mutant(
         "dual-bound-factor-0.5",
@@ -135,6 +135,34 @@ MUTANTS = (
         "if part.grid != grid:",
         "if False:",
         ("tests/test_solver.py::test_every_entry_point_holds_a_field_to_the_phase_grid",),
+    ),
+    Mutant(
+        "gradients-equal-tolerance-1e-2",
+        "src/doublephase/solver.py",
+        "gradients_equal = bool(np.max(ndiff) <= 1e-10 * grad_scale)",
+        "gradients_equal = bool(np.max(ndiff) <= 1e-2 * grad_scale)",
+        ("tests/test_solver.py::test_gradients_equal_is_held_to_1e_10_of_the_gradient_scale",),
+    ),
+    Mutant(
+        "lower-bound-slack-1e-1",
+        "src/doublephase/solver.py",
+        "np.all(sol.energy_history >= lb - 1e-9 * (1.0 + abs(lb)))",
+        "np.all(sol.energy_history >= lb - 1e-1 * (1.0 + abs(lb)))",
+        ("tests/test_solver.py::test_lower_bound_satisfied_is_held_to_1e_9_of_the_floor",),
+    ),
+    Mutant(
+        "flux-pairing-check-disabled",
+        "src/doublephase/solver.py",
+        "if pairing < certificate - 1e-12 * (1.0 + abs(pairing) + certificate):",
+        "if False:",
+        ("tests/test_solver.py::test_uniqueness_certificate_rejects_a_pairing_below_it",),
+    ),
+    Mutant(
+        "modular-distance-halved",
+        "src/doublephase/solver.py",
+        "sol.modular_distance = report.gap_value",
+        "sol.modular_distance = 0.5 * report.gap_value",
+        ("tests/test_solver.py::test_modular_distance_is_the_gap_modular_of_the_two_starts",),
     ),
 )
 
