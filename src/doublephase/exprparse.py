@@ -37,10 +37,9 @@ _OPERATORS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _VARIABLES = ("x", "y")
 
-# binding strength of each binary operator and of unary minus, for the parser
-# and the printer alike
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-_NEG_PRECEDENCE = 3
+# binding strength of each left-associative binary operator; ``^`` binds
+# tighter than unary minus and is parsed on its own
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 _NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -116,10 +115,10 @@ class _Parser:
     def parse_expr(self, min_prec: int = 1) -> Expr:
         """Left-associative chain of factors over the operators binding at least ``min_prec``.
 
-        Only the operators below unary minus chain here; ``^`` is ``parse_power``'s.
+        ``^`` is not in the table: it is ``parse_power``'s.
         """
         node = self.parse_factor()
-        while min_prec <= (prec := _PRECEDENCE.get(self.peek(), 0)) < _NEG_PRECEDENCE:
+        while min_prec <= (prec := _PRECEDENCE.get(self.peek(), 0)):
             op = self.src[self.pos]
             self.pos += 1
             node = BinOp(op, node, self.parse_expr(prec + 1))
@@ -260,41 +259,3 @@ def sample(e: Expr, grid, where: str = "nodes") -> np.ndarray:
     else:
         raise ValueError(f"where must be 'nodes' or 'cells', got {where!r}")
     return _evaluate(e, coords)
-
-
-def _prec(e: Expr) -> int:
-    if isinstance(e, BinOp):
-        return _PRECEDENCE[e.op]
-    if isinstance(e, Neg):
-        return _NEG_PRECEDENCE
-    return 9
-
-
-def pretty(e: Expr) -> str:
-    """Render back to text; ``parse(pretty(ast)) == ast`` for parser output."""
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        inner = pretty(e.operand)
-        if _prec(e.operand) < _NEG_PRECEDENCE:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(e, Call):
-        return f"{e.func}({', '.join(pretty(a) for a in e.args)})"
-    p = _PRECEDENCE[e.op]
-    left = pretty(e.left)
-    right = pretty(e.right)
-    if e.op == "^":
-        # right-associative: parenthesize an equal-precedence left child
-        if _prec(e.left) <= p:
-            left = f"({left})"
-        if _prec(e.right) < _NEG_PRECEDENCE:
-            right = f"({right})"
-    else:
-        if _prec(e.left) < p:
-            left = f"({left})"
-        if _prec(e.right) <= p:
-            right = f"({right})"
-    return f"{left} {e.op} {right}" if e.op in "+-" else f"{left}{e.op}{right}"

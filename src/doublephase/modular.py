@@ -6,11 +6,14 @@ Three modular kinds are supported:
 * ``gradient``    integrates the integrand of |grad u| (cell gradients),
 * ``sobolev``     is the exact sum of the two.
 
-``rho``, ``modular_value``, ``stacked_rho`` and ``norm_report`` all take
-their integrand values from ``_part_values``, once per part the kinds need,
-for one field or a whole stack.  A modular that overflows there reads inf,
-silently; the sandwich then reads ``None`` (as where it underflows), a
-uniform-convexity pair vacuous, and a Luxemburg check raises ``FloatingPointError``.
+``rho`` (a float), ``modular_value``, ``stacked_rho`` and ``norm_report``
+all take their modulars from one evaluator, ``_modulars``, which sums the
+integrand of each part's magnitudes (taken once per part the kinds need, for
+one field or a whole stack), scales by the cell volume and sums each row
+under one ``np.errstate``: a modular that overflows reads inf, silently.
+One window, ``_in_float_range`` (tiny <= x < inf), says where a value
+certifies: outside it the sandwich reads ``None``, a dual-bound probe goes
+to its root, and a failed Luxemburg check raises ``FloatingPointError``.
 Each entry point that takes a field holds it to ``phase.grid``, on which rho
 pairs it with p, q and mu cell by cell (``mesh._require_same_grid``).
 
@@ -23,8 +26,9 @@ maximum, halves a step whose modular overflows, and checks the unit modular
 with one evaluation of rho(t / lambda), the equation Newton solved.  No
 gradient of u / lambda is taken, so a field with a large constant part roots
 like its varying part.  A magnitude or a norm past the largest float, or a
-unit-modular check that leaves the float range (a subnormal cell volume),
-raises ``FloatingPointError``; the magnitude pass itself prints no warning.
+unit-modular check that fails over a non-finite residual or a subnormal top
+magnitude, raises ``FloatingPointError``; the root runs under one
+``np.errstate``, and the magnitude pass prints no warning either.
 ``estimate_dual_bound`` pairs its probes with f and takes their modulars in
 stacks of at most ``STACK_CELLS`` = 2^11 cells, or of one row on a larger
 grid: 8 rows on 256 cells, one on a 64x64 grid.  It roots, one at a time, only
@@ -67,13 +71,6 @@ MAX_NEWTON_STEPS = 100
 STACK_CELLS = 2**11
 
 
-@dataclass(frozen=True, eq=False)
-class ModularReport:
-    kind: str
-    value: float
-    cell_values: np.ndarray  # per-cell contributions, zero outside the mask
-
-
 def _check_kind(kind: str):
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
@@ -103,23 +100,24 @@ def _field_magnitudes(u: ScalarField, phase: PhaseStructure, kind: str) -> list[
     return [_magnitude(u.values, u.grid, part) for part in _PARTS[kind]]
 
 
-def _part_values(
-    u_values: np.ndarray | None, phase: PhaseStructure, kinds, bar=False, mags=None
-) -> dict[str, np.ndarray]:
-    """{part: h(|part|)} of ``u_values[..., n_nodes]``, once for each part the kinds sum.
+def _in_float_range(x):
+    """Where ``x`` is a normal positive float: the window in which a modular certifies."""
+    return (np.finfo(float).tiny <= x) & (x < math.inf)
 
-    ``mags``, where known, lists the parts' magnitudes in the order the kinds name them.
+
+def _modulars(mags: dict[str, np.ndarray], phase: PhaseStructure, kinds, bar=False) -> dict:
+    """{kind: per-row modular} from ``mags``, {part: magnitudes ``[..., n_cells]``}.
+
+    The one evaluator of every modular: an overflow in the integrand, the part
+    sum, the cell-volume scaling or the row sum reads inf, silently.
     """
-    parts = list(dict.fromkeys(part for kind in kinds for part in _PARTS[kind]))
-    if mags is None:
-        mags = (_magnitude(u_values, phase.grid, part) for part in parts)
     with np.errstate(over="ignore"):
-        return {part: phase.h_of(t, bar=bar) for part, t in zip(parts, mags)}
-
-
-def _assemble(h: dict[str, np.ndarray], kind: str, phase: PhaseStructure) -> np.ndarray:
-    """Per-cell contributions of one kind from its parts' integrand values."""
-    return functools.reduce(np.add, [h[part] for part in _PARTS[kind]]) * phase.grid.cell_volume
+        h = {part: phase.h_of(t, bar=bar) for part, t in mags.items()}
+        vol = phase.grid.cell_volume
+        return {
+            kind: np.sum(functools.reduce(np.add, [h[part] for part in _PARTS[kind]]) * vol, axis=-1)
+            for kind in kinds
+        }
 
 
 def stacked_rho(u_values: np.ndarray, phase: PhaseStructure, kinds) -> dict[str, np.ndarray]:
@@ -131,8 +129,8 @@ def stacked_rho(u_values: np.ndarray, phase: PhaseStructure, kinds) -> dict[str,
     """
     for kind in kinds:
         _check_kind(kind)
-    h = _part_values(u_values, phase, kinds)
-    return {kind: np.sum(_assemble(h, kind, phase), axis=-1) for kind in kinds}
+    parts = dict.fromkeys(part for kind in kinds for part in _PARTS[kind])
+    return _modulars({part: _magnitude(u_values, phase.grid, part) for part in parts}, phase, kinds)
 
 
 def modular_value(
@@ -143,22 +141,20 @@ def modular_value(
     One value per row: 0-d for one field.  ``grid`` must be the phase's.
     """
     _require_same_grid(grid, ("phase structure", phase))
-    cells = _assemble(_part_values(u_values, phase, (kind,), bar, mags), kind, phase)
-    return np.sum(cells, axis=-1)
+    if mags is None:
+        mags = [_magnitude(u_values, grid, part) for part in _PARTS[kind]]
+    return _modulars(dict(zip(_PARTS[kind], mags)), phase, (kind,), bar)[kind]
 
 
-def rho(
-    u: ScalarField,
-    phase: PhaseStructure,
-    kind: str,
-    mask: np.ndarray | None = None,
-) -> ModularReport:
-    """Modular of u under the phase integrand, optionally restricted to a cell mask."""
+def rho(u: ScalarField, phase: PhaseStructure, kind: str, mask: np.ndarray | None = None) -> float:
+    """Modular of u under the phase integrand, optionally restricted to a cell mask.
+
+    The mask zeroes the magnitudes outside it, where h(0) = 0 adds nothing.
+    """
     mags = _field_magnitudes(u, phase, kind)
-    cells = _assemble(_part_values(None, phase, (kind,), mags=mags), kind, phase)
     if mask is not None:
-        cells = np.where(np.asarray(mask, dtype=bool), cells, 0.0)
-    return ModularReport(kind=kind, value=float(np.sum(cells)), cell_values=cells)
+        mags = [np.where(np.asarray(mask, dtype=bool), t, 0.0) for t in mags]
+    return float(_modulars(dict(zip(_PARTS[kind], mags)), phase, (kind,))[kind])
 
 
 def _luxemburg(
@@ -177,13 +173,13 @@ def _luxemburg(
         raise FloatingPointError(f"luxemburg norm out of float range: magnitude {top}")
     # rho(t / (top e^s)) = sum w e^(-r s) over the (cell, term) entries with
     # w = vol c (t/top)^r > 0; every t/top <= 1, so no power overflows
-    terms, vol = phase.terms(bar=bar), phase.grid.cell_volume
-    w = np.concatenate([vol * c * (t / top) ** r for t in mags for r, c in terms])
-    r = np.concatenate([r for r, _ in terms] * len(mags))
-    positive = w > 0.0
-    w, r = w[positive], r[positive]
-    s = step = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        terms, vol = phase.terms(bar=bar), phase.grid.cell_volume
+        w = np.concatenate([vol * c * (t / top) ** r for t in mags for r, c in terms])
+        r = np.concatenate([r for r, _ in terms] * len(mags))
+        positive = w > 0.0
+        w, r = w[positive], r[positive]
+        s = step = 0.0
         for _ in range(MAX_NEWTON_STEPS):
             e = w * np.exp(-r * s)
             total = np.sum(e)
@@ -199,12 +195,12 @@ def _luxemburg(
             if abs(step) <= NEWTON_STEP_TOLERANCE:
                 break
         norm = top * np.exp(s)
-    if not math.isfinite(norm):
-        raise FloatingPointError(f"luxemburg norm out of float range: norm {norm}")
-    unit = modular_value(None, phase.grid, phase, kind, bar, [t / norm for t in mags])
+        if not math.isfinite(norm):
+            raise FloatingPointError(f"luxemburg norm out of float range: norm {norm}")
+        unit = modular_value(None, phase.grid, phase, kind, bar, [t / norm for t in mags])
     residual = float(unit) - 1.0
     if not abs(residual) <= UNIT_MODULAR_TOLERANCE:
-        if not math.isfinite(residual):
+        if not (math.isfinite(residual) and _in_float_range(top)):
             # a magnitude, a cell weight or the root itself left the float range
             raise FloatingPointError(f"luxemburg norm out of float range: residual {residual}")
         raise RuntimeError(f"luxemburg Newton did not reach unit modular: residual {residual}")
@@ -243,7 +239,7 @@ def norm_report(u: ScalarField, phase: PhaseStructure, kind: str) -> NormReport:
     upper = max(value ** (1.0 / s.m), value ** (1.0 / s.M))
     norm = _luxemburg(mags, phase, kind)
     holds = None
-    if norm == 0.0 or np.finfo(float).tiny <= value < math.inf:
+    if norm == 0.0 or _in_float_range(value):
         holds = bool(lower * (1.0 - 1e-9) <= norm <= upper * (1.0 + 1e-9))
     bar_norm = overline = None
     if phase.k == 1:
@@ -278,8 +274,9 @@ def sweep_sandwich(phase: PhaseStructure, n_samples: int, seed: int) -> dict:
 
 
 def _pairing(fc: np.ndarray, u_values: np.ndarray, grid: Grid) -> np.ndarray:
-    """L2 pairing of each row of ``u_values[..., n_nodes]`` with cell averages ``fc``."""
-    return np.sum(fc * cell_average_values(grid, u_values), axis=-1) * grid.cell_volume
+    """L2 pairing of each row of ``u_values[..., n_nodes]`` with cell averages ``fc``; inf on overflow."""
+    with np.errstate(over="ignore"):
+        return np.sum(fc * cell_average_values(grid, u_values), axis=-1) * grid.cell_volume
 
 
 def l2_pairing(f: ScalarField, u: ScalarField) -> float:
@@ -326,8 +323,7 @@ def estimate_dual_bound(
         # anywhere leaves the row to the root
         with np.errstate(all="ignore"):
             lower = np.minimum(value ** (1.0 / s.m), value ** (1.0 / s.M))
-            ruled_out = (np.finfo(float).tiny <= value) & (value < math.inf)
-            ruled_out &= pairing <= best * lower * (1.0 - 1e-6)
+            ruled_out = _in_float_range(value) & (pairing <= best * lower * (1.0 - 1e-6))
         for i in np.flatnonzero(~ruled_out):
             denom = _luxemburg([mags[i]], phase, "gradient")
             if denom != 0.0:

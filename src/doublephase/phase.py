@@ -6,7 +6,8 @@ cell with argument t >= 0 is
 
     (1/p) t^p + sum_j (mu_j / q_j) t^{q_j}
 
-Double-phase is k = 1; a vanishing mu recovers the single-phase case.
+Double-phase is k = 1; a vanishing mu recovers the single-phase case, and
+its term adds 0 at every t, t = inf included (see ``PhaseStructure.terms``).
 """
 
 from __future__ import annotations
@@ -102,22 +103,24 @@ class PhaseStructure:
         """The integrand as (exponent, coefficient) per-cell array pairs.
 
         With ``bar`` the coefficients are 1 and mu_j instead of 1/p and mu_j/q_j.
-        Where mu_j = 0 its term has exponent 2: the term is 0 at any exponent, and
-        2 keeps t^(r-2) = 1 and t^r finite (t < 1e154), so no sum forms 0 * inf.
+        Where mu_j = 0 its term is 0 at any exponent, so the integrand table
+        writes exponent 0 (0 * t^0 = 0 even at t = inf) and the flux table
+        (``bar``) exponent 2 (t^(r-2) = 1): no sum forms 0 * inf.
         """
         return self._terms[bar]
 
     @cached_property
     def _terms(self) -> dict[bool, tuple[tuple[np.ndarray, np.ndarray], ...]]:
         # formed once per structure: read-only, like the samples they derive from
-        r = [self.p_cells]
         bar = [_readonly(np.ones_like(self.p_cells))]
         plain = [_readonly(1.0 / self.p_cells)]
+        r_bar, r_plain = [self.p_cells], [self.p_cells]
         for pr in self.phases:
-            r.append(_readonly(np.where(pr.mu_cells > 0.0, pr.q_cells, 2.0)))
+            r_bar.append(_readonly(np.where(pr.mu_cells > 0.0, pr.q_cells, 2.0)))
+            r_plain.append(_readonly(np.where(pr.mu_cells > 0.0, pr.q_cells, 0.0)))
             bar.append(pr.mu_cells)
             plain.append(_readonly(pr.mu_cells / pr.q_cells))
-        return {True: tuple(zip(r, bar)), False: tuple(zip(r, plain))}
+        return {True: tuple(zip(r_bar, bar)), False: tuple(zip(r_plain, plain))}
 
     def h_of(self, t: np.ndarray, bar: bool = False) -> np.ndarray:
         """Integrand values per cell for nonnegative per-cell arguments t."""

@@ -87,9 +87,13 @@ class Problem:
 
     @cached_property
     def load(self) -> np.ndarray:
-        """vol A^T A f with A the cell average, zero on boundary nodes; read-only."""
+        """vol A^T A f with A the cell average, zero on boundary nodes; read-only.
+
+        An entry past the largest float reads inf, silently: the energy is then non-finite.
+        """
         fc = cell_average_values(self.grid, self.f.values)
-        load = self.grid.cell_volume * cell_average_adjoint(self.grid, fc)
+        with np.errstate(over="ignore"):
+            load = self.grid.cell_volume * cell_average_adjoint(self.grid, fc)
         load[boundary_mask(self.grid)] = 0.0
         return _readonly(load)
 
@@ -167,7 +171,8 @@ def energy(u: ScalarField, prob: Problem) -> float:
     _require_same_grid(prob.grid, ("u", u))
     _require_zero_trace(prob.grid, u.values, "u")
     value = modular_value(prob.phi.values - u.values, prob.grid, prob.phase, "gradient")
-    return float(value) + float(np.dot(prob.load, u.values))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed pairing reads inf or NaN
+        return float(value) + float(np.dot(prob.load, u.values))
 
 
 def _flux(phase: PhaseStructure, w_grad: np.ndarray) -> np.ndarray:
@@ -415,9 +420,11 @@ def uniqueness_certificate(
     gw = gradient_values(grid, w.values)
     # one row per (exponent, weight) term; each cell sums its terms before the cells are summed
     r, weight = map(np.array, zip(*prob.phase.terms(bar=True)))
-    lhs, rhs = monotonicity_sides(r, gv, gw)
-    certificate = grid.cell_volume * float(np.sum(np.sum(weight * rhs, axis=0)))
-    pairing = grid.cell_volume * float(np.sum(np.sum(weight * lhs, axis=0)))
+    # sides that overflow read inf or NaN, silently, as in the sweeps
+    with np.errstate(all="ignore"):
+        lhs, rhs = monotonicity_sides(r, gv, gw)
+        certificate = grid.cell_volume * float(np.sum(np.sum(weight * rhs, axis=0)))
+        pairing = grid.cell_volume * float(np.sum(np.sum(weight * lhs, axis=0)))
     if pairing < certificate - 1e-12 * (1.0 + abs(pairing) + certificate):
         raise SolverError("flux pairing fell below its monotonicity certificate")
     grad_scale = 1.0 + float(np.max(np.sqrt(squared_norm(gv))) + np.max(np.sqrt(squared_norm(gw))))

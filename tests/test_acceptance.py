@@ -230,7 +230,7 @@ def test_criterion_07_luxemburg_norms():
         if norm == 0.0:
             continue
         unit = ScalarField(grid, u.values / norm)
-        worst_unit = max(worst_unit, abs(rho(unit, phase, kind).value - 1.0))
+        worst_unit = max(worst_unit, abs(rho(unit, phase, kind) - 1.0))
         c = float(rng.uniform(0.05, 20.0))
         hom = abs(luxemburg_norm(ScalarField(grid, c * u.values), phase, kind) - c * norm)
         worst_hom = max(worst_hom, hom / (c * norm))

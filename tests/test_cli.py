@@ -357,7 +357,6 @@ def test_non_finite_results_are_written_as_null(tmp_path, capsys):
 # a dual-bound probe's squared gradients overflow (1D cells 6.25e-157 wide,
 # 2D 2.5e-155), the cell volume 6.25e-312 is subnormal, or a sweep field's
 # squared gradients overflow: the Luxemburg root leaves the float range
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "command,domain",
     [
@@ -393,6 +392,73 @@ def test_norms_past_the_float_range_are_one_solver_error(tmp_path, capsys, kind,
     args = ["norm", cfg_path, "--field", "1e200*sin(pi*x)", "--kind", kind]
     assert run_cli(args) == 2
     assert capsys.readouterr().err == f"solver error: luxemburg norm out of float range: {what}\n"
+
+
+DOUBLE_PHASE = {"p": "1.5", "phases": [{"q": "3", "mu": "1"}]}
+
+
+# a field at either end of the float range, under one rule: 1e-315 x has a
+# subnormal top magnitude and fails its unit-modular check, 1e-310 x is
+# subnormal and passes it, and the constant 1e6 on cells 6.25e298 wide
+# overflows the modular's cell-volume scaling, which now reads inf silently
+def test_norms_at_the_ends_of_the_float_range(tmp_path, capsys):
+    args = ["norm", write_config(tmp_path, laplace_config(n=16, phase=DOUBLE_PHASE)), "--kind",
+            "zero_order", "--field"]
+    assert run_cli(args + ["1e-315*x"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("solver error: luxemburg norm out of float range: residual")
+    assert run_cli(args + ["1e-310*x"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and read_json(out)["kinds"]["zero_order"]["luxemburg_norm"] == 5.880555637492e-311
+    wide = laplace_config(
+        phase=DOUBLE_PHASE, domain={"dim": 1, "extents": [[0, 1e300]], "resolution": [16]}
+    )
+    assert run_cli(["norm", write_config(tmp_path, wide), "--kind", "zero_order", "--field", "1e6"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert read_json(out)["kinds"]["zero_order"] == {
+        "luxemburg_norm": 7.631428283689069e205,
+        "modular": None,
+        "sandwich_holds": None,
+        "sandwich_lower": None,
+        "sandwich_upper": None,
+    }
+
+
+# cells 2.5e-159 wide: the sweep's gradients overflow to inf, and a vanishing
+# weight adds 0 to the modular there (it used to add 0 * inf = NaN, which
+# failed all 40 gradient and sobolev pairs); the pairs read vacuous instead
+def test_overflowed_uc_pairs_with_a_vanishing_weight_are_vacuous(tmp_path, capsys):
+    cfg = laplace_config(
+        domain={"dim": 1, "extents": [[0, 1e-158]], "resolution": [4]},
+        phase={"p": "3", "phases": [{"q": "1.2", "mu": "0"}]},
+        verify={"samples": 20},
+    )
+    assert run_cli(["verify-uc", write_config(tmp_path, cfg)]) == 0
+    out, err = capsys.readouterr()
+    tallies = read_json(out)["tallies"]
+    assert err == ""
+    for kind in ("gradient", "sobolev"):
+        assert tallies[kind] == {"fail": 0, "pass": 0, "vacuous": 20}
+
+
+# the two starts' fluxes overflow the uniqueness certificate's pairing, which
+# reads inf silently, as the monotonicity sweep's rows do
+def test_an_overflowed_uniqueness_pairing_is_silent(tmp_path, capsys):
+    cfg = laplace_config(
+        domain={"dim": 1, "extents": [[-1.4817647231145551e32, 1.4817647231145551e32]],
+                "resolution": [16]},
+        phase={"p": "1.01", "phases": [{"q": "60", "mu": "0"}]},
+        source="0.026088789027171395",
+        solver={"two_start_check": True, "max_iterations": 60, "dual_probes": 8},
+        seed=3,
+    )
+    out = tmp_path / "out"
+    assert run_cli(["solve", write_config(tmp_path, cfg), "--out-dir", out]) == 0
+    assert capsys.readouterr().err == ""
+    uniqueness = read_json((out / "report.json").read_text())["results"]["uniqueness"]
+    assert uniqueness["certificate"] == 5.632482511385609e178
 
 
 def test_solver_keys_are_the_solver_options():

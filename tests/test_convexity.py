@@ -235,9 +235,9 @@ def test_restricted_modular_set_identity():
         half = ScalarField(GRID, (u.values - v.values) / 2.0)
         outside = ~(part.omega22 | split.g_mask)
         assert np.all(outside == (split.a_mask | split.b_mask | split.c_mask))
-        lhs = rho(half, ph, "gradient", mask=outside).value
+        lhs = rho(half, ph, "gradient", mask=outside)
         parts = [
-            rho(half, ph, "gradient", mask=m).value
+            rho(half, ph, "gradient", mask=m)
             for m in (split.a_mask, split.b_mask, split.c_mask)
         ]
         assert lhs == pytest.approx(sum(parts), rel=1e-13, abs=1e-15)
@@ -268,12 +268,12 @@ def test_component_estimates():
         ]
         for mask, constant in cases:
             lhs = (
-                rho(mid, ph, "gradient", mask=mask).value
-                + constant * rho(half, ph, "gradient", mask=mask).value
+                rho(mid, ph, "gradient", mask=mask)
+                + constant * rho(half, ph, "gradient", mask=mask)
             )
             rhs = 0.5 * (
-                rho(u, ph, "gradient", mask=mask).value
-                + rho(v, ph, "gradient", mask=mask).value
+                rho(u, ph, "gradient", mask=mask)
+                + rho(v, ph, "gradient", mask=mask)
             )
             assert lhs <= rhs + 1e-12 * (1.0 + rhs)
 
@@ -294,14 +294,14 @@ def test_gap_concentration_estimate():
         v = ScalarField(GRID, rng.normal(size=GRID.n_nodes))
         eps = float(rng.uniform(0.05, 0.95))
         half = ScalarField(GRID, (u.values - v.values) / 2.0)
-        avg = 0.5 * (rho(u, ph, "gradient").value + rho(v, ph, "gradient").value)
+        avg = 0.5 * (rho(u, ph, "gradient") + rho(v, ph, "gradient"))
         outside22 = ~part.omega22
-        if rho(half, ph, "gradient", mask=outside22).value <= 0.5 * eps * avg:
+        if rho(half, ph, "gradient", mask=outside22) <= 0.5 * eps * avg:
             continue
         checked += 1
         split = pair_split(u, v, eps, part)
         target = ~(part.omega22 | split.g_mask)
-        lhs = rho(half, ph, "gradient", mask=target).value
+        lhs = rho(half, ph, "gradient", mask=target)
         assert lhs >= 0.25 * eps * avg - 1e-12 * (1.0 + avg)
     assert checked > 20  # the hypothesis fires often enough to be meaningful
 
@@ -333,7 +333,7 @@ def assert_uc_modulars_equal_rho(grid, phase, us, vs, kinds):
         for kind in kinds:
             midpoint, average, gap = (values[i] for values in modulars[kind])
             ru, rv, rmid, rhalf = (
-                rho(ScalarField(grid, w), phase, kind).value
+                rho(ScalarField(grid, w), phase, kind)
                 for w in (u, v, (u + v) / 2.0, (u - v) / 2.0)
             )
             assert midpoint == rmid

@@ -14,7 +14,6 @@ KEPT_UNREAD = {
     "modular.l2_pairing": "tests pair f with u through it, independently of Problem.load",
     "mesh.integrate_cells": "tests check the quadrature through it",
     "exprparse.eval_at": "expression-language API: one-point evaluation",
-    "exprparse.pretty": "expression-language API: parse(pretty(e)) == e",
     "convexity.partition": "the paper's regime partition, checked by tests",
     "convexity.pair_split": "the paper's gradient-gap split, checked by tests",
     "phase.growth_envelope_check": "the paper's growth hypothesis, checked by tests",

@@ -63,14 +63,14 @@ def test_zero_field_all_kinds():
     ph = make_phase(GRID, 2.0, [(3.0, 1.0)])
     u = ScalarField.zeros(GRID)
     for kind in ("zero_order", "gradient", "sobolev"):
-        assert rho(u, ph, kind).value == 0.0
+        assert rho(u, ph, kind) == 0.0
         assert luxemburg_norm(u, ph, kind) == 0.0
 
 
 def test_constant_field_gradient_kind():
     ph = make_phase(GRID, 2.0, [(3.0, 1.0)])
     u = ScalarField(GRID, np.full(GRID.n_nodes, 2.5))
-    assert rho(u, ph, "gradient").value == 0.0
+    assert rho(u, ph, "gradient") == 0.0
     assert luxemburg_norm(u, ph, "gradient") == 0.0
 
 
@@ -79,18 +79,22 @@ def test_quadratic_closed_form():
     ph = make_phase(GRID, 2.0, [(2.0, 0.0)])
     c = 1.7
     u = ScalarField(GRID, np.full(GRID.n_nodes, c))
-    assert rho(u, ph, "zero_order").value == pytest.approx(c**2 / 2, rel=1e-13)
+    assert rho(u, ph, "zero_order") == pytest.approx(c**2 / 2, rel=1e-13)
     assert luxemburg_norm(u, ph, "zero_order") == pytest.approx(c / np.sqrt(2), rel=1e-12)
+
+
+def _cell_modulars(u, ph, kind):
+    """Per-cell contributions to rho, each the modular masked to its one cell."""
+    cells = np.arange(u.grid.n_cells)
+    return np.array([rho(u, ph, kind, mask=cells == c) for c in cells])
 
 
 def test_sobolev_is_exact_sum():
     rng = np.random.default_rng(0)
     ph = random_phase(rng, GRID)
     u = random_field(rng, GRID)
-    r0 = rho(u, ph, "zero_order")
-    r1 = rho(u, ph, "gradient")
-    rs = rho(u, ph, "sobolev")
-    assert np.allclose(rs.cell_values, r0.cell_values + r1.cell_values, rtol=1e-15)
+    r0, r1, rs = (_cell_modulars(u, ph, kind) for kind in ("zero_order", "gradient", "sobolev"))
+    assert np.allclose(rs, r0 + r1, rtol=1e-15)
 
 
 def test_modular_symmetry_and_convexity():
@@ -100,13 +104,13 @@ def test_modular_symmetry_and_convexity():
         u = random_field(rng, GRID, scale=rng.uniform(0.1, 5.0))
         v = random_field(rng, GRID, scale=rng.uniform(0.1, 5.0))
         for kind in ("zero_order", "gradient", "sobolev"):
-            ru = rho(u, ph, kind).value
-            rneg = rho(ScalarField(GRID, -u.values), ph, kind).value
+            ru = rho(u, ph, kind)
+            rneg = rho(ScalarField(GRID, -u.values), ph, kind)
             assert rneg == pytest.approx(ru, rel=1e-14)
-            rv = rho(v, ph, kind).value
+            rv = rho(v, ph, kind)
             for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
                 mid = ScalarField(GRID, alpha * u.values + (1 - alpha) * v.values)
-                rmid = rho(mid, ph, kind).value
+                rmid = rho(mid, ph, kind)
                 assert rmid <= alpha * ru + (1 - alpha) * rv + 1e-12 * (1 + ru + rv)
 
 
@@ -119,7 +123,7 @@ def test_unit_ball_characterization_and_homogeneity():
         norm = luxemburg_norm(u, ph, kind)
         assert norm > 0
         scaled = ScalarField(GRID, u.values / norm)
-        assert abs(rho(scaled, ph, kind).value - 1.0) <= 1e-9
+        assert abs(rho(scaled, ph, kind) - 1.0) <= 1e-9
         c = float(rng.uniform(0.1, 10.0)) * (1 if rng.random() < 0.5 else -1)
         cu = ScalarField(GRID, c * u.values)
         assert luxemburg_norm(cu, ph, kind) == pytest.approx(abs(c) * norm, rel=1e-12)
@@ -147,7 +151,7 @@ def test_luxemburg_unit_modular_and_homogeneity_across_scales(
     c = 10.0**k
     norm = luxemburg_norm(ScalarField(grid, c * u), ph, kind)
     assert np.isfinite(norm) and norm > 0
-    assert abs(rho(ScalarField(grid, c * u / norm), ph, kind).value - 1.0) <= 1e-10
+    assert abs(rho(ScalarField(grid, c * u / norm), ph, kind) - 1.0) <= 1e-10
     base = luxemburg_norm(ScalarField(grid, u), ph, kind)
     assert norm == pytest.approx(c * base, rel=1e-12)
 
@@ -166,7 +170,7 @@ def test_luxemburg_survives_a_first_step_that_overflows(dim, side, q):
     for kind in ("gradient", "sobolev"):
         norm = luxemburg_norm(u, ph, kind)
         assert np.isfinite(norm) and norm > 0
-        assert abs(rho(ScalarField(grid, u.values / norm), ph, kind).value - 1.0) <= 1e-10
+        assert abs(rho(ScalarField(grid, u.values / norm), ph, kind) - 1.0) <= 1e-10
 
 
 def _former_luxemburg(u_values, grid, phase, kind):
@@ -229,11 +233,10 @@ def test_root_of_null_sparse_and_overflowing_fields(kind):
     for u in fields.values():
         norm = _root(u, grid, ph, kind)
         assert np.isfinite(norm) and norm > 0
-        assert abs(rho(ScalarField(grid, u / norm), ph, kind).value - 1.0) <= 1e-10
+        assert abs(rho(ScalarField(grid, u / norm), ph, kind) - 1.0) <= 1e-10
     assert _root(np.zeros(grid.n_nodes), grid, ph, kind) == 0.0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_root_raises_for_a_field_out_of_float_range():
     # cells 6.25e-157 wide: the random field's squared gradients overflow
     grid = build_grid(1, [(0, 1e-155)], [16])
@@ -268,7 +271,7 @@ def test_sandwich_hilbert_case():
     assert report.sandwich_lower == pytest.approx(report.sandwich_upper, rel=1e-14)
     assert luxemburg_norm(u, ph, "zero_order") == pytest.approx(report.sandwich_lower, rel=1e-10)
     assert report.norm == luxemburg_norm(u, ph, "zero_order")
-    assert report.modular == rho(u, ph, "zero_order").value
+    assert report.modular == rho(u, ph, "zero_order")
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -342,7 +345,7 @@ def test_norm_report_equals_separate_evaluations(dim, k, kind, scale, seed):
     u = random_field(rng, grid, scale=10.0**scale)
     report = norm_report(u, ph, kind)
     assert report.kind == kind
-    assert report.modular == rho(u, ph, kind).value
+    assert report.modular == rho(u, ph, kind)
     assert report.norm == luxemburg_norm(u, ph, kind)
     if k == 1:
         assert report.bar_norm == _root(u.values, grid, ph, kind, bar=True)
@@ -366,14 +369,14 @@ def _sandwich_loop_reference(grid, ph, n_samples, seed):
         scale = 10.0 ** rng.uniform(-2, 2)
         u = ScalarField(grid, scale * rng.normal(size=grid.n_nodes))
         kind = ("zero_order", "gradient", "sobolev")[int(rng.integers(0, 3))]
-        value = rho(u, ph, kind).value
+        value = rho(u, ph, kind)
         lower = min(value ** (1.0 / s.m), value ** (1.0 / s.M))
         upper = max(value ** (1.0 / s.m), value ** (1.0 / s.M))
         norm = _root(u.values, grid, ph, kind)
         holds = lower * (1.0 - 1e-9) <= norm <= upper * (1.0 + 1e-9)
         unit_ok = True
         if norm > 0:
-            unit_ok = abs(rho(ScalarField(grid, u.values / norm), ph, kind).value - 1.0) <= 1e-9
+            unit_ok = abs(rho(ScalarField(grid, u.values / norm), ph, kind) - 1.0) <= 1e-9
         c = float(rng.uniform(0.1, 10.0))
         scaled = modular.luxemburg_norm(ScalarField(grid, c * u.values), ph, kind)
         hom_ok = abs(scaled - c * norm) <= 1e-12 * max(1.0, c * norm)
@@ -451,7 +454,7 @@ def dual_pairing_bound_holds(f, u, a, ph):
     """The lemma |<f, u>| <= a rho(u)^(1/m) for a zero-trace u with gradient norm >= 1."""
     assert luxemburg_norm(u, ph, "gradient") >= 1.0 - 1e-12  # the lemma's hypothesis
     lhs = abs(l2_pairing(f, u))
-    rhs = a * rho(u, ph, "gradient").value ** (1.0 / ph.summary.m)
+    rhs = a * rho(u, ph, "gradient") ** (1.0 / ph.summary.m)
     return lhs <= rhs + 1e-12 * (1.0 + rhs)
 
 
@@ -652,8 +655,11 @@ def test_restricted_modular_mass():
     full = rho(u, ph, "gradient")
     part = rho(u, ph, "gradient", mask=mask)
     rest = rho(u, ph, "gradient", mask=~mask)
-    assert np.all(part.cell_values[~mask] == 0.0)
-    assert part.value + rest.value == pytest.approx(full.value, rel=1e-13)
+    # the masked modular sums the cells inside the mask and zeros outside it
+    cells = _cell_modulars(u, ph, "gradient")
+    assert part == float(np.sum(np.where(mask, cells, 0.0)))
+    assert full == float(np.sum(cells))
+    assert part + rest == pytest.approx(full, rel=1e-13)
 
 
 def test_modular_value_returns_one_value_per_row():
@@ -672,5 +678,5 @@ def test_an_overflowed_modular_reads_inf_silently():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert modular.modular_value(u, GRID, ph, "gradient") == np.inf
-        assert rho(ScalarField(GRID, u), ph, "sobolev").value == np.inf
+        assert rho(ScalarField(GRID, u), ph, "sobolev") == np.inf
         assert np.all(modular.stacked_rho(u[None], ph, KINDS)["gradient"] == np.inf)

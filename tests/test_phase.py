@@ -229,13 +229,13 @@ def test_matuszewska_oracle_sweep():
 
 
 def test_vanishing_weight_writes_exponent_two():
-    # where mu_j = 0 the table's q_j-term has exponent 2 in both forms; the
-    # sampled exponents, and so the summary, keep q_j
+    # where mu_j = 0 the integrand table's q_j-term has exponent 0 and the flux
+    # table's exponent 2; the sampled exponents, and so the summary, keep q_j
     mu = np.where(GRID.cell_centers()[:, 0] < 0.5, 0.0, 1.0)
     ph = make_phase(GRID, 1.5, [(200.0, mu)])
-    for bar in (False, True):
+    for bar, vanishing in ((False, 0.0), (True, 2.0)):
         _, (r, c) = ph.terms(bar=bar)
-        assert np.all(r == np.where(mu > 0.0, 200.0, 2.0))
+        assert np.all(r == np.where(mu > 0.0, 200.0, vanishing))
         assert np.all(c[mu == 0.0] == 0.0) and not r.flags.writeable
     assert ph.summary.q_minus == (200.0,) and ph.summary.m == 1.5
 
@@ -247,3 +247,5 @@ def test_vanishing_weight_term_reads_zero_where_its_power_overflows():
     assert np.all(ph.h_of(t) == pytest.approx(100.0**1.5 / 1.5, rel=1e-15))
     assert np.all(ph.h_of(t, bar=True) == 100.0**1.5)
     assert np.all(ph.flux_coefficient(t) == 100.0**-0.5)
+    # an overflowed magnitude: the integrand reads inf, not 0 * inf = NaN
+    assert np.all(ph.h_of(np.full(GRID.n_cells, np.inf)) == np.inf)

@@ -174,7 +174,7 @@ def test_energy_trivial_cases():
     # with f = 0 the energy at u = 0 is the gradient modular of phi
     x = grid.node_coords()[:, 0]
     prob_phi = make_problem(grid, 2.0, [(3.0, 1.0)], phi_values=x**2)
-    expected = rho(ScalarField(grid, x**2), prob_phi.phase, "gradient").value
+    expected = rho(ScalarField(grid, x**2), prob_phi.phase, "gradient")
     assert energy(ScalarField.zeros(grid), prob_phi) == pytest.approx(expected, rel=1e-14)
 
 
@@ -605,7 +605,7 @@ def test_modular_distance_is_the_gap_modular_of_the_two_starts(monkeypatch):
     sol = solve_weak(prob, SolverOptions(max_iterations=3, two_start_check=True, dual_probes=8))
     first, second = runs
     half = ScalarField(grid, (first.u_star.values - second.u_star.values) / 2.0)
-    gap = rho(half, prob.phase, "gradient").value
+    gap = rho(half, prob.phase, "gradient")
     assert gap > 1e-6
     assert sol.modular_distance == pytest.approx(gap, rel=1e-12)
 
@@ -751,7 +751,7 @@ def test_minimize_converges_from_two_starts(case):
         assert np.all(np.diff(sol.energy_history) < 0)
         sols.append(sol)
     half = ScalarField(prob.grid, (sols[0].u_star.values - sols[1].u_star.values) / 2)
-    assert rho(half, prob.phase, "gradient").value <= 1e-8
+    assert rho(half, prob.phase, "gradient") <= 1e-8
 
 
 def test_solve_imports_no_scipy():
