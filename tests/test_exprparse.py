@@ -125,6 +125,25 @@ CORPUS = [
 ]
 
 
+def _bracketed(e):
+    """Render an AST back to text with every operand in parentheses."""
+    if isinstance(e, Num):
+        return repr(e.value)
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Neg):
+        return f"-({_bracketed(e.operand)})"
+    if isinstance(e, Call):
+        return f"{e.func}({', '.join(_bracketed(a) for a in e.args)})"
+    return f"({_bracketed(e.left)}){e.op}({_bracketed(e.right)})"
+
+
+@pytest.mark.parametrize("src", CORPUS)
+def test_pretty_roundtrip_corpus(src):
+    ast = parse(src)
+    assert parse(_bracketed(ast)) == ast
+
+
 class _TwoMethodParser(_Parser):
     """The former parser, whose method structure fixed the binding of + - and * /."""
 
