@@ -25,10 +25,11 @@ method in log lambda, over the field's per-cell magnitudes divided by their
 maximum, halves a step whose modular overflows, and checks the unit modular
 with one evaluation of rho(t / lambda), the equation Newton solved.  No
 gradient of u / lambda is taken, so a field with a large constant part roots
-like its varying part.  A magnitude or a norm past the largest float, or a
-unit-modular check that fails over a non-finite residual or a subnormal top
-magnitude, raises ``FloatingPointError``; the root runs under one
-``np.errstate``, and the magnitude pass prints no warning either.
+like its varying part.  A gradient magnitude whose square underflows is taken
+in units of its largest component.  A magnitude or a norm past the largest
+float, or a unit-modular check that fails over a non-finite residual or a
+subnormal top magnitude, raises ``FloatingPointError``; the root runs under
+one ``np.errstate``, and the magnitude pass prints no warning either.
 ``estimate_dual_bound`` pairs its probes with f and takes their modulars in
 stacks of at most ``STACK_CELLS`` = 2^11 cells, or of one row on a larger
 grid: 8 rows on 256 cells, one on a 64x64 grid.  It roots, one at a time, only
@@ -90,7 +91,15 @@ def _magnitude(u_values: np.ndarray, grid: Grid, part: str) -> np.ndarray:
     with np.errstate(over="ignore"):
         if part == "zero_order":
             return np.abs(cell_average_values(grid, u_values))
-        return np.sqrt(squared_norm(gradient_values(grid, u_values)))
+        g = gradient_values(grid, u_values)
+        t = np.sqrt(squared_norm(g))
+    # a square below the normal floats loses digits, or all of them
+    small = np.sqrt(np.finfo(float).tiny)
+    if t.size and np.min(t) < small:
+        low = t < small
+        top = np.max(np.abs(g[low]), axis=-1, keepdims=True)
+        t[low] = top[:, 0] * np.sqrt(squared_norm(g[low] / np.where(top > 0, top, 1.0)))
+    return t
 
 
 def _field_magnitudes(u: ScalarField, phase: PhaseStructure, kind: str) -> list[np.ndarray]:

@@ -16,8 +16,10 @@ integrand: the exact Hessian of every term with exponent >= 2 and the
 relaxed Kacanov (secant) weight of every term below 2 (Diening, Fornasier,
 Tomasi & Wank, Numer. Math. 2020).  The model is assembled from the mesh's
 corner stencil and solved exactly, numpy only: by a scalar tridiagonal sweep
-in 1D and block-tridiagonal elimination in 2D.  So a solve takes tens of
-steps.
+in 1D and block-tridiagonal elimination in 2D.  The secant weight
+over-estimates the curvature, so a full step below exponent 2 is often too
+short: a line search whose full step passes grows it while the energy falls
+further.  So a solve takes tens of steps, one model solve each.
 
 Line searches compare energy *differences* computed per cell with
 expm1/log1p, never as a subtraction of two totals; this keeps the Armijo
@@ -264,11 +266,15 @@ def minimize(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
     step below 2 (``method`` "cg" and "gd" both name this step).  Where the
     model is nearly singular, d is shortened to move u by at most
     MAX_DIRECTION_RATIO (1 + max|u|).  Every search starts at
-    ``initial_step`` and halves the step until the Armijo condition holds or
-    the change of u falls below ``step_floor`` relative to 1 + max|u|.  So
-    the recorded energies decrease strictly; a decrease below the float
-    resolution of the energy is recorded once the accumulated decreases
-    change it.
+    ``initial_step`` and multiplies the step by ``shrink_factor`` until the
+    Armijo condition holds or the change of u falls below ``step_floor``
+    relative to 1 + max|u|.  Where the first step passes, the search instead
+    divides it by ``shrink_factor`` as long as the longer step passes too,
+    gives a strictly lower energy and moves u by at most MAX_DIRECTION_RATIO
+    (1 + max|u|); where every exponent is >= 2 the model is the Hessian, and
+    a full step is rarely grown.  So the recorded energies decrease
+    strictly; a decrease below the float resolution of the energy is
+    recorded once the accumulated decreases change it.
 
     Every stop returns a ``Solution`` at the last accepted iterate, with
     ``iterations`` counting accepted steps and ``termination`` one of
@@ -297,8 +303,8 @@ def minimize(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
     g = -_defect(prob, w_grad)
     pending = 0.0
 
-    def search(d):
-        """Armijo backtracking on the cancellation-free energy difference."""
+    def search(d, reach):
+        """Armijo search on the cancellation-free energy difference: (s, dE) or None."""
         # a slope that overflows stops the search or makes dE, and so E, non-finite
         with np.errstate(over="ignore", invalid="ignore"):
             gTd = float(np.dot(g, d))
@@ -309,15 +315,31 @@ def minimize(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
         # singular and the accepted step is many orders shorter than -B^-1 g
         floor = opts.step_floor * (1.0 + float(np.max(np.abs(u))))
         size = float(np.max(np.abs(d)))
-        s = opts.initial_step
-        while gTd < 0.0 and s * size >= floor:
+
+        def passes(s):
             # an overflowing trial step gives a non-finite dE and is rejected
             with np.errstate(over="ignore", invalid="ignore"):
                 dE = _modular_step_delta(phase, w_grad, Gd, s) + s * pair_rate
-            if dE <= opts.armijo_constant * s * gTd:
-                return s, dE
+            return dE <= opts.armijo_constant * s * gTd, dE
+
+        s = opts.initial_step
+        while gTd < 0.0 and s * size >= floor:
+            ok, dE = passes(s)
+            if ok:
+                break
             s *= opts.shrink_factor
-        return None
+        else:
+            return None
+        # the secant weight of an exponent below 2 over-estimates its
+        # curvature, so a full step that passes is often too short
+        if s == opts.initial_step:
+            while np.log(s) + np.log(size) - np.log(opts.shrink_factor) <= reach:
+                longer = s / opts.shrink_factor
+                ok, dE_longer = passes(longer)
+                if not (ok and dE_longer < dE):
+                    break
+                s, dE = longer, dE_longer
+        return s, dE
 
     termination = "max_iterations"
     it = 0
@@ -333,7 +355,7 @@ def minimize(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
         # d = -B^-1 g = -e^(-L) z, shortened where that would move u too far
         reach = np.log(MAX_DIRECTION_RATIO * (1.0 + float(np.max(np.abs(u)))))
         d = -np.exp(min(-log_scale, reach - np.log(float(np.max(np.abs(z)))))) * z
-        step = search(d)
+        step = search(d, reach)
         if step is None:
             termination = "line_search"
             break

@@ -14,7 +14,8 @@ from doublephase.convexity import (
     verify_uc_pair,
     _energy_floor,
 )
-from doublephase.mesh import ScalarField, boundary_mask, build_grid
+from doublephase import solver
+from doublephase.mesh import ScalarField, boundary_mask, build_grid, gradient_values
 from doublephase.modular import luxemburg_norm, norm_report, rho
 from doublephase.phase import matuszewska_index
 from doublephase.solver import Problem, SolverOptions, energy_gradient, energy, solve_weak
@@ -73,8 +74,7 @@ def p_laplacian_solution():
     return grid, x, prob, sol, elapsed
 
 
-@pytest.fixture(scope="module")
-def double_phase_solution():
+def _double_phase_case():
     grid = build_grid(1, [(0, 1)], [256])
     xc = grid.cell_centers()[:, 0]
     prob = Problem(
@@ -91,6 +91,12 @@ def double_phase_solution():
         dual_probes=300,
         seed=0,
     )
+    return grid, prob, opts
+
+
+@pytest.fixture(scope="module")
+def double_phase_solution():
+    grid, prob, opts = _double_phase_case()
     started = time.perf_counter()
     sol = solve_weak(prob, opts)
     elapsed = time.perf_counter() - started
@@ -130,6 +136,52 @@ def test_criterion_03_double_phase(double_phase_solution):
         3, ok, f"residual {sol.weak_residual:.2e} <= 1e-6, strictly decreasing "
         f"history: {strict}, two-start modular distance {sol.modular_distance:.2e} <= 1e-8"
     )
+
+
+def test_line_search_grows_only_a_first_step_that_passes(monkeypatch):
+    # the secant weight of p = 1.5 over-estimates the curvature, so full
+    # steps are short: each start grows them along initial_step / shrink^k
+    grid, prob, opts = _double_phase_case()
+    step_delta, minimize = solver._modular_step_delta, solver.minimize
+    searches, starts = [], []
+
+    def trial(phase, a, b, s):
+        if s == opts.initial_step:  # every search starts there; no other trial is
+            searches.append({"a": a.copy(), "b": b.copy(), "trials": []})
+        searches[-1]["trials"].append(s)
+        return step_delta(phase, a, b, s)
+
+    def start(prob, options):
+        searches.clear()
+        sol = minimize(prob, options)
+        starts.append((sol, list(searches)))
+        return sol
+
+    monkeypatch.setattr(solver, "_modular_step_delta", trial)
+    monkeypatch.setattr(solver, "minimize", start)
+    solve_weak(prob, opts)
+
+    assert [sol.iterations for sol, _ in starts] == [11, 13]
+    grown = 0
+    for sol, steps in starts:
+        assert sol.termination == "gradient_tolerance" and len(steps) == sol.iterations
+        assert np.all(np.diff(sol.energy_history) < 0)
+        # the accepted s moved w's cell gradients from a to the next search's a;
+        # u's rounding blurs it far less than the lattice spacing 1 / shrink
+        after = [step["a"] for step in steps[1:]] + [gradient_values(grid, sol.w_star.values)]
+        for step, a_next in zip(steps, after):
+            trials, b = step["trials"], step["b"]
+            s = float(np.sum((step["a"] - a_next) * b) / np.sum(b * b))
+            if trials[-1] > opts.initial_step:
+                # the first trial passed; the last, longer one did not
+                assert trials == [opts.initial_step / opts.shrink_factor**k for k in range(len(trials))]
+                assert s == pytest.approx(trials[-2], rel=1e-4)
+                grown += s > opts.initial_step
+            else:
+                # backtracked, and never grown
+                assert trials == [opts.initial_step * opts.shrink_factor**k for k in range(len(trials))]
+                assert s == pytest.approx(trials[-1], rel=1e-4)
+    assert grown > 0
 
 
 def _random_uc_tuple(rng):

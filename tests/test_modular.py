@@ -156,6 +156,19 @@ def test_luxemburg_unit_modular_and_homogeneity_across_scales(
     assert norm == pytest.approx(c * base, rel=1e-12)
 
 
+@pytest.mark.parametrize("c", [1e-160, 1e-170])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gradient_magnitudes_below_the_square_root_of_tiny_keep_their_digits(dim, c):
+    # |grad u|^2 falls below the normal floats: read as is, it loses digits
+    # (1e-160) or all of them (1e-170, a norm of 0 for a field that is not null)
+    grid = build_grid(dim, [(0, 1)] * dim, [16] * dim if dim == 1 else [4, 4])
+    ph = make_phase(grid, 1.5, [(3.0, 1.0)])
+    u = grid.node_coords() @ np.arange(1.0, dim + 1.0)  # x, or x + 2y
+    base = luxemburg_norm(ScalarField(grid, u), ph, "gradient")
+    norm = luxemburg_norm(ScalarField(grid, c * u), ph, "gradient")
+    assert norm == pytest.approx(c * base, rel=1e-12, abs=0)
+
+
 # a small domain and a large exponent: rho(u / max|part|) is tiny, and the
 # first Newton step lands so far past the root that w e^(-r s) overflows
 @pytest.mark.parametrize(

@@ -638,6 +638,46 @@ def test_minimize_returns_a_line_search_stop():
     assert sol.gradient_norm > 0
 
 
+@pytest.mark.parametrize(
+    "n,p,q,bound", [(64, 1.3, 1.6, 24), (128, 1.2, 4.0, 36)], ids=["p1.3-q1.6", "p1.2-q4"]
+)
+def test_exponents_below_2_reach_the_gradient_tolerance_in_few_steps(n, p, q, bound):
+    # full relaxed Kacanov steps, never grown, took 44 and 69 steps here
+    grid = build_grid(1, [(0, 1)], [n])
+    prob = make_problem(grid, p, [(q, 1.0)], f_values=np.ones(grid.n_nodes))
+    sol = minimize(prob, SolverOptions(gradient_tolerance=1e-8, energy_tolerance=1e-300))
+    assert sol.termination == "gradient_tolerance" and sol.iterations <= bound
+    # no higher than a tightly solved reference, to its float resolution
+    ref = minimize(prob, SolverOptions(gradient_tolerance=1e-12, energy_tolerance=1e-300))
+    assert ref.gradient_norm <= 2e-12
+    e, e_ref = sol.energy_history[-1], ref.energy_history[-1]
+    assert e <= e_ref + 2 * np.spacing(abs(e_ref))
+
+
+def test_line_search_keeps_full_steps_where_every_exponent_is_at_least_2(monkeypatch):
+    # the Newton step is exact there, so the first longer trial fails and a
+    # full step that passes is taken as it is; a backtracked step never grows
+    import doublephase.solver as solver
+
+    step_delta, searches = solver._modular_step_delta, []
+
+    def trial(phase, a, b, s):
+        if s == 1.0:
+            searches.append([])
+        searches[-1].append(s)
+        return step_delta(phase, a, b, s)
+
+    monkeypatch.setattr(solver, "_modular_step_delta", trial)
+    grid = build_grid(1, [(0, 1)], [16])
+    prob = make_problem(grid, 3.0, [(4.0, 1.0)], f_values=np.ones(grid.n_nodes))
+    sol = minimize(prob, SolverOptions(gradient_tolerance=1e-7, energy_tolerance=1e-300))
+    assert sol.termination == "gradient_tolerance" and sol.iterations == len(searches) == 6
+    # the zero start's model is nearly singular: its first step is backtracked
+    first = searches[0]
+    assert len(first) > 1 and first == [0.5**k for k in range(len(first))]
+    assert searches[1:] == [[1.0, 2.0]] * 5
+
+
 def test_laplace_2d_manufactured_solution():
     # -div grad w = 2 pi^2 sin(pi x) sin(pi y) has w = sin(pi x) sin(pi y)
     grid = build_grid(2, [(0, 1), (0, 1)], [24, 24])

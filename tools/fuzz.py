@@ -16,9 +16,13 @@ solver and verify keys.  Every command runs on it in-process through
     python3 tools/fuzz.py                       # seed 0, 240 configs: 1,440 runs
     python3 tools/fuzz.py --seed 3 --configs 20
     python3 tools/fuzz.py --dump runs.jsonl     # one JSON line per run, for diffs
+    python3 tools/fuzz.py --diff old.jsonl new.jsonl
 
 The script prints one line per broken promise and a summary of exit codes,
-and exits 1 if any promise broke.  Run it with ``src`` on ``PYTHONPATH``.
+and exits 1 if any promise broke.  ``--diff`` reads two ``--dump`` files
+instead, prints one line per run whose exit code, ``termination``, stderr or
+``report.json`` residual changed, and exits 1 if any did.  Run it with
+``src`` on ``PYTHONPATH``.
 """
 
 from __future__ import annotations
@@ -174,12 +178,49 @@ def fuzz(seed: int, n_configs: int, dump=None) -> tuple[list[str], dict]:
     return findings, tally
 
 
+def _outcome(record: dict) -> dict:
+    """What ``--diff`` compares of one run."""
+    results = (record["report"] or {}).get("results", {})
+    return {
+        "code": record["code"],
+        "termination": results.get("termination"),
+        "stderr": record["stderr"],
+        "residual": results.get("residual"),
+    }
+
+
+def diff(old_lines, new_lines) -> list[str]:
+    """One line per run, keyed by config and command, whose outcome differs between two dumps."""
+    old, new = ({(r["config"], r["command"]): _outcome(r) for r in map(json.loads, lines)}
+                for lines in (old_lines, new_lines))
+    changed = []
+    for key in sorted(old.keys() | new.keys()):
+        before, after = old.get(key), new.get(key)
+        if before == after:
+            continue
+        if before is None or after is None:
+            what = f"only in {'new' if before is None else 'old'}"
+        else:
+            what = "; ".join(f"{k} {before[k]!r} -> {after[k]!r}" for k in after if before[k] != after[k])
+        changed.append(f"config {key[0]} {key[1]}: {what}")
+    return changed
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--configs", type=int, default=240)
     parser.add_argument("--dump", type=Path, default=None, help="write one JSON line per run")
+    parser.add_argument("--diff", type=Path, nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two --dump files instead of running")
     args = parser.parse_args(argv)
+    if args.diff:
+        old, new = (path.read_text(encoding="utf-8").splitlines() for path in args.diff)
+        changed = diff(old, new)
+        for line in changed:
+            print(line)
+        print(f"{len(changed)} changed runs")
+        return 1 if changed else 0
     with contextlib.ExitStack() as stack:
         dump = stack.enter_context(args.dump.open("w", encoding="utf-8")) if args.dump else None
         findings, tally = fuzz(args.seed, args.configs, dump)

@@ -164,6 +164,13 @@ MUTANTS = (
         "sol.modular_distance = 0.5 * report.gap_value",
         ("tests/test_solver.py::test_modular_distance_is_the_gap_modular_of_the_two_starts",),
     ),
+    Mutant(
+        "line-search-growth-disabled",
+        "src/doublephase/solver.py",
+        "if s == opts.initial_step:",
+        "if False:",
+        ("tests/test_acceptance.py::test_line_search_grows_only_a_first_step_that_passes",),
+    ),
 )
 
 
