@@ -277,6 +277,7 @@ def cmd_solve(config: Config, out_dir: Path) -> int:
             "modular_distance": sol.modular_distance,
             "certificate": sol.uniqueness_gap,
             "gradients_equal": sol.gradients_equal,
+            "termination": sol.second_termination,
             "uc_verdict": sol.uc_certificate.verdict,
             "uc_epsilon": sol.uc_certificate.epsilon,
             "uc_delta": sol.uc_certificate.delta,

@@ -17,9 +17,9 @@ leading batch axis: ``uc_verdicts`` applies the rule to arrays of modulars,
 its pairs chunk by chunk through ``stacked_rho``.
 
 The pointwise sides of the two-point and flux-monotonicity inequalities run
-on vector components through ``mesh.squared_norm``, each branch of a side on
-its own rows only.  ``_two_point_tally`` and ``_monotonicity_tally`` are the
-one rule per sweep row; a single pair is a chunk of one row.
+on vector components (``mesh.squared_norm``, ``mesh.magnitude``), each branch
+of a side on its own rows only.  ``_two_point_tally`` and ``_monotonicity_tally``
+are the one rule per sweep row; a single pair is a chunk of one row.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import ScalarField, _require_same_grid, gradient_values, squared_norm
+from .mesh import ScalarField, _require_same_grid, gradient_values, magnitude, squared_norm
 from .phase import PhaseStructure, power_flux_coefficient
 from .modular import stacked_rho
 
@@ -88,10 +88,7 @@ def pair_split(
     _require_same_grid(u.grid, ("v", v))
     gu = gradient_values(u.grid, u.values)
     gv = gradient_values(v.grid, v.values)
-    nu = np.sqrt(squared_norm(gu))
-    nv = np.sqrt(squared_norm(gv))
-    ndiff = np.sqrt(squared_norm(gu - gv))
-    e_mask = ndiff > (alpha / 4.0) * (nu + nv)
+    e_mask = magnitude(gu - gv) > (alpha / 4.0) * (magnitude(gu) + magnitude(gv))
     return PairSplit(
         g_mask=~e_mask,
         e_mask=e_mask,
@@ -124,10 +121,8 @@ def _two_point_sides(h, a, b):
     h = np.asarray(h, dtype=float)
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    na = np.sqrt(squared_norm(a))
-    nb = np.sqrt(squared_norm(b))
-    nmid = np.sqrt(squared_norm((a + b) / 2.0))
-    nhalf = np.sqrt(squared_norm((a - b) / 2.0))
+    na, nb = magnitude(a), magnitude(b)
+    nmid, nhalf = magnitude((a + b) / 2.0), magnitude((a - b) / 2.0)
     rhs = (na**h + nb**h) / (2.0 * h)
     h, nhalf, total = np.broadcast_arrays(h, nhalf, na + nb)
     # index arrays, not masks: a boolean index rescans the whole mask per gather
@@ -228,15 +223,13 @@ def monotonicity_sides(r, A, B):
     r = np.asarray(r, dtype=float)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    a2, b2 = squared_norm(A), squared_norm(B)
-    ca, cb = power_flux_coefficient(np.sqrt(a2), r), power_flux_coefficient(np.sqrt(b2), r)
+    ca, cb = power_flux_coefficient(magnitude(A), r), power_flux_coefficient(magnitude(B), r)
     lhs = 0.0  # summed from 0.0, as np.sum adds: a -0.0 pairing comes out 0.0
     for k in range(A.shape[-1]):
         lhs += (ca * A[..., k] - cb * B[..., k]) * (A[..., k] - B[..., k])
-    base = 1.0 + a2 + b2
-    del ca, cb, a2, b2  # held through the bounds, they raise a chunk's peak memory
-    ndiff = np.sqrt(squared_norm(A - B))
-    r, ndiff, base = np.broadcast_arrays(r, ndiff, base)
+    del ca, cb  # held through the bounds, they raise a chunk's peak memory
+    base = 1.0 + squared_norm(A) + squared_norm(B)
+    r, ndiff, base = np.broadcast_arrays(r, magnitude(A - B), base)
     high = r >= 2.0
     hi, lo = np.nonzero(high), np.nonzero(~high)
     rhs = np.empty(r.shape)

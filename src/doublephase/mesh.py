@@ -7,7 +7,7 @@ evaluated at the center of that cell.  ``gradient_values`` and
 ``cell_average_values`` also take a stack ``values[..., n_nodes]``: leading
 batch axes pass through, and each row comes out bit-identical to the operator
 applied to that row alone.  Every per-row vector norm in the package is
-the square root of ``squared_norm``.  A per-cell weight matrix B turns into
+``magnitude``.  A per-cell weight matrix B turns into
 the nodal form vol * G^T B G (``gradient_form``), stored as nearest-neighbour
 stencil coefficients and solved on the interior nodes by ``form_solve``: one
 scalar tridiagonal sweep in 1D, block-tridiagonal elimination in 2D.
@@ -225,6 +225,31 @@ def squared_norm(x: np.ndarray) -> np.ndarray:
     for k in range(1, x.shape[-1]):
         out += x[..., k] ** 2
     return out
+
+
+def _in_float_range(x):
+    """Where ``x`` is a normal positive float: the window in which a value certifies."""
+    return (np.finfo(float).tiny <= x) & (x < math.inf)
+
+
+def magnitude(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the trailing axis, the one per-row vector norm; it never warns.
+
+    One component gives its absolute value, more the root of ``squared_norm``,
+    where a row whose square is not a normal float is measured in units of its
+    largest component (Blue, ACM TOMS 4, 1978).  An infinite component stays inf.
+    """
+    if x.shape[-1] == 1:
+        return np.abs(x[..., 0])
+    with np.errstate(over="ignore"):
+        square = squared_norm(x)
+        t = np.sqrt(square)
+        if t.size and not (_in_float_range(square.min()) & _in_float_range(square.max())):
+            out = ~_in_float_range(square)
+            top = np.max(np.abs(x[out]), axis=-1)
+            unit = np.where((top > 0) & (top < np.inf), top, 1.0)
+            t[out] = top * np.sqrt(squared_norm(x[out] / unit[:, None]))
+    return t
 
 
 # The operators below are loops over ``grid.stencil``.  Forward operators

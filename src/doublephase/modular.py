@@ -11,7 +11,7 @@ all take their modulars from one evaluator, ``_modulars``, which sums the
 integrand of each part's magnitudes (taken once per part the kinds need, for
 one field or a whole stack), scales by the cell volume and sums each row
 under one ``np.errstate``: a modular that overflows reads inf, silently.
-One window, ``_in_float_range`` (tiny <= x < inf), says where a value
+One window, ``mesh._in_float_range`` (tiny <= x < inf), says where a value
 certifies: outside it the sandwich reads ``None``, a dual-bound probe goes
 to its root, and a failed Luxemburg check raises ``FloatingPointError``.
 Each entry point that takes a field holds it to ``phase.grid``, on which rho
@@ -25,11 +25,11 @@ method in log lambda, over the field's per-cell magnitudes divided by their
 maximum, halves a step whose modular overflows, and checks the unit modular
 with one evaluation of rho(t / lambda), the equation Newton solved.  No
 gradient of u / lambda is taken, so a field with a large constant part roots
-like its varying part.  A gradient magnitude whose square underflows is taken
-in units of its largest component.  A magnitude or a norm past the largest
-float, or a unit-modular check that fails over a non-finite residual or a
-subnormal top magnitude, raises ``FloatingPointError``; the root runs under
-one ``np.errstate``, and the magnitude pass prints no warning either.
+like its varying part.  A gradient magnitude is ``mesh.magnitude``, exact
+where its square leaves the normal floats.  A magnitude or a norm past the
+largest float, or a unit-modular check that fails over a non-finite residual
+or a subnormal top magnitude, raises ``FloatingPointError``; the root runs
+under one ``np.errstate``, and the magnitude pass prints no warning either.
 ``estimate_dual_bound`` pairs its probes with f and takes their modulars in
 stacks of at most ``STACK_CELLS`` = 2^11 cells, or of one row on a larger
 grid: 8 rows on 256 cells, one on a 64x64 grid.  It roots, one at a time, only
@@ -48,12 +48,13 @@ import numpy as np
 from .mesh import (
     Grid,
     ScalarField,
+    _in_float_range,
     _require_same_grid,
     _require_zero_trace,
     boundary_mask,
     cell_average_values,
     gradient_values,
-    squared_norm,
+    magnitude,
 )
 from .phase import PhaseStructure
 
@@ -91,15 +92,7 @@ def _magnitude(u_values: np.ndarray, grid: Grid, part: str) -> np.ndarray:
     with np.errstate(over="ignore"):
         if part == "zero_order":
             return np.abs(cell_average_values(grid, u_values))
-        g = gradient_values(grid, u_values)
-        t = np.sqrt(squared_norm(g))
-    # a square below the normal floats loses digits, or all of them
-    small = np.sqrt(np.finfo(float).tiny)
-    if t.size and np.min(t) < small:
-        low = t < small
-        top = np.max(np.abs(g[low]), axis=-1, keepdims=True)
-        t[low] = top[:, 0] * np.sqrt(squared_norm(g[low] / np.where(top > 0, top, 1.0)))
-    return t
+        return magnitude(gradient_values(grid, u_values))
 
 
 def _field_magnitudes(u: ScalarField, phase: PhaseStructure, kind: str) -> list[np.ndarray]:
@@ -107,11 +100,6 @@ def _field_magnitudes(u: ScalarField, phase: PhaseStructure, kind: str) -> list[
     _check_kind(kind)
     _require_same_grid(phase.grid, ("u", u))
     return [_magnitude(u.values, u.grid, part) for part in _PARTS[kind]]
-
-
-def _in_float_range(x):
-    """Where ``x`` is a normal positive float: the window in which a modular certifies."""
-    return (np.finfo(float).tiny <= x) & (x < math.inf)
 
 
 def _modulars(mags: dict[str, np.ndarray], phase: PhaseStructure, kinds, bar=False) -> dict:

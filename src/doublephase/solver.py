@@ -56,6 +56,7 @@ from .mesh import (
     gradient_adjoint,
     gradient_form,
     gradient_values,
+    magnitude,
     squared_norm,
 )
 from .modular import estimate_dual_bound, luxemburg_norm, modular_value
@@ -155,6 +156,7 @@ class Solution:
     weak_residual: float
     iterations: int
     termination: str
+    second_termination: str | None = None  # the second start's, under ``two_start_check``
     dual_bound: float | None = None
     lower_bound_used: float | None = None
     lower_bound_satisfied: bool | None = None
@@ -164,8 +166,9 @@ class Solution:
     gradients_equal: bool | None = None
 
     @property
-    def converged(self) -> bool:
-        return self.termination in ("gradient_tolerance", "energy_tolerance")
+    def converged(self) -> bool:  # every start that ran stopped at a tolerance
+        stops = {self.termination, self.second_termination} - {None}
+        return stops <= {"gradient_tolerance", "energy_tolerance"}
 
 
 def energy(u: ScalarField, prob: Problem) -> float:
@@ -178,7 +181,7 @@ def energy(u: ScalarField, prob: Problem) -> float:
 
 
 def _flux(phase: PhaseStructure, w_grad: np.ndarray) -> np.ndarray:
-    t = np.sqrt(squared_norm(w_grad))
+    t = magnitude(w_grad)
     return phase.flux_coefficient(t)[:, None] * w_grad
 
 
@@ -199,24 +202,21 @@ def energy_gradient(u: ScalarField, prob: Problem) -> np.ndarray:
 def _modular_step_delta(phase: PhaseStructure, a: np.ndarray, b: np.ndarray, s: float) -> float:
     """rho(|a - s b|) - rho(|a|) summed over cells, without cancellation.
 
-    a is the current per-cell w-gradient, b the per-cell gradient of the
-    search direction.  The norm difference is computed from the exact
-    identity t1^2 - t0^2 = s^2 |b|^2 - 2 s a.b, and each power difference
-    through expm1/log1p when the arguments are close.
+    a is the per-cell w-gradient, b that of the search direction.  The norm
+    difference comes from the exact identity t1^2 - t0^2 = s^2 |b|^2 - 2 s a.b,
+    and each power difference through expm1/log1p where the arguments are
+    close; under ``minimize``'s ``np.errstate``, masked-out rows divide freely.
     """
-    t0 = np.sqrt(squared_norm(a))
-    t1 = np.sqrt(squared_norm(a - s * b))
+    t0, t1 = magnitude(a), magnitude(a - s * b)
     ab = sum(a[:, k] * b[:, k] for k in range(a.shape[1]))  # from 0, as np.sum adds
     num = s * (s * squared_norm(b) - 2.0 * ab)
     denom = t1 + t0
-    safe_denom = np.where(denom > 0, denom, 1.0)
-    diff = np.where(denom > 0, num / safe_denom, 0.0)
+    diff = np.where(denom > 0, num / denom, 0.0)
     near = (t0 > 0) & (np.abs(diff) < 0.5 * t0)
-    safe_t0 = np.where(near, t0, 1.0)
-    log_ratio = np.log1p(np.where(near, diff / safe_t0, 0.0))
+    log_ratio = np.log1p(np.where(near, diff / t0, 0.0))
     acc = np.zeros_like(t0)
     for r, c in phase.terms():
-        near_val = safe_t0**r * np.expm1(r * log_ratio)
+        near_val = t0**r * np.expm1(r * log_ratio)
         far_val = t1**r - t0**r
         acc += c * np.where(near, near_val, far_val)
     return phase.grid.cell_volume * float(np.sum(acc))
@@ -237,7 +237,7 @@ def _curvature(phase: PhaseStructure, w_grad: np.ndarray) -> tuple[np.ndarray, f
     cell is kept at least CURVATURE_CONTRAST times the largest, so the
     assembled form stays positive definite.
     """
-    te = np.maximum(np.sqrt(squared_norm(w_grad)), CURVATURE_FLOOR)
+    te = np.maximum(magnitude(w_grad), CURVATURE_FLOOR)
     log_te = np.log(te)
     terms = phase.terms(bar=True)
     with np.errstate(divide="ignore"):
@@ -256,6 +256,13 @@ def _curvature(phase: PhaseStructure, w_grad: np.ndarray) -> tuple[np.ndarray, f
     return cells, log_scale
 
 
+def _finite(value: float, what: str, it: int) -> float:
+    if not np.isfinite(value):
+        raise SolverError(f"non-finite {what} at iteration {it}")
+    return value
+
+
+@np.errstate(all="ignore")
 def minimize(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
     """Descend the discrete energy from the initial guess to its minimizer.
 
@@ -279,8 +286,9 @@ def minimize(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
     Every stop returns a ``Solution`` at the last accepted iterate, with
     ``iterations`` counting accepted steps and ``termination`` one of
     "gradient_tolerance" or "energy_tolerance" (converged), "max_iterations"
-    or "line_search" (a search reached the step floor).  A model that cannot
-    be factored or a non-finite energy raises ``SolverError``.
+    or "line_search" (a search reached the step floor).  It runs under one
+    ``np.errstate``: a non-finite energy or gradient, or a model that cannot be
+    factored or gives a non-finite direction, raises ``SolverError``.
     """
     grid, phase = prob.grid, prob.phase
 
@@ -290,9 +298,7 @@ def minimize(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
         u = ScalarField(grid, opts.initial_guess).values.copy()
         _require_zero_trace(grid, u, "initial guess")
 
-    E = energy(ScalarField(grid, u), prob)
-    if not np.isfinite(E):
-        raise SolverError("non-finite energy at iteration 0")
+    E = _finite(energy(ScalarField(grid, u), prob), "energy", 0)
     history = [E]
     gtol = opts.gradient_tolerance
     if gtol is None:
@@ -300,15 +306,13 @@ def minimize(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
 
     phi_grad = gradient_values(grid, prob.phi.values)
     w_grad = phi_grad - gradient_values(grid, u)
-    g = -_defect(prob, w_grad)
     pending = 0.0
 
     def search(d, reach):
         """Armijo search on the cancellation-free energy difference: (s, dE) or None."""
         # a slope that overflows stops the search or makes dE, and so E, non-finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            gTd = float(np.dot(g, d))
-            pair_rate = float(np.dot(prob.load, d))
+        gTd = float(np.dot(g, d))
+        pair_rate = float(np.dot(prob.load, d))
         Gd = gradient_values(grid, d)
         # the floor bounds the change of u, not s: where every exponent
         # exceeds 2 and the gradient vanishes (a zero start), B is nearly
@@ -318,8 +322,7 @@ def minimize(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
 
         def passes(s):
             # an overflowing trial step gives a non-finite dE and is rejected
-            with np.errstate(over="ignore", invalid="ignore"):
-                dE = _modular_step_delta(phase, w_grad, Gd, s) + s * pair_rate
+            dE = _modular_step_delta(phase, w_grad, Gd, s) + s * pair_rate
             return dE <= opts.armijo_constant * s * gTd, dE
 
         s = opts.initial_step
@@ -341,10 +344,17 @@ def minimize(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
                 s, dE = longer, dE_longer
         return s, dE
 
-    termination = "max_iterations"
     it = 0
-    while it < opts.max_iterations:
-        if float(np.max(np.abs(g))) <= gtol:
+    while True:
+        g = -_defect(prob, w_grad)
+        gnorm = _finite(float(np.max(np.abs(g))), "gradient", it)
+        if it > 0 and abs(dE) <= opts.energy_tolerance * (1.0 + abs(E)):
+            termination = "energy_tolerance"
+            break
+        if it == opts.max_iterations:
+            termination = "max_iterations"
+            break
+        if gnorm <= gtol:
             termination = "gradient_tolerance"
             break
         cells, log_scale = _curvature(phase, w_grad)
@@ -355,6 +365,8 @@ def minimize(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
         # d = -B^-1 g = -e^(-L) z, shortened where that would move u too far
         reach = np.log(MAX_DIRECTION_RATIO * (1.0 + float(np.max(np.abs(u)))))
         d = -np.exp(min(-log_scale, reach - np.log(float(np.max(np.abs(z)))))) * z
+        if not np.all(np.isfinite(d)):
+            raise SolverError(f"curvature solve failed at iteration {it + 1}: non-finite direction")
         step = search(d, reach)
         if step is None:
             termination = "line_search"
@@ -366,20 +378,13 @@ def minimize(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
         w_grad = phi_grad - gradient_values(grid, u)
         # near the minimizer a decrease can fall below the float resolution
         # of E: it is held back until the accumulated decreases show in E
-        pending += dE
-        if not np.isfinite(pending):
-            raise SolverError(f"non-finite energy at iteration {it}")
+        pending = _finite(pending + dE, "energy", it)
         E_next = E + pending
         if E_next < E:
             pending -= E_next - E
             E = E_next
             history.append(E)
-        g = -_defect(prob, w_grad)
-        if abs(dE) <= opts.energy_tolerance * (1.0 + abs(E)):
-            termination = "energy_tolerance"
-            break
 
-    gnorm = float(np.max(np.abs(g)))
     return Solution(
         u_star=ScalarField(grid, u),
         w_star=ScalarField(grid, prob.phi.values - u),
@@ -449,19 +454,20 @@ def uniqueness_certificate(
         pairing = grid.cell_volume * float(np.sum(np.sum(weight * lhs, axis=0)))
     if pairing < certificate - 1e-12 * (1.0 + abs(pairing) + certificate):
         raise SolverError("flux pairing fell below its monotonicity certificate")
-    grad_scale = 1.0 + float(np.max(np.sqrt(squared_norm(gv))) + np.max(np.sqrt(squared_norm(gw))))
-    ndiff = np.sqrt(squared_norm(gv - gw))
+    grad_scale = 1.0 + float(np.max(magnitude(gv)) + np.max(magnitude(gw)))
+    ndiff = magnitude(gv - gw)
     gradients_equal = bool(np.max(ndiff) <= 1e-10 * grad_scale)
     return certificate, gradients_equal
 
 
+@np.errstate(all="ignore")
 def solve_weak(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution:
     """Minimize the energy and certify the resulting weak solution.
 
     Attaches the weak residual, the empirical dual-norm bound and energy
     floor, and (when ``opts.two_start_check``) a second run from a seeded
     random start with the modular distance and uniqueness certificate
-    between the two solutions.
+    between the two solutions.  A ``SolverError`` of the second start says so.
     """
     sol = minimize(prob, opts)
     sol.weak_residual = weak_residual(sol.w_star, prob)
@@ -493,10 +499,14 @@ def solve_weak(prob: Problem, opts: SolverOptions = SolverOptions()) -> Solution
         start = np.zeros(prob.grid.n_nodes)
         amp = 0.5 * (1.0 + float(np.max(np.abs(prob.phi.values))))
         start[interior] = amp * rng.normal(size=int(interior.sum()))
-        second = minimize(prob, replace(opts, initial_guess=start))
+        try:
+            second = minimize(prob, replace(opts, initial_guess=start))
+        except SolverError as err:
+            raise SolverError(f"second start: {err}") from err
         eps = min(opts.uc_epsilon, 0.9 * admissible_epsilon_bound(m))
         report = verify_uc_pair(sol.u_star, second.u_star, eps, prob.phase, "gradient")
         cert, equal = uniqueness_certificate(sol.w_star, second.w_star, prob)
+        sol.second_termination = second.termination
         sol.uc_certificate = report
         sol.modular_distance = report.gap_value
         sol.uniqueness_gap = cert

@@ -9,7 +9,8 @@ import pytest
 
 from doublephase import cli
 from doublephase.cli import ConfigError, build_problem, main, parse_config
-from doublephase.solver import SolverOptions
+from doublephase.mesh import ScalarField
+from doublephase.solver import SolverOptions, uniqueness_certificate
 
 
 def laplace_config(n=32, **overrides):
@@ -351,47 +352,60 @@ def test_non_finite_results_are_written_as_null(tmp_path, capsys):
     )
     out = tmp_path / "out"
     assert run_cli(["solve", write_config(tmp_path, cfg), "--out-dir", out]) == 2
-    assert capsys.readouterr().err == "solver error: non-finite energy at iteration 0\n"
+    assert capsys.readouterr().err == "solver error: second start: non-finite energy at iteration 0\n"
 
 
-# a dual-bound probe's squared gradients overflow (1D cells 6.25e-157 wide,
-# 2D 2.5e-155), the cell volume 6.25e-312 is subnormal, or a sweep field's
-# squared gradients overflow: the Luxemburg root leaves the float range
+# the 2D cell volumes 6.25e-310 and 6.25e-312 are subnormal: the Luxemburg
+# root leaves the float range.  The squares of a 1D dual-bound probe's
+# gradients (cells 6.25e-157 wide) and of a sweep field's (6.25e-152) overflow,
+# but a 1D magnitude is |component|, finite there, so both runs exit 0
 @pytest.mark.parametrize(
-    "command,domain",
+    "command,domain,code",
     [
-        ("solve", {"dim": 1, "extents": [[0, 1e-155]], "resolution": [16]}),
-        ("solve", {"dim": 2, "extents": [[0, 1e-154]] * 2, "resolution": [4, 4]}),
-        ("norm --field x", {"dim": 2, "extents": [[0, 1e-155]] * 2, "resolution": [4, 4]}),
-        ("check-sandwich", {"dim": 1, "extents": [[0, 1e-150]], "resolution": [16]}),
+        ("solve", {"dim": 1, "extents": [[0, 1e-155]], "resolution": [16]}, 0),
+        ("solve", {"dim": 2, "extents": [[0, 1e-154]] * 2, "resolution": [4, 4]}, 2),
+        ("norm --field x", {"dim": 2, "extents": [[0, 1e-155]] * 2, "resolution": [4, 4]}, 2),
+        ("check-sandwich", {"dim": 1, "extents": [[0, 1e-150]], "resolution": [16]}, 0),
     ],
     ids=["solve-1d-probe-overflow", "solve-2d-probe-overflow", "norm-subnormal-volume",
          "sandwich-field-overflow"],
 )
-def test_out_of_range_norms_exit_2(tmp_path, capsys, command, domain):
+def test_out_of_range_norms_exit_2(tmp_path, capsys, command, domain, code):
     command, *flags = command.split()
     cfg = laplace_config(domain=domain, verify={"samples": 20})
     cfg_path = write_config(tmp_path, cfg)
-    assert run_cli([command, cfg_path, *flags, "--out-dir", tmp_path / "out"]) == 2
-    assert capsys.readouterr().err.startswith("solver error: luxemburg norm out of float range")
+    assert run_cli([command, cfg_path, *flags, "--out-dir", tmp_path / "out"]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("solver error: luxemburg norm out of float range")
+    else:
+        assert err == ""
 
 
 # 1e200 sin(pi x): its zero-order norm lies past the largest float at p near
-# 1 and mu = 1e150, and its squared gradients overflow at p = 1.5, q = 3
+# 1 and mu = 1e150, one solver error.  Its gradients' squares overflow, but
+# the magnitudes do not: at p = 1.5, q = 3 its gradient norm is 1e50 that of
+# 1e150 sin(pi x)
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
-    "kind,phase,what",
+    "kind,phase,outcome",
     [
-        ("zero_order", {"p": "1.01", "phases": [{"q": "1.0001", "mu": "1e150"}]}, "norm inf"),
-        ("gradient", {"p": "1.5", "phases": [{"q": "3", "mu": "1"}]}, "magnitude inf"),
+        ("zero_order", {"p": "1.01", "phases": [{"q": "1.0001", "mu": "1e150"}]},
+         "solver error: luxemburg norm out of float range: norm inf\n"),
+        ("gradient", {"p": "1.5", "phases": [{"q": "3", "mu": "1"}]}, 2.243469918504798e200),
     ],
     ids=["norm-overflow", "magnitude-overflow"],
 )
-def test_norms_past_the_float_range_are_one_solver_error(tmp_path, capsys, kind, phase, what):
+def test_norms_past_the_float_range_are_one_solver_error(tmp_path, capsys, kind, phase, outcome):
     cfg_path = write_config(tmp_path, laplace_config(n=16, phase=phase))
     args = ["norm", cfg_path, "--field", "1e200*sin(pi*x)", "--kind", kind]
-    assert run_cli(args) == 2
-    assert capsys.readouterr().err == f"solver error: luxemburg norm out of float range: {what}\n"
+    code = run_cli(args)
+    out, err = capsys.readouterr()
+    if isinstance(outcome, str):
+        assert (code, out, err) == (2, "", outcome)
+    else:
+        assert (code, err) == (0, "")
+        assert read_json(out)["kinds"][kind]["luxemburg_norm"] == outcome
 
 
 DOUBLE_PHASE = {"p": "1.5", "phases": [{"q": "3", "mu": "1"}]}
@@ -443,8 +457,10 @@ def test_overflowed_uc_pairs_with_a_vanishing_weight_are_vacuous(tmp_path, capsy
         assert tallies[kind] == {"fail": 0, "pass": 0, "vacuous": 20}
 
 
-# the two starts' fluxes overflow the uniqueness certificate's pairing, which
-# reads inf silently, as the monotonicity sweep's rows do
+# a flux pairing that overflows reads NaN or inf in the uniqueness certificate,
+# silently, as the monotonicity sweep's rows do.  The 1.48e32-wide solve whose
+# two starts once overflowed it now stops on a non-finite energy: its true
+# minimizer's gradient, ~(4e30)^100, is not a float
 def test_an_overflowed_uniqueness_pairing_is_silent(tmp_path, capsys):
     cfg = laplace_config(
         domain={"dim": 1, "extents": [[-1.4817647231145551e32, 1.4817647231145551e32]],
@@ -455,10 +471,69 @@ def test_an_overflowed_uniqueness_pairing_is_silent(tmp_path, capsys):
         seed=3,
     )
     out = tmp_path / "out"
-    assert run_cli(["solve", write_config(tmp_path, cfg), "--out-dir", out]) == 0
+    assert run_cli(["solve", write_config(tmp_path, cfg), "--out-dir", out]) == 2
+    assert capsys.readouterr().err == "solver error: non-finite energy at iteration 15\n"
+    # gradients ~4e6 and one apart: the q = 60 fluxes overflow, their difference is NaN
+    prob = build_problem(parse_config(json.dumps(
+        laplace_config(n=16, phase={"p": "1.01", "phases": [{"q": "60", "mu": "1"}]}))))
+    x = prob.grid.node_coords()[:, 0]
+    v, w = (ScalarField(prob.grid, 4.0 * c * x * (1.0 - x)) for c in (1e6, 1e6 - 1.0))
+    certificate, equal = uniqueness_certificate(v, w, prob)
+    assert certificate == 1.1998512366897474e16 and not equal
+
+
+# p = q = 3 on 64 cells: the first start reaches the gradient tolerance in 7
+# steps; the seeded second start needs more than 8, and the run converged only
+# where both starts did
+@pytest.mark.parametrize("max_iterations,code,second", [(8, 2, "max_iterations"), (50, 0, "energy_tolerance")])
+def test_a_two_start_solve_exits_2_unless_both_starts_converged(tmp_path, capsys, max_iterations, code, second):
+    cfg = laplace_config(
+        n=64,
+        phase={"p": "3", "phases": [{"q": "3", "mu": "0"}]},
+        source="1",
+        solver={"two_start_check": True, "max_iterations": max_iterations, "gradient_tolerance": 1e-9},
+    )
+    out = tmp_path / "out"
+    assert run_cli(["solve", write_config(tmp_path, cfg), "--out-dir", out]) == code
     assert capsys.readouterr().err == ""
-    uniqueness = read_json((out / "report.json").read_text())["results"]["uniqueness"]
-    assert uniqueness["certificate"] == 5.632482511385609e178
+    results = read_json((out / "report.json").read_text())["results"]
+    assert (results["termination"], results["iterations"]) == ("gradient_tolerance", 7)
+    assert results["uniqueness"]["termination"] == second
+    assert results["converged"] is (code == 0)
+
+
+# fuzz seed 0, configs 59, 138 and 193: the defect overflows on cells 2.9e-152
+# wide, the second start's flux at mu = 1e300, and the curvature form under a
+# source of 1e300.  Each is one solver error, not a warning and a false stop
+# (config 138 exited 0 with a second start that never moved)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "cfg,err",
+    [
+        ({"boundary": "x", "source": "0", "seed": 1,
+          "domain": {"dim": 1, "extents": [[-2.935094259471577e-152, 2.935094259471577e-152]],
+                     "resolution": [2]},
+          "phase": {"p": "1.0001", "phases": [{"mu": "1e300", "q": "2.706 + 0.5*sin(x)"}]},
+          "solver": {"dual_probes": 4, "max_iterations": 60}},
+         "non-finite gradient at iteration 0"),
+        ({"boundary": "0", "source": "0", "seed": 0,
+          "domain": {"dim": 1, "extents": [[0.0, 8.34128854326241e47]], "resolution": [2]},
+          "phase": {"p": "2.24 + 0.5*sin(x)", "phases": [{"mu": "1e300", "q": "1.576 + 0.5*sin(x)"}]},
+          "solver": {"dual_probes": 0, "max_iterations": 20, "two_start_check": True}},
+         "second start: non-finite gradient at iteration 0"),
+        ({"boundary": "0", "source": "1e300", "seed": 5,
+          "domain": {"dim": 1, "extents": [[0.0, 3.119084637372149e-154]], "resolution": [8]},
+          "phase": {"p": "1.01", "phases": [{"mu": "x", "q": "1.001"}, {"mu": "0", "q": "4.26"}]},
+          "solver": {"dual_probes": 0, "max_iterations": 5}},
+         "curvature solve failed at iteration 1: non-finite direction"),
+    ],
+    ids=["gradient", "second-start", "direction"],
+)
+def test_a_non_finite_descent_value_is_one_solver_error(tmp_path, capsys, cfg, err):
+    out = tmp_path / "out"
+    assert run_cli(["solve", write_config(tmp_path, cfg), "--out-dir", out]) == 2
+    assert capsys.readouterr() == ("", f"solver error: {err}\n")
+    assert not out.exists()
 
 
 def test_solver_keys_are_the_solver_options():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 from unittest import mock
@@ -173,6 +174,18 @@ def test_monotonicity_check():
     assert not _monotonicity_tally(2.0, A, B)[0].any()
     out = sweep_monotonicity(50_000, seed=8)
     assert out["fails"] == 0
+
+
+def test_monotonicity_pairing_where_the_squared_norm_overflows():
+    # |A|^2 overflows, |A| does not: the flux coefficient |A|^(r-2) read from
+    # an overflowed square is 0 below r = 2, and the pairing of the monotone
+    # flux came out -1e155
+    A, B = np.array([[1e155, 1e155]]), np.array([[1.0, 0.0]])
+    norm = math.hypot(1e155, 1e155)
+    ref = sum((norm**-0.5 * a - b) * (a - b) for a, b in zip(A[0], B[0]))
+    with np.errstate(all="ignore"):
+        lhs, _ = convexity.monotonicity_sides(1.5, A, B)
+    assert lhs[0] == pytest.approx(ref, rel=1e-12)
 
 
 def test_monotonicity_check_uses_the_sweep_rule(monkeypatch):

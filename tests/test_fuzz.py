@@ -28,15 +28,9 @@ def _load_fuzz():
 
 fuzz = _load_fuzz()
 
-# findings that stand at this seed, each logged with its config in CHANGES.md:
-# the solve path's mesh and flux operators warn where they overflow.  A change
-# that mends one removes it here
-KNOWN = {
-    "config 59 solve: RuntimeWarning: overflow encountered in divide",
-    "config 59 solve: RuntimeWarning: invalid value encountered in add",
-    "config 66 solve: RuntimeWarning: overflow encountered in multiply",
-    "config 66 solve: RuntimeWarning: invalid value encountered in multiply",
-}
+# findings that stand at this seed, each logged with its config in CHANGES.md;
+# a change that mends one removes it here
+KNOWN = set()
 
 
 def test_a_fixed_seed_keeps_the_cli_contract():

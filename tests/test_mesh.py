@@ -1,3 +1,4 @@
+import ast
 import itertools
 import re
 from pathlib import Path
@@ -18,6 +19,7 @@ from doublephase.mesh import (
     gradient_form,
     gradient_values,
     integrate_cells,
+    magnitude,
     squared_norm,
 )
 
@@ -510,3 +512,52 @@ def test_package_vector_norms_go_through_squared_norm():
         if AXIS_SUM_OF_SQUARES.search(line)
     ]
     assert hits == []
+
+
+def _definitions_containing(text: str) -> list[str]:
+    """``module.name`` of each top-level statement of the package whose source holds ``text``."""
+    import doublephase
+
+    hits = []
+    for path in sorted(Path(doublephase.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for stmt in ast.parse(source).body:
+            if text in ast.get_source_segment(source, stmt):
+                hits.append(f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}")
+    return hits
+
+
+def test_every_vector_magnitude_is_mesh_magnitude():
+    # one per-row vector norm: only mesh.magnitude takes the root of squared_norm
+    assert _definitions_containing("sqrt(squared_norm(") == ["mesh.magnitude"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.integers(-320, 300)),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_magnitude_is_a_scaled_hypot(rows):
+    # a batch of 2-vectors scaled by 10^k: the rows whose square is a normal
+    # float keep sqrt(squared_norm) bit for bit, the rest are re-measured
+    x = np.array([(a * 10.0**k, b * 10.0**k) for a, b, k in rows])
+    got = magnitude(x)
+    ref = np.hypot(x[:, 0], x[:, 1])
+    assert np.all(np.abs(got - ref) <= 2 * np.spacing(ref))
+    with np.errstate(all="ignore"):
+        square = squared_norm(x)
+    normal = (np.finfo(float).tiny <= square) & (square < np.inf)
+    assert got[normal].tobytes() == np.sqrt(square[normal]).tobytes()
+    assert magnitude(x[:, :1]).tobytes() == np.abs(x[:, 0]).tobytes()
+
+
+def test_magnitude_at_the_ends_of_the_float_range():
+    # an infinite component stays inf, a norm past the largest float reads inf
+    x = np.array([[np.inf, 1.0], [-np.inf, np.inf], [1.5e308, 1.5e308], [1e308, 1e308],
+                  [0.0, 0.0], [np.nan, 1e-200]])
+    got = magnitude(x)
+    assert got[:5].tolist() == [np.inf, np.inf, np.inf, 1.4142135623730951e308, 0.0]
+    assert np.isnan(got[5])

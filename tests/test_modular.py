@@ -169,6 +169,17 @@ def test_gradient_magnitudes_below_the_square_root_of_tiny_keep_their_digits(dim
     assert norm == pytest.approx(c * base, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gradient_magnitudes_above_the_square_root_of_max_keep_their_digits(dim):
+    # |grad u|^2 overflows for the 1e200-scaled field, its magnitude does not
+    grid = build_grid(dim, [(0, 1)] * dim, [16] * dim if dim == 1 else [4, 4])
+    ph = make_phase(grid, 1.5, [(3.0, 1.0)])
+    u = grid.node_coords() @ np.arange(1.0, dim + 1.0)  # x, or x + 2y
+    base = luxemburg_norm(ScalarField(grid, u), ph, "gradient")
+    norm = luxemburg_norm(ScalarField(grid, 1e200 * u), ph, "gradient")
+    assert norm == pytest.approx(1e200 * base, rel=1e-12)
+
+
 # a small domain and a large exponent: rho(u / max|part|) is tiny, and the
 # first Newton step lands so far past the root that w e^(-r s) overflows
 @pytest.mark.parametrize(
@@ -251,13 +262,13 @@ def test_root_of_null_sparse_and_overflowing_fields(kind):
 
 
 def test_root_raises_for_a_field_out_of_float_range():
-    # cells 6.25e-157 wide: the random field's squared gradients overflow
+    # cells 6.25e-157 wide: the 1e160-scaled random field's gradient components overflow
     grid = build_grid(1, [(0, 1e-155)], [16])
     ph = make_phase(grid, 1.5, [(3.0, 1.0)])
     rng = np.random.default_rng(6)
     assert np.isfinite(_root(1e-160 * rng.normal(size=grid.n_nodes), grid, ph, "gradient"))
-    with pytest.raises(FloatingPointError, match="out of float range"):
-        _root(rng.normal(size=grid.n_nodes), grid, ph, "gradient")
+    with pytest.raises(FloatingPointError, match="out of float range: magnitude inf"):
+        _root(1e160 * rng.normal(size=grid.n_nodes), grid, ph, "gradient")
 
 
 def test_sandwich_unit_modular_fixed_point():

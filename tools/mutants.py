@@ -171,6 +171,30 @@ MUTANTS = (
         "if False:",
         ("tests/test_acceptance.py::test_line_search_grows_only_a_first_step_that_passes",),
     ),
+    Mutant(
+        "magnitude-rescale-dropped",
+        "src/doublephase/mesh.py",
+        "if t.size and not (_in_float_range(square.min()) & _in_float_range(square.max())):",
+        "if False:",
+        (
+            "tests/test_modular.py::test_gradient_magnitudes_below_the_square_root_of_tiny_keep_their_digits",
+            "tests/test_modular.py::test_gradient_magnitudes_above_the_square_root_of_max_keep_their_digits",
+        ),
+    ),
+    Mutant(
+        "non-finite-gradient-check-dropped",
+        "src/doublephase/solver.py",
+        'gnorm = _finite(float(np.max(np.abs(g))), "gradient", it)',
+        "gnorm = float(np.max(np.abs(g)))",
+        ("tests/test_cli.py::test_a_non_finite_descent_value_is_one_solver_error",),
+    ),
+    Mutant(
+        "second-start-termination-ignored",
+        "src/doublephase/solver.py",
+        "sol.second_termination = second.termination",
+        "sol.second_termination = None",
+        ("tests/test_cli.py::test_a_two_start_solve_exits_2_unless_both_starts_converged",),
+    ),
 )
 
 
