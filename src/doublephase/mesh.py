@@ -9,8 +9,10 @@ batch axes pass through, and each row comes out bit-identical to the operator
 applied to that row alone.  Every per-row vector norm in the package is
 ``magnitude``.  A per-cell weight matrix B turns into
 the nodal form vol * G^T B G (``gradient_form``), stored as nearest-neighbour
-stencil coefficients and solved on the interior nodes by ``form_solve``: one
-scalar tridiagonal sweep in 1D, block-tridiagonal elimination in 2D.
+stencil coefficients, applied by ``form_apply`` and solved exactly on the
+interior nodes by ``form_solve``: one scalar tridiagonal sweep in 1D, and in
+2D the block-tridiagonal factor of ``form_factor`` applied to the right-hand
+side.  A 2D factor can be kept and applied again, to precondition a later form.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -378,34 +381,86 @@ def _tridiagonal_sweep(coeffs: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array(x[::-1])
 
 
-# bytes of dense block factors one 2D ``form_solve`` may keep; 2^30 admits 512^2
+def form_apply(grid: Grid, coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The form applied to flat nodal values: row i is the sum over offsets d
+    of coeffs[d + 1][i] * v[i + d], with v = 0 off the lattice.
+
+    Every node gets its row; the interior rows, read on a v that vanishes on
+    the boundary, are the form that ``form_solve`` solves.
+    """
+    padded = np.pad(values.reshape(grid.node_shape), 1)
+    out = np.zeros(grid.node_shape)
+    for idx in np.ndindex(*(3,) * grid.dim):
+        out += coeffs[idx] * padded[tuple(slice(k, k + n) for k, n in zip(idx, grid.node_shape))]
+    return out.reshape(-1)
+
+
+# bytes one 2D factorization may keep, its inverse Schur blocks and the
+# forward sweep's vector of every row; 2^30 admits 512^2
 FORM_SOLVE_MAX_BYTES = 2**30
 
 
-def form_solve(grid: Grid, coeffs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the form restricted to the interior nodes; zero on the boundary.
+@dataclass(frozen=True, eq=False)
+class FormFactor:
+    """Block LU factorization of a 2D form on the interior nodes.
 
-    In 1D the form is tridiagonal and is solved by one scalar sweep over the
-    interior nodes.  In 2D, block-tridiagonal elimination over the interior
-    node rows of the longer axis: each block couples the interior nodes of
-    one row along the shorter axis, and only the Schur factors
-    P_i = S_i^-1 U_i, one dense block per row, are kept for the back
-    substitution; it raises ``MemoryError`` before factoring when the factors
-    would exceed ``FORM_SOLVE_MAX_BYTES``.  The form must be symmetric
-    positive definite on the interior nodes.
+    The interior node rows run along the longer axis (the second where
+    ``flip``), so each block couples the interior nodes of one row along the
+    shorter axis.  The couplings between rows r and r + 1 are tridiagonal:
+    ``upper[r, j, d]`` couples node j of row r to node j + d - 1 of row
+    r + 1, and ``lower[r, j, d]`` node j of row r + 1 to node j + d - 1 of
+    row r (U_r and L_r; L_r = U_r^T for a symmetric form).  ``inverses[r]``
+    is the inverse Schur block K_r = S_r^-1, with S_0 = D_0 and
+    S_(r+1) = D_(r+1) - L_r K_r U_r, the only dense block kept.
+    """
+
+    grid: Grid
+    flip: bool
+    upper: np.ndarray
+    lower: np.ndarray
+    inverses: np.ndarray
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve the factored form for flat nodal ``rhs``; zero on the boundary.
+
+        Forward, y_r = K_r (b_r - L_(r-1) y_(r-1)); back, x_r = y_r -
+        K_r U_r x_(r+1).  Each row's y_r is written where x_r goes, and the
+        couplings are read against a zero-padded row through a window of
+        three (``np.vecdot``, numpy 2), so a row costs two dense
+        matrix-vector products.
+        """
+        b = rhs.reshape(self.grid.node_shape)
+        if self.flip:
+            b = b.T
+        b = b[1:-1, 1:-1]
+        out = np.zeros((b.shape[0] + 2, b.shape[1] + 2))
+        x = out[1:-1, 1:-1]
+        # window[i][j] holds the values at offsets -1, 0, 1 of interior node j on node row i
+        window = sliding_window_view(out, 3, axis=1)
+        K, upper, lower = self.inverses, self.upper, self.lower
+        np.dot(K[0], b[0], out=x[0])
+        for r in range(1, len(x)):
+            np.dot(K[r], b[r] - np.vecdot(lower[r - 1], window[r]), out=x[r])
+        for r in range(len(x) - 2, -1, -1):
+            x[r] -= K[r] @ np.vecdot(upper[r], window[r + 2])
+        if self.flip:
+            out = out.T
+        return out.reshape(-1)
+
+
+def form_factor(grid: Grid, coeffs: np.ndarray) -> FormFactor:
+    """Factor a 2D form on the interior nodes by block-tridiagonal elimination.
+
+    Raises ``MemoryError`` before factoring when the factor and the forward
+    sweep's vectors would exceed ``FORM_SOLVE_MAX_BYTES``, and
+    ``np.linalg.LinAlgError`` at a singular Schur block, which a symmetric
+    positive definite form on the interior nodes never has.
     """
     c = coeffs
-    b = rhs.reshape(grid.node_shape)
-    if grid.dim == 1:
-        return _tridiagonal_sweep(c, b)
-    flip = b.shape[1] > b.shape[0]
+    flip = grid.node_shape[1] > grid.node_shape[0]
     if flip:
-        c, b = c.transpose(1, 0, 3, 2), b.T
-    # couplings of each interior row within itself (d0 = 1) and to the next
-    # row (d0 = 2), by the offset d1 - 1 along the row
-    band = c[1:, :, 1:-1, 1:-1]
-    b = b[1:-1, 1:-1]
-    rows, m = band.shape[2:]
+        c = c.transpose(1, 0, 3, 2)
+    rows, m = (n - 2 for n in c.shape[2:])
     need = rows * m * (m + 1) * 8
     if need > FORM_SOLVE_MAX_BYTES:
         raise MemoryError(
@@ -413,36 +468,41 @@ def form_solve(grid: Grid, coeffs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             f"{need / 2**20:.0f} MiB of factors, over the "
             f"{FORM_SOLVE_MAX_BYTES / 2**20:.0f} MiB limit"
         )
-    # flat positions of the three block diagonals in an m x (m + 1) array,
-    # and the matching coefficients of every row
-    j = np.arange(m)
-    keep = (j >= 1, j >= 0, j < m - 1)
-    pos = np.concatenate([j[k] * (m + 1) + j[k] + d1 - 1 for d1, k in enumerate(keep)])
-    vals = np.concatenate([band[:, d1][..., k] for d1, k in enumerate(keep)], axis=-1)
-    # factors[r] = [P_r | z_r] with S_r P_r = U_r and S_r z_r = the eliminated
-    # rhs; one small array per row, so that no large buffer is allocated
-    factors = []
+    # the (node, column, offset) of every coupling that stays inside a row
+    j, d = np.divmod(np.arange(3 * m), 3)
+    inside = (j + d - 1 >= 0) & (j + d - 1 < m)
+    j, col, d = j[inside], (j + d - 1)[inside], d[inside]
+    # couplings of each interior row to the previous row (d0 = 0), within
+    # itself (d0 = 1) and to the next row (d0 = 2), by the offset d1 - 1
+    # along the row: bands[d0, r, j, d1]
+    bands = np.where(inside.reshape(m, 3), np.moveaxis(c[:, :, 1:-1, 1:-1], 1, -1), 0.0)
+    lower, within, upper = bands[0, 1:], bands[1], bands[2, :-1]
+
+    def dense(band):
+        block = np.zeros((m, m))
+        block[j, col] = band[j, d]
+        return block
+
+    inverses = np.empty((rows, m, m))
     for r in range(rows):
-        system = np.zeros(m * (m + 1))
-        system[pos] = vals[0, r]
-        system = system.reshape(m, m + 1)
-        system[:, m] = b[r]
-        if factors:
-            # the coupling to the previous row is U_(r-1)^T, by symmetry
-            system -= upper[:, :m].T @ factors[-1]
-        upper = np.zeros(m * (m + 1))
-        upper[pos] = vals[1, r]
-        upper = upper.reshape(m, m + 1)
-        upper[:, m] = system[:, m]
-        factors.append(np.linalg.solve(system[:, :m], upper))
-    out = np.zeros((rows + 2, m + 2))
-    x = out[1:-1, 1:-1]
-    x[-1] = factors[-1][:, m]
-    for r in range(rows - 2, -1, -1):
-        x[r] = factors[r][:, m] - factors[r][:, :m] @ x[r + 1]
-    if flip:
-        out = out.T
-    return out.reshape(-1)
+        schur = dense(within[r])
+        if r:
+            schur -= dense(lower[r - 1]) @ (inverses[r - 1] @ dense(upper[r - 1]))
+        inverses[r] = np.linalg.inv(schur)
+    return FormFactor(grid, flip, upper, lower, inverses)
+
+
+def form_solve(grid: Grid, coeffs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the form restricted to the interior nodes; zero on the boundary.
+
+    In 1D the form is tridiagonal and is solved by one scalar sweep over the
+    interior nodes.  In 2D it is factored by ``form_factor`` and the factor
+    applied to ``rhs``.  The form must be symmetric positive definite on the
+    interior nodes.
+    """
+    if grid.dim == 1:
+        return _tridiagonal_sweep(coeffs, rhs)
+    return form_factor(grid, coeffs).solve(rhs)
 
 
 def integrate_cells(grid: Grid, cells: np.ndarray) -> float:

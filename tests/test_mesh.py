@@ -14,6 +14,8 @@ from doublephase.mesh import (
     build_grid,
     cell_average_adjoint,
     cell_average_values,
+    form_apply,
+    form_factor,
     form_solve,
     gradient_adjoint,
     gradient_form,
@@ -266,16 +268,6 @@ def test_adjoints_match_forward_operators_random_grids(resolution, origins, leng
     assert float(np.sum(terms)) == pytest.approx(rhs, abs=1e-12 * np.sum(np.abs(terms)))
 
 
-def form_apply(g, coeffs, values):
-    """The stencil-coefficient form applied to flat nodal values:
-    sum over offsets d of coeffs[d + 1] * v[i + d], with v = 0 off the lattice."""
-    padded = np.pad(values.reshape(g.node_shape), 1)
-    out = np.zeros(g.node_shape)
-    for idx in np.ndindex(*(3,) * g.dim):
-        out += coeffs[idx] * padded[tuple(slice(k, k + n) for k, n in zip(idx, g.node_shape))]
-    return out.reshape(-1)
-
-
 def _random_cell_matrices(g, rng, spread):
     """Symmetric positive definite per-cell matrices, eigenvalues over 10^spread."""
     a = rng.normal(size=(g.n_cells, g.dim, g.dim))
@@ -343,6 +335,62 @@ def test_form_solve_blocks_span_the_shorter_axis(resolution, monkeypatch):
     monkeypatch.setattr(mesh, "FORM_SOLVE_MAX_BYTES", 29 * 1 * 2 * 8 - 1)
     with pytest.raises(MemoryError, match="MiB"):
         form_solve(g, coeffs, rhs)
+
+
+def _block_elimination(g, coeffs, rhs):
+    """2D block-tridiagonal elimination that keeps [P_r | z_r] = S_r^-1 [U_r | b_r]
+    per row of the longer axis and back-substitutes x_r = z_r - P_r x_(r+1)."""
+    c, b = coeffs, rhs.reshape(g.node_shape)
+    flip = b.shape[1] > b.shape[0]
+    if flip:
+        c, b = c.transpose(1, 0, 3, 2), b.T
+    band, b = c[1:, :, 1:-1, 1:-1], b[1:-1, 1:-1]
+    rows, m = b.shape
+
+    def block(r, d0):
+        out = np.zeros((m, m))
+        for d1 in range(3):
+            for j in range(m):
+                if 0 <= j + d1 - 1 < m:
+                    out[j, j + d1 - 1] = band[d0, d1, r, j]
+        return out
+
+    factors = []
+    for r in range(rows):
+        system = np.hstack([block(r, 0), b[r][:, None]])
+        if factors:
+            system -= block(r - 1, 1).T @ factors[-1]
+        upper = np.hstack([block(r, 1), system[:, m:]])
+        factors.append(np.linalg.solve(system[:, :m], upper))
+    out = np.zeros((rows + 2, m + 2))
+    x = out[1:-1, 1:-1]
+    x[-1] = factors[-1][:, m]
+    for r in range(rows - 2, -1, -1):
+        x[r] = factors[r][:, m] - factors[r][:, :m] @ x[r + 1]
+    return (out.T if flip else out).reshape(-1)
+
+
+# 29 rows of one interior node, along either axis, and 10 rows of 7 along the second axis
+FACTOR_RESOLUTIONS = [[30, 2], [2, 30], [8, 11]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    resolution=st.sampled_from(FACTOR_RESOLUTIONS),
+    lengths=st.lists(st.floats(0.1, 10.0), min_size=2, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_fresh_factor_matches_the_block_elimination(resolution, lengths, seed):
+    g = build_grid(2, [(0.0, length) for length in lengths], resolution)
+    rng = np.random.default_rng(seed)
+    coeffs = gradient_form(g, _random_cell_matrices(g, rng, spread=1))
+    rhs = np.where(boundary_mask(g), 0.0, rng.normal(size=g.n_nodes))
+    x = form_factor(g, coeffs).solve(rhs)
+    expected = _block_elimination(g, coeffs, rhs)
+    assert np.all(x[boundary_mask(g)] == 0.0)
+    assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
+    # form_solve is the factor applied
+    np.testing.assert_array_equal(form_solve(g, coeffs, rhs), x)
 
 
 def _curvature_weights(g, rng):

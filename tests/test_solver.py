@@ -3,13 +3,24 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doublephase.mesh import ScalarField, boundary_mask, build_grid, gradient_values, squared_norm
+from doublephase.mesh import (
+    ScalarField,
+    boundary_mask,
+    build_grid,
+    form_apply,
+    form_factor,
+    form_solve,
+    gradient_form,
+    gradient_values,
+    squared_norm,
+)
 from doublephase.convexity import pair_split, partition, verify_uc_pair
 from doublephase.modular import (
     estimate_dual_bound,
@@ -31,6 +42,7 @@ from doublephase.solver import (
     uniqueness_certificate,
     weak_residual,
 )
+from test_mesh import FACTOR_RESOLUTIONS, _random_cell_matrices
 from test_phase import make_phase
 
 
@@ -544,18 +556,34 @@ def test_two_starts_agree():
     assert sol.uc_certificate.verdict in ("vacuous", "pass")
 
 
-def test_gradients_equal_is_held_to_1e_10_of_the_gradient_scale():
-    # a gap of 1e-6 of the gradient scale is a second solution, one of 1e-12 is rounding
+def _gradient_gaps_read(size):
+    """``gradients_equal`` for gaps of 1e-6 and 1e-12 of the gradient scale, at gradients of ``size``."""
     grid = build_grid(1, [(0, 1)], [16])
     rng = np.random.default_rng(13)
     prob = make_problem(grid, 1.7, [(2.9, 1.1)])
-    v = ScalarField(grid, zero_trace_random(grid, rng))
+    v = zero_trace_random(grid, rng)
     bump = zero_trace_random(grid, rng)
-    scale = 2.0 * float(np.max(np.sqrt(squared_norm(gradient_values(grid, v.values)))))
+    scale = 2.0 * float(np.max(np.sqrt(squared_norm(gradient_values(grid, v)))))
     bump *= scale / float(np.max(np.sqrt(squared_norm(gradient_values(grid, bump)))))
-    for rel, equal in ((1e-6, False), (1e-12, True)):
-        w = ScalarField(grid, v.values + rel * bump)
-        assert uniqueness_certificate(v, w, prob)[1] is equal
+    return [
+        uniqueness_certificate(
+            ScalarField(grid, size * v), ScalarField(grid, size * (v + rel * bump)), prob
+        )[1]
+        for rel in (1e-6, 1e-12)
+    ]
+
+
+def test_gradients_equal_is_held_to_1e_10_of_the_gradient_scale():
+    # a gap of 1e-6 of the gradient scale is a second solution, one of 1e-12 is rounding
+    assert _gradient_gaps_read(1.0) == [False, True]
+
+
+def test_gradients_equal_has_no_absolute_floor():
+    # the same gaps at gradients of 1e-48, which an absolute floor would call equal
+    assert _gradient_gaps_read(1e-48) == [False, True]
+    grid = build_grid(1, [(0, 1)], [16])
+    zero = ScalarField.zeros(grid)
+    assert uniqueness_certificate(zero, zero, make_problem(grid, 1.7, [(2.9, 1.1)]))[1] is True
 
 
 def test_lower_bound_satisfied_is_held_to_1e_9_of_the_floor():
@@ -856,6 +884,76 @@ def test_minimize_reports_singular_1d_model(monkeypatch):
     with pytest.raises(SolverError, match="curvature solve failed at iteration 1: ") as info:
         minimize(prob)
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+def _form_case(resolution, seed):
+    """A 2D grid, random SPD cell matrices and an interior right-hand side."""
+    grid = build_grid(2, [(0.0, 1.0), (0.0, 1.3)], resolution)
+    rng = np.random.default_rng(seed)
+    cells = _random_cell_matrices(grid, rng, spread=3)
+    g = np.where(boundary_mask(grid), 0.0, rng.normal(size=grid.n_nodes))
+    return grid, rng, cells, g
+
+
+def _relative_residual(grid, coeffs, z, g):
+    interior = ~boundary_mask(grid)
+    return np.linalg.norm((form_apply(grid, coeffs, z) - g)[interior]) / np.linalg.norm(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(resolution=st.sampled_from(FACTOR_RESOLUTIONS), seed=st.integers(0, 2**32 - 1))
+def test_pcg_direction_meets_the_forcing_term(resolution, seed):
+    import doublephase.solver as solver
+
+    grid, rng, cells, g = _form_case(resolution, seed)
+    # a factor kept from a step whose weights were off by up to 10^0.1 per
+    # cell: its first CG iterate misses the forcing term
+    drift = 10.0 ** rng.uniform(-0.1, 0.1, grid.n_cells)
+    directions = solver._Directions(grid)
+    directions.factor = form_factor(grid, gradient_form(grid, drift[:, None, None] * cells))
+    coeffs = gradient_form(grid, cells)
+    z = directions.solve(coeffs, g)
+    # d = -z: |B d + g| <= eta |g| on the interior nodes, and g.d < 0
+    assert _relative_residual(grid, coeffs, z, g) <= solver.DIRECTION_FORCING
+    assert float(np.dot(g, z)) > 0.0
+    assert np.all(z[boundary_mask(grid)] == 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(resolution=st.sampled_from(FACTOR_RESOLUTIONS), seed=st.integers(0, 2**32 - 1))
+def test_a_stale_factor_is_refactored_within_the_cap(resolution, seed):
+    import doublephase.solver as solver
+
+    grid, _, cells, g = _form_case(resolution, seed)
+    # the weights of the cells on one half of the shorter axis grew by 10^6
+    short = int(np.argmin(grid.cell_shape))
+    half = [slice(None), slice(None)]
+    half[short] = slice(0, grid.cell_shape[short] // 2)
+    grown = cells.reshape(*grid.cell_shape, 2, 2).copy()
+    grown[tuple(half)] *= 1e6
+    coeffs = gradient_form(grid, grown.reshape(cells.shape))
+    directions = solver._Directions(grid)
+    directions.factor = stale = form_factor(grid, gradient_form(grid, cells))
+    with mock.patch.object(solver, "form_apply", wraps=form_apply) as apply:
+        z = directions.solve(coeffs, g)
+    assert apply.call_count == solver.DIRECTION_MAX_PCG
+    assert directions.factor is not stale
+    # the direction is the fresh factor's solve
+    np.testing.assert_array_equal(z, form_solve(grid, coeffs, g))
+
+
+def test_2d_steps_reuse_the_kept_factor(monkeypatch):
+    import doublephase.solver as solver
+
+    factored = []
+    monkeypatch.setattr(solver, "form_factor", lambda *args: factored.append(1) or form_factor(*args))
+    grid = build_grid(2, [(0, 1), (0, 1)], [16, 16])
+    x = grid.cell_centers()
+    prob = make_problem(grid, 1.5 + 0.3 * x[:, 1], [(3.0, x[:, 0])], f_values=np.ones(grid.n_nodes))
+    sol = minimize(prob, SolverOptions(gradient_tolerance=1e-7, energy_tolerance=1e-300))
+    # 13 steps and 3 factorizations, where every step factored its own form
+    assert sol.termination == "gradient_tolerance" and sol.iterations <= 15
+    assert len(factored) <= 4
 
 
 def test_two_start_solve_assembles_the_load_once(monkeypatch):

@@ -195,6 +195,20 @@ MUTANTS = (
         "sol.second_termination = None",
         ("tests/test_cli.py::test_a_two_start_solve_exits_2_unless_both_starts_converged",),
     ),
+    Mutant(
+        "pcg-residual-unchecked",
+        "src/doublephase/solver.py",
+        "if np.linalg.norm(r) <= target:",
+        "if True:",
+        ("tests/test_solver.py::test_pcg_direction_meets_the_forcing_term",),
+    ),
+    Mutant(
+        "stale-factor-never-refreshed",
+        "src/doublephase/solver.py",
+        "            if met:",
+        "            if True:",
+        ("tests/test_solver.py::test_a_stale_factor_is_refactored_within_the_cap",),
+    ),
 )
 
 
