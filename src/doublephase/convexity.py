@@ -174,7 +174,8 @@ def _uc_modulars(u: np.ndarray, v: np.ndarray, phase: PhaseStructure, kinds):
     ru, rv, rmid, rhalf = (
         stacked_rho(w, phase, kinds) for w in (u, v, (u + v) / 2.0, (u - v) / 2.0)
     )
-    return {kind: (rmid[kind], (ru[kind] + rv[kind]) / 2.0, rhalf[kind]) for kind in kinds}
+    # halves first: two modulars near the largest float overflow their sum
+    return {kind: (rmid[kind], ru[kind] / 2.0 + rv[kind] / 2.0, rhalf[kind]) for kind in kinds}
 
 
 def verify_uc_pair(

@@ -27,14 +27,14 @@ with one evaluation of rho(t / lambda), the equation Newton solved.  No
 gradient of u / lambda is taken, so a field with a large constant part roots
 like its varying part.  A gradient magnitude is ``mesh.magnitude``, exact
 where its square leaves the normal floats.  A magnitude or a norm past the
-largest float, or a unit-modular check that fails over a non-finite residual
-or a subnormal top magnitude, raises ``FloatingPointError``; the root runs
-under one ``np.errstate``, and the magnitude pass prints no warning either.
-``estimate_dual_bound`` pairs its probes with f and takes their modulars in
-stacks of at most ``STACK_CELLS`` = 2^11 cells, or of one row on a larger
-grid: 8 rows on 256 cells, one on a 64x64 grid.  It roots, one at a time, only
-the probes whose sandwich lower bound min(rho^(1/m), rho^(1/M)) cannot rule
-out a ratio above the best so far.
+largest float, or a unit-modular check that fails over a non-finite residual,
+a subnormal top magnitude or a subnormal norm, raises ``FloatingPointError``;
+the root runs under one ``np.errstate``, and the magnitude pass prints no
+warning either.  ``estimate_dual_bound`` pairs its probes with f and takes
+their modulars in stacks of at most ``STACK_CELLS`` = 2^14 cells, or of one
+row on a larger grid: 64 rows on 256 cells, four on a 64x64 grid.  It roots,
+one at a time, only the probes whose sandwich lower bound
+min(rho^(1/m), rho^(1/M)) cannot rule out a ratio above the best so far.
 """
 
 from __future__ import annotations
@@ -66,11 +66,11 @@ UNIT_MODULAR_TOLERANCE = 1e-10
 # the norm is then accurate far beyond the 1e-12-level homogeneity checks
 NEWTON_STEP_TOLERANCE = 1e-13
 MAX_NEWTON_STEPS = 100
-# cells per stack of dual-bound probes: 8 rows on 256 cells, one row from 2^11
-# cells up.  A stack takes one gradient pass, one pairing and one modular
-# evaluation, whose per-call overhead its rows share on a few hundred cells;
-# the rows the sandwich cannot rule out are then rooted one at a time
-STACK_CELLS = 2**11
+# cells per stack of dual-bound probes: 64 rows on 256 cells, 4 on 64x64, one
+# row from 2^14 cells up.  A stack takes one gradient pass, one pairing and one
+# modular evaluation, whose per-call overhead its rows share; the rows the
+# sandwich cannot rule out are then rooted one at a time
+STACK_CELLS = 2**14
 
 
 def _check_kind(kind: str):
@@ -197,7 +197,7 @@ def _luxemburg(
         unit = modular_value(None, phase.grid, phase, kind, bar, [t / norm for t in mags])
     residual = float(unit) - 1.0
     if not abs(residual) <= UNIT_MODULAR_TOLERANCE:
-        if not (math.isfinite(residual) and _in_float_range(top)):
+        if not (math.isfinite(residual) and _in_float_range(top) and _in_float_range(norm)):
             # a magnitude, a cell weight or the root itself left the float range
             raise FloatingPointError(f"luxemburg norm out of float range: residual {residual}")
         raise RuntimeError(f"luxemburg Newton did not reach unit modular: residual {residual}")

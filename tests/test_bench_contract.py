@@ -79,12 +79,13 @@ def test_micro_timings_call_every_layer(monkeypatch):
     assert "micro.modular.luxemburg_norm.us.4x4" in metrics
 
 
-def test_traced_roots_make_one_check_each():
+def test_traced_roots_make_one_check_each(monkeypatch):
     # bench/run.py reads modular.evals_per_norm as the modular_value calls made
     # inside modular._luxemburg per _luxemburg call: each probe of a dual-bound
     # stack that the sandwich cannot rule out is rooted by one call and checked
     # by one modular_value.  With no extra field every probe of the first of
-    # the 3 stacks of 32 probes is rooted, and one later probe may beat them
+    # the 3 stacks of 32 probes (2^11 cells) is rooted, and one later probe
+    # may beat them
     from doublephase import modular
     from doublephase.mesh import ScalarField, build_grid
     from doublephase.phase import PhasePair, PhaseStructure
@@ -93,6 +94,7 @@ def test_traced_roots_make_one_check_each():
     n = grid.n_cells
     phase = PhaseStructure(grid, np.full(n, 1.5), (PhasePair(np.full(n, 3.0), np.ones(n)),))
     f = ScalarField(grid, np.ones(grid.n_nodes))
+    monkeypatch.setattr(modular, "STACK_CELLS", 2**11)
     tr = _load("tracer").Tracer()
     tr.install()
     try:

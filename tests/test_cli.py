@@ -359,20 +359,27 @@ def test_non_finite_results_are_written_as_null(tmp_path, capsys):
 # root leaves the float range.  The squares of a 1D dual-bound probe's
 # gradients (cells 6.25e-157 wide) and of a sweep field's (6.25e-152) overflow,
 # but a 1D magnitude is |component|, finite there, so both runs exit 0
+# A zero-order norm of 1e-315 x on a strip 2.66e-141 wide is subnormal: its
+# unit-modular check fails, a float-range error like the others
 @pytest.mark.parametrize(
-    "command,domain,code",
+    "command,overrides,code",
     [
-        ("solve", {"dim": 1, "extents": [[0, 1e-155]], "resolution": [16]}, 0),
-        ("solve", {"dim": 2, "extents": [[0, 1e-154]] * 2, "resolution": [4, 4]}, 2),
-        ("norm --field x", {"dim": 2, "extents": [[0, 1e-155]] * 2, "resolution": [4, 4]}, 2),
-        ("check-sandwich", {"dim": 1, "extents": [[0, 1e-150]], "resolution": [16]}, 0),
+        ("solve", {"domain": {"dim": 1, "extents": [[0, 1e-155]], "resolution": [16]}}, 0),
+        ("solve", {"domain": {"dim": 2, "extents": [[0, 1e-154]] * 2, "resolution": [4, 4]}}, 2),
+        ("norm --field x",
+         {"domain": {"dim": 2, "extents": [[0, 1e-155]] * 2, "resolution": [4, 4]}}, 2),
+        ("check-sandwich", {"domain": {"dim": 1, "extents": [[0, 1e-150]], "resolution": [16]}}, 0),
+        ("norm --field 1e-315*x --kind zero_order",
+         {"domain": {"dim": 2, "extents": [[0, 1.05e32], [-1.33e-141, 1.33e-141]],
+                     "resolution": [8, 3]},
+          "phase": {"p": "1.5", "phases": [{"q": "3", "mu": "1"}]}}, 2),
     ],
     ids=["solve-1d-probe-overflow", "solve-2d-probe-overflow", "norm-subnormal-volume",
-         "sandwich-field-overflow"],
+         "sandwich-field-overflow", "norm-subnormal-root"],
 )
-def test_out_of_range_norms_exit_2(tmp_path, capsys, command, domain, code):
+def test_out_of_range_norms_exit_2(tmp_path, capsys, command, overrides, code):
     command, *flags = command.split()
-    cfg = laplace_config(domain=domain, verify={"samples": 20})
+    cfg = laplace_config(**overrides, verify={"samples": 20})
     cfg_path = write_config(tmp_path, cfg)
     assert run_cli([command, cfg_path, *flags, "--out-dir", tmp_path / "out"]) == code
     err = capsys.readouterr().err
@@ -860,9 +867,20 @@ EDGE_COMMANDS = (
             edge_config(verify={"samples": 100, "amplitude": 1e150}),
             ("check-monotone", "check-inequalities"),
         ),
+        # the two modulars of a UC pair lie near the largest float: their
+        # average is taken from halves, without an overflow warning
+        (
+            edge_config(
+                domain={"dim": 1, "extents": [[0, 7.9e7]], "resolution": [4]},
+                phase={"p": "3.954", "phases": [{"q": "4.665", "mu": "1e300"}]},
+                verify={"samples": 200, "amplitude": 1e150},
+                seed=0,
+            ),
+            ("solve", "norm", "check-monotone", "check-inequalities", "check-sandwich"),
+        ),
     ],
     ids=["p-q-300", "source-1e300", "two-phases", "2d-3x17", "resolution-2", "mu-0-q-200",
-         "amplitude-1e150"],
+         "amplitude-1e150", "uc-average-near-overflow"],
 )
 def test_edge_configs_through_every_command(tmp_path, capsys, cfg, exit_2):
     cfg_path = write_config(tmp_path, cfg)

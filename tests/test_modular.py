@@ -581,7 +581,9 @@ def test_dual_bound_probe_stacks_bound_calls_and_memory(monkeypatch):
     # takes one gradient pass, then each of the 38 stacks of 8 probes one, whose
     # magnitudes serve the pairing's sandwich, the roots and their unit-modular
     # checks; one field at a time took 602 passes.  A random extra sits low
-    # enough that 21 probes are rooted, one at a time, besides the extra
+    # enough that 21 probes are rooted, one at a time, besides the extra.  The
+    # stacks are pinned at the 2^11 cells these counts were taken with
+    monkeypatch.setattr(modular, "STACK_CELLS", 2**11)
     grid, ph, f = _double_phase_fixture()
     extra = random_field(np.random.default_rng(12), grid, zero_trace=True)
     passes = _counting(monkeypatch, "gradient_values")
@@ -595,6 +597,35 @@ def test_dual_bound_probe_stacks_bound_calls_and_memory(monkeypatch):
     assert len(passes) == 1 + math.ceil(300 / 8)
     assert len(roots) == 22
     assert peak < 2**20
+
+
+def test_default_probe_stacks_hold_64_rows_on_256_cells(monkeypatch):
+    # 2^14 cells: the 300 probes of the 1D fixture take 5 gradient passes
+    grid, ph, f = _double_phase_fixture()
+    passes = _counting(monkeypatch, "gradient_values")
+    tracemalloc.start()
+    try:
+        estimate_dual_bound(f, ph, n_probes=300, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(passes) == math.ceil(300 / 64)
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("stack_cells", [1, 2**11])
+def test_dual_bound_keeps_every_bit_across_stack_sizes(monkeypatch, dim, stack_cells):
+    # one (k, n) normal block draws what k blocks of one row draw, and a row
+    # that a stale best fails to rule out is rooted, not lost
+    grid = build_grid(dim, [(0, 1)] * dim, [256] if dim == 1 else [32, 32])
+    rng = np.random.default_rng(40 + dim)
+    ph = random_phase(rng, grid)
+    f = random_field(rng, grid)
+    extras = [(), (random_field(rng, grid, zero_trace=True),)]
+    default = [estimate_dual_bound(f, ph, 150, 3, extra) for extra in extras]
+    monkeypatch.setattr(modular, "STACK_CELLS", stack_cells)
+    assert [estimate_dual_bound(f, ph, 150, 3, extra) for extra in extras] == default
 
 
 def test_dual_bound_roots_no_probe_below_the_minimizer(monkeypatch):
@@ -642,7 +673,10 @@ def test_dual_bound_roots_only_probes_that_can_win_bit_identically(dim, monkeypa
     # skipping its root leaves every bit of the bound.  Every other phase has
     # p = q, where the sandwich is the norm itself and a probe that beats the
     # best by a hair must still be rooted.  The weak extra pairs with f at 1e-3
-    # of a random field, so random probes beat it and are rooted
+    # of a random field, so random probes beat it and are rooted.  Stacks of
+    # 2^11 cells refresh the best every few rows, so many probes meet the
+    # sandwich's margin against a best that is not stale
+    monkeypatch.setattr(modular, "STACK_CELLS", 2**11)
     rng = np.random.default_rng(31 + dim)
     roots = _counting(monkeypatch, "_luxemburg")
     for trial in range(6):

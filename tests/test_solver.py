@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -954,6 +955,154 @@ def test_2d_steps_reuse_the_kept_factor(monkeypatch):
     # 13 steps and 3 factorizations, where every step factored its own form
     assert sol.termination == "gradient_tolerance" and sol.iterations <= 15
     assert len(factored) <= 4
+
+
+def _bench_2d_problem(n, phi_values=None):
+    """The 2D double-phase problem of the CLI solve benchmark on n x n cells."""
+    grid = build_grid(2, [(0, 1), (0, 1)], [n, n])
+    x = grid.cell_centers()
+    return make_problem(grid, 1.5 + 0.3 * x[:, 1], [(3.0, x[:, 0])],
+                        f_values=np.ones(grid.n_nodes), phi_values=phi_values)
+
+
+def _recording_levels(monkeypatch):
+    """Wrap ``solver._descend``; return the list of (resolution, tolerance, outcome) it appends to."""
+    import doublephase.solver as solver
+
+    levels = []
+    descend = solver._descend
+
+    def recording(prob, opts, u, E, gtol):
+        try:
+            sol = descend(prob, opts, u, E, gtol)
+        except SolverError:
+            levels.append((prob.grid.resolution, gtol, "raised"))
+            raise
+        levels.append((prob.grid.resolution, gtol, sol.iterations))
+        return sol
+
+    monkeypatch.setattr(solver, "_descend", recording)
+    return levels
+
+
+def test_2d_zero_start_begins_from_the_coarse_answer(monkeypatch):
+    import doublephase.solver as solver
+
+    factored = {}
+
+    def counting(grid, coeffs):
+        factored[grid.resolution] = factored.get(grid.resolution, 0) + 1
+        return form_factor(grid, coeffs)
+
+    monkeypatch.setattr(solver, "form_factor", counting)
+    prob = _bench_2d_problem(64)
+    opts = SolverOptions(gradient_tolerance=1e-7, energy_tolerance=1e-300)
+    unsequenced = minimize(prob, replace(opts, initial_guess=np.zeros(prob.grid.n_nodes)))
+    # from zero: 13 steps, 5 factorizations at 64x64
+    assert (unsequenced.iterations, factored) == (13, {(64, 64): 5})
+    factored.clear()
+    sol = minimize(prob, opts)
+    # from the 32x32 answer, itself from the 16x16 one: 8 fine steps, one fine factorization
+    assert (sol.iterations, factored) == (8, {(16, 16): 3, (32, 32): 1, (64, 64): 1})
+    assert sol.termination == unsequenced.termination == "gradient_tolerance"
+    assert np.max(np.abs(sol.w_star.values - unsequenced.w_star.values)) <= opts.gradient_tolerance
+
+
+@pytest.mark.parametrize("gtol", [1e-7, None])
+def test_coarse_levels_stop_at_the_tolerance_scaled_by_cell_volume(monkeypatch, gtol):
+    levels = _recording_levels(monkeypatch)
+    grid = build_grid(2, [(0, 1), (0, 1)], [32, 32])
+    prob = _bench_2d_problem(32, phi_values=grid.node_coords()[:, 0] ** 2)
+    sol = minimize(prob, SolverOptions(gradient_tolerance=gtol, energy_tolerance=1e-300))
+    if gtol is None:
+        # resolved from the zero start's energy, not from the coarse guess's
+        start = energy(ScalarField.zeros(grid), prob)
+        gtol = 1e-8 * (1.0 + abs(start)) / grid.volume
+    assert [level[:2] for level in levels] == [((16, 16), 4.0 * gtol), ((32, 32), gtol)]
+    assert sol.termination == "gradient_tolerance" and sol.gradient_norm <= gtol
+
+
+@pytest.mark.parametrize(
+    "dim,resolution",
+    [(1, [64]), (2, [16, 16]), (2, [64, 30]), (2, [33, 64])],
+    ids=["1d", "16x16", "half-below-16", "odd"],
+)
+def test_grids_without_a_coarse_level_descend_from_zero_bit_identically(monkeypatch, dim, resolution):
+    levels = _recording_levels(monkeypatch)
+    grid = build_grid(dim, [(0, 1)] * dim, resolution)
+    x = grid.cell_centers()
+    prob = make_problem(grid, 1.5 + 0.3 * x[:, -1], [(3.0, x[:, 0])], f_values=np.ones(grid.n_nodes))
+    opts = SolverOptions(gradient_tolerance=1e-7, energy_tolerance=1e-300)
+    sol = minimize(prob, opts)
+    zero = minimize(prob, replace(opts, initial_guess=np.zeros(grid.n_nodes)))
+    assert [level[0] for level in levels] == [grid.resolution] * 2
+    assert sol.iterations == zero.iterations
+    np.testing.assert_array_equal(sol.energy_history, zero.energy_history)
+    np.testing.assert_array_equal(sol.w_star.values, zero.w_star.values)
+
+
+def test_a_coarse_level_that_raises_leaves_the_zero_start(monkeypatch):
+    # one child of each 2x2 block carries the weight at q = 2, its three
+    # siblings have mu = 0 at q = 300: the coarse cells weigh t^225.5, and the
+    # coarse energy of phi = 100 x overflows at the zero start
+    import doublephase.solver as solver
+
+    levels = _recording_levels(monkeypatch)
+    grid = build_grid(2, [(0, 1), (0, 1)], [32, 32])
+    i, j = np.indices(grid.cell_shape).reshape(2, -1)
+    lead = (i % 2 == 0) & (j % 2 == 0)
+    prob = make_problem(grid, 1.5, [(np.where(lead, 2.0, 300.0), np.where(lead, 1.0, 0.0))],
+                        f_values=np.ones(grid.n_nodes), phi_values=100.0 * grid.node_coords()[:, 0])
+    opts = SolverOptions(gradient_tolerance=1e-8, energy_tolerance=1e-300)
+    with pytest.raises(SolverError, match="^non-finite energy at iteration 0$"):
+        minimize(solver._coarsened(prob), opts)
+    sol = minimize(prob, opts)
+    assert [level[0] for level in levels] == [(32, 32)]
+    zero = minimize(prob, replace(opts, initial_guess=np.zeros(grid.n_nodes)))
+    assert sol.termination == zero.termination == "gradient_tolerance"
+    assert sol.iterations == zero.iterations
+    np.testing.assert_array_equal(sol.w_star.values, zero.w_star.values)
+
+
+def test_coarsened_problem_averages_cells_and_samples_nodes():
+    import doublephase.solver as solver
+
+    rng = np.random.default_rng(8)
+    grid = build_grid(2, [(0, 1), (0, 2)], [32, 64])
+    p, q, mu = (rng.uniform(1.2, 4.0, grid.n_cells) for _ in range(3))
+    # mu near the largest float: a plain sum of the four children overflows
+    mu[:4] = 1.5e308
+    prob = make_problem(grid, p, [(q, mu)], f_values=rng.normal(size=grid.n_nodes),
+                        phi_values=rng.normal(size=grid.n_nodes))
+    coarse = solver._coarsened(prob)
+    assert coarse.grid == build_grid(2, [(0, 1), (0, 2)], [16, 32])
+    blocks = np.arange(grid.n_cells).reshape(16, 2, 32, 2).transpose(0, 2, 1, 3).reshape(-1, 4)
+    for fine, restricted in ((p, coarse.phase.p_cells), (q, coarse.phase.phases[0].q_cells),
+                             (mu, coarse.phase.phases[0].mu_cells)):
+        assert np.all(np.isfinite(restricted))
+        np.testing.assert_allclose(restricted, np.sum(fine[blocks] / 4.0, axis=1), rtol=1e-15)
+    for fine, restricted in ((prob.phi, coarse.phi), (prob.f, coarse.f)):
+        np.testing.assert_array_equal(
+            restricted.values, fine.values.reshape(grid.node_shape)[::2, ::2].reshape(-1)
+        )
+    assert solver._coarsened(coarse) is None  # a half of 16 cells has 8
+
+
+def test_prolonged_guess_is_bilinear_with_an_exactly_zero_trace():
+    import doublephase.solver as solver
+
+    rng = np.random.default_rng(9)
+    coarse = build_grid(2, [(0, 1), (0, 3)], [16, 32])
+    fine = build_grid(2, [(0, 1), (0, 3)], [32, 64])
+    guess = solver._prolong(coarse, zero_trace_random(coarse, rng))
+    assert guess.shape == (fine.n_nodes,)
+    assert np.all(guess[boundary_mask(fine)] == 0.0)
+    # a bilinear function is interpolated exactly, up to rounding
+    bilinear = lambda xy: 1.0 + 2.0 * xy[:, 0] - 0.5 * xy[:, 1] + 3.0 * xy[:, 0] * xy[:, 1]
+    np.testing.assert_allclose(
+        solver._prolong(coarse, bilinear(coarse.node_coords())), bilinear(fine.node_coords()),
+        rtol=1e-14,
+    )
 
 
 def test_two_start_solve_assembles_the_load_once(monkeypatch):

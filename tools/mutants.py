@@ -209,6 +209,20 @@ MUTANTS = (
         "            if True:",
         ("tests/test_solver.py::test_a_stale_factor_is_refactored_within_the_cap",),
     ),
+    Mutant(
+        "coarse-guess-dropped",
+        "src/doublephase/solver.py",
+        "return (guess, E_guess) if E_guess <= E else (u, E)",
+        "return u, E",
+        ("tests/test_solver.py::test_2d_zero_start_begins_from_the_coarse_answer",),
+    ),
+    Mutant(
+        "coarse-tolerance-unscaled",
+        "src/doublephase/solver.py",
+        "coarse_gtol = gtol * coarse.grid.cell_volume / prob.grid.cell_volume",
+        "coarse_gtol = gtol",
+        ("tests/test_solver.py::test_coarse_levels_stop_at_the_tolerance_scaled_by_cell_volume",),
+    ),
 )
 
 
